@@ -1,7 +1,7 @@
 # Convenience targets; `make ci` is what .github/workflows/ci.yml runs.
 
 .PHONY: all build test fmt ci bench bench-smoke crash-smoke scale-smoke \
-	shed-smoke prof-smoke advise-smoke colscan-smoke maint-smoke clean
+	shed-smoke prof-smoke advise-smoke maint-smoke clean
 
 all: build
 
@@ -66,13 +66,6 @@ prof-smoke:
 # non-zero otherwise). Emits BENCH_<stamp>.advise.json; CI uploads it.
 advise-smoke:
 	DECIBEL_BENCH_SCALE=1 dune exec bench/main.exe -- --only advise
-
-# Columnar-scan smoke: v1 vs v2 segment formats per scheme, interleaved
-# A/B sampling of full-scan and filtered-aggregate latency plus on-disk
-# bytes. Exits non-zero if any v1/v2 or serial/4-domain query
-# fingerprint diverges. Emits BENCH_<stamp>.colscan.json; CI uploads it.
-colscan-smoke:
-	DECIBEL_BENCH_SCALE=1 dune exec bench/main.exe -- --only colscan
 
 # Maintenance smoke: builds a fragmented, chain-heavy store per scheme,
 # runs the journaled maintenance executor, and reports before/after

@@ -1729,199 +1729,6 @@ let advise_bench () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Colscan: segment format v1 (row-per-record heap) vs v2 (columnar
-   blocks, per-column compression) over the same low-cardinality
-   branchy dataset.  Reports median full-scan and pushed
-   filter+aggregate latency plus on-disk bytes per format, and checks
-   an FNV-1a fingerprint of every query surface for identity across
-   v1/v2 and across serial vs 4-domain execution — any divergence
-   fails the process.  Writes BENCH_<stamp>.colscan.json. *)
-
-module Cs = Decibel_storage
-
-let colscan_bench () =
-  Report.section
-    "Colscan — segment v1 vs v2: scan/aggregate latency, bytes, fingerprints";
-  let cfg = Config.default in
-  let schema = Config.schema cfg in
-  let nrows = 20_000 * Config.scale in
-  let repeat = 7 in
-  let saved_domains = Par.domain_count () in
-  Par.set_domain_count 0;
-  (* low-cardinality content (cf. compressible_tuple_of_key): runs of
-     equal values per column, so dictionaries and deltas have traction *)
-  let ctuple key salt =
-    Array.init cfg.Config.columns (fun j ->
-        if j = 0 then Cs.Value.int key
-        else Cs.Value.int (((key / 16) + j + salt) mod 8))
-  in
-  let agg_preds =
-    [ Cs.Col_pred.make schema ~column:"c1" Cs.Col_pred.Eq (Cs.Value.int 3) ]
-  in
-  let c2 = Cs.Schema.column_index schema "c2" in
-  let run_agg db child () =
-    let sum = ref 0L and n = ref 0 in
-    Database.scan_filtered db child ~preds:agg_preds (fun t ->
-        incr n;
-        match t.(c2) with
-        | Cs.Value.Int x -> sum := Int64.add !sum x
-        | Cs.Value.Str _ -> ());
-    (!n, !sum)
-  in
-  (* one FNV-1a-64 fingerprint over everything the formats must agree
-     on: the child scan stream and the filtered aggregate *)
-  let fingerprint db child =
-    let h = ref 0xcbf29ce484222325L in
-    let mix s =
-      String.iter
-        (fun c ->
-          h := Int64.logxor !h (Int64.of_int (Char.code c));
-          h := Int64.mul !h 0x100000001b3L)
-        s
-    in
-    Database.scan db child (fun t -> mix (Cs.Tuple.to_string t));
-    let n, sum = run_agg db child () in
-    mix (Printf.sprintf "agg:%d:%Ld" n sum);
-    !h
-  in
-  let build ename scheme format =
-    incr load_counter;
-    let dir =
-      fresh_dir (Printf.sprintf "colscan-%s-v%d-%d" ename format !load_counter)
-    in
-    Fsutil.mkdir_p dir;
-    let db = Database.open_ ~format ~scheme ~dir ~schema () in
-    for key = 1 to nrows do
-      Database.insert db Vg.master (ctuple key 0)
-    done;
-    let base = Database.commit db Vg.master ~message:"base" in
-    let child = Database.create_branch db ~name:"child" ~from:base in
-    for key = 1 to nrows do
-      if key mod 5 = 0 then Database.update db child (ctuple key 3);
-      if key mod 13 = 0 then Database.delete db child (Cs.Value.int key)
-    done;
-    for key = nrows + 1 to nrows + (nrows / 10) do
-      Database.insert db child (ctuple key 1)
-    done;
-    ignore (Database.commit db child ~message:"child");
-    Database.flush db;
-    (db, child, dir)
-  in
-  let sample db f =
-    Database.drop_caches db;
-    fst (Driver.time f)
-  in
-  let diverged = ref [] in
-  let table_rows = ref [] in
-  let engine_json =
-    List.map
-      (fun (ename, scheme) ->
-        (* both formats stay open and are sampled round-robin, so
-           machine drift within the run lands on v1 and v2 equally *)
-        let db1, child1, dir1 = build ename scheme 1 in
-        let db2, child2, dir2 = build ename scheme 2 in
-        let scan1 () = Database.scan db1 child1 (fun _ -> ()) in
-        let scan2 () = Database.scan db2 child2 (fun _ -> ()) in
-        let agg1 () = ignore (run_agg db1 child1 ()) in
-        let agg2 () = ignore (run_agg db2 child2 ()) in
-        Gc.full_major ();
-        List.iter (fun f -> ignore (sample db1 f)) [ scan1; agg1 ];
-        List.iter (fun f -> ignore (sample db2 f)) [ scan2; agg2 ];
-        let s1 = ref [] and s2 = ref [] and a1 = ref [] and a2 = ref [] in
-        for _ = 1 to repeat do
-          s1 := sample db1 scan1 :: !s1;
-          s2 := sample db2 scan2 :: !s2;
-          a1 := sample db1 agg1 :: !a1;
-          a2 := sample db2 agg2 :: !a2
-        done;
-        let s1 = !s1 and s2 = !s2 and a1 = !a1 and a2 = !a2 in
-        let b1 = Database.dataset_bytes db1 in
-        let b2 = Database.dataset_bytes db2 in
-        let fs1 = fingerprint db1 child1 in
-        let fs2 = fingerprint db2 child2 in
-        Par.set_domain_count 4;
-        let fp1 = fingerprint db1 child1 in
-        let fp2 = fingerprint db2 child2 in
-        Par.set_domain_count 0;
-        Database.close db1;
-        Database.close db2;
-        Fsutil.rm_rf dir1;
-        Fsutil.rm_rf dir2;
-        let agree = fs1 = fp1 && fs1 = fs2 && fs2 = fp2 in
-        if not agree then diverged := ename :: !diverged;
-        let p50 xs = Report.percentile xs 0.50 in
-        let ratio num den = if den = 0. then 0. else num /. den in
-        let fmt_p50 ss = Printf.sprintf "%.1f ms" (p50 ss *. 1e3) in
-        let row fmt ss aa bb =
-          [ ename; fmt; fmt_p50 ss; fmt_p50 aa; string_of_int bb ]
-        in
-        table_rows := row "v2" s2 a2 b2 :: row "v1" s1 a1 b1 :: !table_rows;
-        Report.note
-          "%s: v2/v1 scan %.2fx  aggregate %.2fx  bytes %.2fx  \
-           fingerprints %s"
-          ename
-          (ratio (p50 s1) (p50 s2))
-          (ratio (p50 a1) (p50 a2))
-          (ratio (float_of_int b1) (float_of_int b2))
-          (if agree then "identical" else "DIVERGED");
-        let fmt_json ss aa bb fps fpp =
-          Report.J_obj
-            [
-              ("scan_p50_ms", Report.J_float (p50 ss *. 1e3));
-              ("aggregate_p50_ms", Report.J_float (p50 aa *. 1e3));
-              ("dataset_bytes", Report.J_int bb);
-              ("fingerprint_serial", Report.J_str (Printf.sprintf "%016Lx" fps));
-              ("fingerprint_4domains", Report.J_str (Printf.sprintf "%016Lx" fpp));
-            ]
-        in
-        ( ename,
-          Report.J_obj
-            [
-              ("v1", fmt_json s1 a1 b1 fs1 fp1);
-              ("v2", fmt_json s2 a2 b2 fs2 fp2);
-              ("scan_speedup", Report.J_float (ratio (p50 s1) (p50 s2)));
-              ("aggregate_speedup", Report.J_float (ratio (p50 a1) (p50 a2)));
-              ( "bytes_ratio",
-                Report.J_float (ratio (float_of_int b1) (float_of_int b2)) );
-              ( "fingerprints_identical",
-                Report.J_raw (if agree then "true" else "false") );
-            ] ))
-      engines
-  in
-  Par.set_domain_count saved_domains;
-  Report.table
-    ~headers:[ "engine"; "format"; "scan"; "filter+agg"; "bytes" ]
-    ~rows:(List.rev !table_rows);
-  let stamp =
-    let tm = Unix.localtime (Unix.time ()) in
-    Printf.sprintf "%04d%02d%02d_%02d%02d%02d" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-      tm.Unix.tm_sec
-  in
-  let doc =
-    Report.J_obj
-      [
-        ("schema", Report.J_str "decibel-colscan-v1");
-        ("timestamp", Report.J_str stamp);
-        ("scale", Report.J_int Config.scale);
-        ("rows", Report.J_int nrows);
-        ("repeat", Report.J_int repeat);
-        ("engines", Report.J_obj engine_json);
-      ]
-  in
-  let path = Printf.sprintf "BENCH_%s.colscan.json" stamp in
-  let oc = open_out path in
-  output_string oc (Report.json_to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Report.note "wrote %s" path;
-  if !diverged <> [] then begin
-    Printf.eprintf "colscan: fingerprint divergence on %s\n%!"
-      (String.concat ", " (List.rev !diverged));
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1939,7 +1746,6 @@ let experiments =
     ("shed", shed_bench);
     ("profoverhead", prof_overhead);
     ("advise", advise_bench);
-    ("colscan", colscan_bench);
     ("crash", crash);
     ("maint", maint_bench);
     ("tab5", tab5); (* printed last: aggregates all loads this run *)

@@ -815,9 +815,13 @@ let fsck_cmd =
       & info [ "migrate" ]
           ~doc:
             "Upgrade a segment-format-v1 (pre-columnar) repository to the \
-             columnar v2 layout in place.  Row order is preserved so every \
-             persisted locator stays valid; the checkpoint must verify \
-             clean first, and a repository already on v2 is untouched.")
+             columnar v2 layout, the only one Decibel opens.  Every v1 \
+             record is checksum-verified before anything is replaced; \
+             corrupt input is reported as $(i,cannot migrate) and left \
+             untouched.  The upgrade is crash-atomic: rerunning after an \
+             interruption finishes or restarts it.  Row order is \
+             preserved so every persisted locator stays valid; a \
+             repository already on v2 is untouched.")
   in
   let json_flag =
     Arg.(
@@ -841,8 +845,9 @@ let fsck_cmd =
           heap and segment checksums, commit-locator cross-references, \
           stale temp files and torn write-ahead-log tails.  Exits non-zero \
           if any problem is found (repaired or not).  With $(b,--migrate), \
-          also upgrades a clean v1-format repository to the columnar v2 \
-          segment layout.")
+          first upgrades a v1-format repository to the columnar v2 \
+          segment layout; without it a v1 repository is reported as \
+          needing the upgrade.")
     Term.(const run $ dir_arg $ repair_flag $ migrate_flag $ json_flag)
 
 let () =

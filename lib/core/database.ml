@@ -67,14 +67,14 @@ let workload_path dir = Filename.concat dir "workload.jsonl"
 let c_corruption = Obs.counter "storage.corruption_detected"
 let c_replay_skipped = Obs.counter "wal.replay_skipped"
 
-let open_ ?pool ?(durable = false) ?(compress = false) ?(format = 2)
-    ?lock_timeout_s ?governor ~scheme ~dir ~schema () =
+let open_ ?pool ?(durable = false) ?(compress = false) ?lock_timeout_s
+    ?governor ~scheme ~dir ~schema () =
   let pool =
     match pool with Some p -> p | None -> Buffer_pool.create ()
   in
   let locks = Lock_manager.create ?timeout_s:lock_timeout_s () in
   let pack (type e) (module E : Engine_intf.S with type t = e) =
-    let state = E.create ~format ~compress ~dir ~pool ~schema in
+    let state = E.create ~compress ~dir ~pool ~schema in
     let wal =
       if durable then begin
         (* checkpoint 0: the freshly-initialized state, so a crash
@@ -144,13 +144,6 @@ let detect_scheme dir =
   | [] -> errorf "no Decibel repository found in %s" dir
   | _ :: _ :: _ -> errorf "ambiguous repository manifests in %s" dir
 
-(* A repository persisted in segment format v1 opens read-only under
-   the v2 binary: every read path works (the v1 codecs remain), but
-   writes would commit the old layout further, so they are refused
-   until [fsck --migrate] rewrites the segments. *)
-let v1_readonly_reason =
-  "repository uses segment format v1; run fsck --migrate to upgrade"
-
 let reopen_checkpoint ?pool ?scheme ?governor ~dir () =
   let pool = match pool with Some p -> p | None -> Buffer_pool.create () in
   let scheme = match scheme with Some s -> s | None -> detect_scheme dir in
@@ -168,9 +161,7 @@ let reopen_checkpoint ?pool ?scheme ?governor ~dir () =
         locks = Lock_manager.create ();
         wal = None;
         next_session = 0;
-        health =
-          (if E.format_version state < 2 then Degraded v1_readonly_reason
-           else Healthy);
+        health = Healthy;
         quarantined = Hashtbl.create 4;
         governor;
         breakers = Hashtbl.create 4;
@@ -185,6 +176,19 @@ let reopen_checkpoint ?pool ?scheme ?governor ~dir () =
   | Version_first -> pack (module Version_first)
   | Hybrid -> pack (module Hybrid)
   | Model -> pack (module Model)
+
+(* Offline v1 → v2 segment-format upgrade ([fsck --migrate]); [false]
+   when the repository is already v2.  Must not run against an open
+   database. *)
+let upgrade_v1 ?pool ~dir () =
+  let pool = match pool with Some p -> p | None -> Buffer_pool.create () in
+  match detect_scheme dir with
+  | Tuple_first -> Tuple_first.Branch_oriented.upgrade_v1 ~dir ~pool
+  | Tuple_first_tuple_oriented ->
+      Tuple_first.Tuple_oriented.upgrade_v1 ~dir ~pool
+  | Version_first -> Version_first.upgrade_v1 ~dir ~pool
+  | Hybrid -> Hybrid.upgrade_v1 ~dir ~pool
+  | Model -> false
 
 let scheme_of (Db { engine = (module E); _ }) = E.scheme
 let schema (Db { engine = (module E); state; _ }) = E.schema state
@@ -442,19 +446,6 @@ let merge ?ctx (Db { engine = (module E); state; _ } as t) ~into ~from ~policy
               mark t lsn;
               raise e))
 
-let format_version (Db { engine = (module E); state; _ }) =
-  E.format_version state
-
-(* In-place v1 → v2 segment rewrite.  Clearing the v1 read-only
-   degradation afterwards makes the migrated repository immediately
-   writable; any other degradation reason is left in force. *)
-let migrate (Db d as t) =
-  let (Db { engine = (module E); state; _ }) = t in
-  E.migrate state;
-  match d.health with
-  | Degraded reason when reason = v1_readonly_reason -> d.health <- Healthy
-  | _ -> ()
-
 let dataset_bytes (Db { engine = (module E); state; _ }) =
   E.dataset_bytes state
 
@@ -541,7 +532,7 @@ let storage_report (Db { engine = (module E); state; pool; _ } as t) =
       let module R = Decibel_obs.Report in
       {
         R.r_scheme = E.scheme;
-        r_format = part.R.e_format;
+        r_format = Col_segment.current_format;
         r_dataset_bytes = E.dataset_bytes state;
         r_commit_meta_bytes = E.commit_meta_bytes state;
         r_branches = part.R.e_branches;
@@ -769,13 +760,10 @@ let run_maintenance_locked (Db { engine = (module E); state; dir; _ } as t)
 
 let run_maintenance (Db d as t) ~kind ~target =
   check_writable t;
-  if format_version t < 2 then None
-  else begin
-    Mutex.lock d.maint_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock d.maint_mutex)
-      (fun () -> run_maintenance_locked t ~kind ~target)
-  end
+  Mutex.lock d.maint_mutex;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock d.maint_mutex)
+    (fun () -> run_maintenance_locked t ~kind ~target)
 
 (* One advisor-driven pass: plan and execute every current
    recommendation that maps to an engine task.  Recommendations made
@@ -785,7 +773,6 @@ let run_maintenance (Db d as t) ~kind ~target =
 let maintenance_tick ?thresholds (Db d as t) =
   match d.health with
   | Degraded _ -> []
-  | Healthy when format_version t < 2 -> []
   | Healthy ->
       List.filter_map
         (fun (r : Advisor.recommendation) ->

@@ -28,7 +28,6 @@ val open_ :
   ?pool:Buffer_pool.t ->
   ?durable:bool ->
   ?compress:bool ->
-  ?format:int ->
   ?lock_timeout_s:float ->
   ?governor:Decibel_governor.Governor.Admission.t ->
   scheme:scheme ->
@@ -36,14 +35,13 @@ val open_ :
   schema:Schema.t ->
   unit ->
   t
-(** Initialize a fresh repository in [dir].  [durable] arms write-ahead
-    logging of every operation (default off); [compress] stores record
-    payloads LZ77-compressed (the paper's §5.5 space/materialization
-    trade-off, default off); [format] selects the segment layout —
-    [2] (default) the columnar block format of
-    {!Decibel_storage.Col_segment}, [1] the original row-per-record
-    heap (kept for compatibility fixtures and comparison benchmarks);
-    [lock_timeout_s] bounds session lock waits; [governor] arms
+(** Initialize a fresh repository in [dir], stored in the columnar
+    segment format of {!Decibel_storage.Col_segment} (v2, the only
+    format the engines write).  [durable] arms write-ahead logging of
+    every operation (default off); [compress] LZ77-compresses each
+    sealed block where that pays (the paper's §5.5
+    space/materialization trade-off, default off); [lock_timeout_s]
+    bounds session lock waits; [governor] arms
     admission control, load shedding and per-branch circuit breakers on
     the long-running operations (see {e Resource governance} below). *)
 
@@ -56,7 +54,10 @@ val reopen :
     LSN marker (crash recovery; entries the checkpoint already
     reflects are never double-applied).  The scheme is auto-detected
     from the manifest unless given.  [durable] defaults to whether the
-    repository ever had a log. *)
+    repository ever had a log.  A repository still in the pre-columnar
+    segment format v1 does not open: this (and {!reopen_checkpoint})
+    raises [Types.Engine_error "segment format v1: run fsck --migrate"]
+    until {!upgrade_v1} has rewritten it. *)
 
 val reopen_checkpoint :
   ?pool:Buffer_pool.t -> ?scheme:scheme ->
@@ -64,6 +65,15 @@ val reopen_checkpoint :
 (** Reopen the last checkpoint only — no WAL replay, no checkpoint
     rewrite, no log arming.  The read-only half of {!reopen}; fsck
     uses it to inspect a repository without mutating it. *)
+
+val upgrade_v1 : ?pool:Buffer_pool.t -> dir:string -> unit -> bool
+(** Offline, crash-atomic rewrite of a segment-format-v1 repository
+    as v2, row order preserved (the engine of [fsck --migrate]; see
+    {!Decibel_storage.Seg_v1.upgrade} for the staging protocol).
+    Returns [false], touching nothing, when [dir] is already v2; a
+    rerun after a crash finishes or restarts the upgrade.  Raises
+    [Decibel_util.Binio.Corrupt] on corrupt v1 input, leaving the
+    repository as it was.  The repository must not be open. *)
 
 val scheme_of : t -> string
 val schema : t -> Schema.t
@@ -112,7 +122,7 @@ val scan_filtered :
   ?ctx:Decibel_governor.Governor.Ctx.t ->
   t -> branch_id -> preds:Col_pred.t list -> (Tuple.t -> unit) -> unit
 (** {!scan} restricted to records satisfying every structured
-    predicate.  On format-v2 segments the predicates are pushed below
+    predicate.  On columnar segments the predicates are pushed below
     tuple materialization (and the branch bitmap below block
     decompression); engines without a batch path filter row-wise. *)
 
@@ -145,17 +155,6 @@ val heads : t -> branch_id list
 val dataset_bytes : t -> int
 val commit_meta_bytes : t -> int
 val pool : t -> Buffer_pool.t
-
-val format_version : t -> int
-(** Segment layout version of the open repository: [1] (row heap) or
-    [2] (columnar blocks).  A v1 repository reopened from disk is
-    read-only ({!health} reports it degraded) until {!migrate}. *)
-
-val migrate : t -> unit
-(** Rewrite format-v1 segments as v2 in place (row order preserved, so
-    every locator, bitmap and commit history stays valid) and persist a
-    v2 manifest.  Clears the v1 read-only degradation; no-op on v2
-    repositories.  Exposed to applications via [fsck --migrate]. *)
 
 val drop_caches : t -> unit
 (** Flush, then empty the buffer pool (cold-cache benchmarking). *)
@@ -264,15 +263,14 @@ type maint_resolution = {
 val run_maintenance :
   t -> kind:Engine_intf.maint_kind -> target:string -> maint_result option
 (** Plan and execute one maintenance task crash-safely.  [None] when
-    the engine has nothing to do for this kind/target (or the
-    repository is format v1).  Raises on a failed task; the store is
+    the engine has nothing to do for this kind/target.  Raises on a failed task; the store is
     left on its pre-task state (in memory for plan/apply failures, on
     disk always — recovery rolls back the journaled intent). *)
 
 val maintenance_tick :
   ?thresholds:Decibel_obs.Advisor.thresholds -> t -> maint_result list
 (** One advisor-driven pass: execute every current recommendation
-    that maps to an engine task.  No-op on degraded or v1 stores. *)
+    that maps to an engine task.  No-op on degraded stores. *)
 
 val start_maintenance :
   ?interval_s:float ->

@@ -55,6 +55,13 @@ type maint_plan = {
   mp_cleanup : unit -> unit;
 }
 
+(* Consume an engine manifest's format header, refusing a pre-columnar
+   (v1) manifest: only the offline upgrade behind [fsck --migrate]
+   reads those. *)
+let read_manifest_header s pos =
+  if Col_segment.manifest_version s pos < Col_segment.current_format then
+    errorf "segment format v1: run fsck --migrate"
+
 module type S = sig
   type t
 
@@ -63,7 +70,6 @@ module type S = sig
       ["hybrid"], ... *)
 
   val create :
-    format:int ->
     compress:bool ->
     dir:string ->
     pool:Buffer_pool.t ->
@@ -72,22 +78,20 @@ module type S = sig
   (** Initialize a repository in [dir] (created if absent): the root
       version (empty dataset) on the master branch.  The paper's [init]
       operation (§2.2.3).  [dir] should be empty or absent; existing
-      repository files are truncated.
+      repository files are truncated.  Records are stored in the
+      columnar block layout of {!Decibel_storage.Col_segment}.
 
-      [format] selects the segment layout: [1] is the original
-      row-per-record heap, [2] the columnar block layout of
-      {!Decibel_storage.Col_segment} (the default everywhere above this
-      interface).  Raises {!Types.Engine_error} on any other value.
-
-      [compress] stores record payloads LZ77-compressed — the paper's
-      suggested mitigation for the storage blowup of whole-record
-      copies on table-wise updates (§5.5), trading materialization
-      (decode) cost for space.  Default off, as in the paper. *)
+      [compress] LZ77-compresses each sealed block where that pays —
+      the paper's suggested mitigation for the storage blowup of
+      whole-record copies on table-wise updates (§5.5), trading
+      materialization (decode) cost for space.  Default off, as in the
+      paper. *)
 
   val open_existing : dir:string -> pool:Buffer_pool.t -> t
   (** Reopen a repository persisted by {!S.flush} or {!S.close}.
       Raises {!Types.Engine_error} if [dir] holds no repository of this
-      scheme. *)
+      scheme, or one still in the pre-columnar segment format v1 (which
+      only [fsck --migrate] reads). *)
 
   val schema : t -> Schema.t
   val graph : t -> Decibel_graph.Version_graph.t
@@ -147,7 +151,7 @@ module type S = sig
     (Tuple.t -> unit) ->
     unit
   (** [scan] restricted to records satisfying every predicate.  On
-      format-v2 segments the predicates are evaluated on decoded column
+      columnar segments the predicates are evaluated on decoded column
       batches — below tuple materialization, and below decompression
       for blocks the branch bitmap rules out; engines without a
       columnar path apply {!Col_pred.eval_tuple} per record. *)
@@ -182,16 +186,6 @@ module type S = sig
       differ in the second; [neg] the converse (Q2 runs [pos] only). *)
 
   (** {1 Introspection} *)
-
-  val format_version : t -> int
-  (** Segment layout version of the open repository: [1] (row heap) or
-      [2] (columnar blocks). *)
-
-  val migrate : t -> unit
-  (** Rewrite format-v1 segments as v2 in place, row order preserved
-      (so bitmaps, commit histories and row locators stay valid), and
-      persist a v2 manifest.  No-op on v2 repositories.  The engine
-      half of [fsck --migrate]. *)
 
   val dataset_bytes : t -> int
   (** Bytes of record data on disk (heap/segment files). *)

@@ -182,49 +182,28 @@ let check_engine ?pool dir =
       Database.close db;
       (Some scheme, findings)
 
-(* Format upgrade: reopen the checkpoint and rewrite any v1 segments
-   as columnar v2 in place (row order preserved, so every persisted
-   locator stays valid).  Only attempted on a repository whose
-   checkpoint verifies clean — migrating corrupt data would launder
-   the corruption into a fresh file. *)
+(* Format upgrade: the offline, crash-atomic v1 → v2 rewrite.  Every
+   v1 record is checksum-verified and strictly decoded before the
+   commit point, so corrupt v1 data is reported ("cannot migrate")
+   with the repository left as it was, never laundered into a fresh v2
+   file.  A rerun after a crash finishes or restarts the upgrade. *)
 let migrate_repo ?pool dir =
-  match Database.reopen_checkpoint ?pool ~dir () with
-  | exception Decibel_util.Binio.Corrupt msg ->
+  let cannot msg =
+    [ { artifact = dir; problem = "cannot migrate: " ^ msg; repaired = false } ]
+  in
+  match Database.upgrade_v1 ?pool ~dir () with
+  | false -> []
+  | true ->
       [
         {
-          artifact = "manifest";
-          problem = "cannot migrate: " ^ msg;
-          repaired = false;
+          artifact = dir;
+          problem = "segment format v1 (pre-columnar)";
+          repaired = true;
         };
       ]
-  | exception Types.Engine_error msg ->
-      [
-        { artifact = dir; problem = "cannot migrate: " ^ msg; repaired = false };
-      ]
-  | db ->
-      Fun.protect
-        ~finally:(fun () -> Database.close db)
-        (fun () ->
-          let before = Database.format_version db in
-          if before >= 2 then [] (* already v2: nothing to do *)
-          else if Database.verify db <> [] then
-            [
-              {
-                artifact = dir;
-                problem = "cannot migrate: checkpoint has integrity errors";
-                repaired = false;
-              };
-            ]
-          else begin
-            Database.migrate db;
-            [
-              {
-                artifact = dir;
-                problem = "segment format v1 (pre-columnar)";
-                repaired = true;
-              };
-            ]
-          end)
+  | exception Decibel_util.Binio.Corrupt msg -> cannot msg
+  | exception Types.Engine_error msg -> cannot msg
+  | exception Sys_error msg -> cannot msg
 
 let run ?(repair = false) ?(migrate = false) ?pool ~dir () =
   Obs.incr c_runs;
@@ -237,14 +216,16 @@ let run ?(repair = false) ?(migrate = false) ?pool ~dir () =
       maint = [];
     }
   else begin
+    (* upgrade first: it sweeps its own staged files, and the checks
+       below then inspect the v2 result *)
+    let migration = if migrate then migrate_repo ?pool dir else [] in
     let tmp = check_tmp_files ~repair dir in
     let wal = check_wal ~repair dir in
     (* resolve interrupted maintenance before the engine check so a
        repaired repository verifies against its settled file set *)
     let mfind, maint = check_maint ~repair ?pool dir in
     let scheme, engine = check_engine ?pool dir in
-    let migration = if migrate then migrate_repo ?pool dir else [] in
-    let findings = tmp @ wal @ mfind @ engine @ migration in
+    let findings = migration @ tmp @ wal @ mfind @ engine in
     Obs.add c_findings (List.length findings);
     if findings <> [] then
       Obs.event ~level:Obs.Warn ~comp:"fsck"

@@ -47,11 +47,14 @@ val run :
     [migrate] (both default false).  Never raises on a corrupt
     repository — problems become findings.
 
-    With [~migrate:true], a repository still on segment format v1 whose
-    checkpoint verifies clean is rewritten to columnar v2 in place (row
-    order preserved, all persisted locators stay valid); the upgrade
-    appears as a repaired finding.  A corrupt checkpoint is never
-    migrated, and a v2 repository is left untouched. *)
+    With [~migrate:true], a repository still on segment format v1 is
+    first rewritten to columnar v2 ({!Database.upgrade_v1}: row order
+    preserved, all persisted locators stay valid, crash-atomic); the
+    upgrade appears as a repaired finding and the remaining checks
+    inspect the result.  Corrupt v1 input is never migrated: it becomes
+    a ["cannot migrate: ..."] finding and the files are left as they
+    were.  A v2 repository is left untouched.  Without [migrate] a v1
+    repository is reported as needing [fsck --migrate]. *)
 
 val clean : report -> bool
 (** No findings at all (repaired ones still count as findings). *)

@@ -7,13 +7,11 @@
     records live in each branch, letting scans skip irrelevant segments
     entirely and proceed in any order.
 
-    Segments are {!Decibel_storage.Col_segment}s addressed by local row
-    index (format v1 keeps the original byte-offset record heap behind
-    the same row interface; format v2 stores columnar blocks).  The
-    local bitmaps were always row-indexed, so branch scans hand them to
-    {!Col_segment.scan} as selection vectors directly — in v2 that
-    skips and filters whole blocks below decompression, the combination
-    of §3.4's segment skipping with columnar execution.
+    Segments are columnar {!Decibel_storage.Col_segment}s addressed by
+    local row index.  The local bitmaps are row-indexed, so branch scans
+    hand them to {!Col_segment.scan} as selection vectors directly,
+    which skips and filters whole blocks below decompression — the
+    combination of §3.4's segment skipping with columnar execution.
 
     Head segments receive a branch's fresh modifications; when a branch
     is created from a clean head, the old head is frozen into an
@@ -71,7 +69,6 @@ type t = {
   pool : Buffer_pool.t;
   schema : Schema.t;
   compress : bool;
-  mutable format : int; (* segment layout version; migrate flips to 2 *)
   graph : Vg.t;
   segments : seg Vec.t;
   head_seg : int Vec.t; (* branch -> head segment id *)
@@ -89,40 +86,6 @@ type t = {
 
 let scheme = "hybrid"
 
-(* Format-v1 record wire format, as in the original layout: [u8 tag]
-   with tag 0 a raw tuple body and tag 1 LZ77-compressed (§5.5
-   mitigation).  Hybrid has no tombstone records — deletion only clears
-   liveness bits. *)
-let v1_codec ~schema ~compress =
-  let encode = function
-    | Col_segment.Live tuple ->
-        let buf = Buffer.create 64 in
-        if compress then begin
-          Binio.write_u8 buf 1;
-          Buffer.add_string buf (Lz77.compress (Tuple.encode schema tuple))
-        end
-        else begin
-          Binio.write_u8 buf 0;
-          Tuple.encode_into schema buf tuple
-        end;
-        Buffer.contents buf
-    | Col_segment.Tombstone _ ->
-        raise (Binio.Corrupt "hybrid: tombstone in record stream")
-  in
-  let decode payload =
-    Obs.Prof.add Obs.Prof.Bytes_decoded (String.length payload);
-    let pos = ref 0 in
-    match Binio.read_u8 payload pos with
-    | 0 -> Col_segment.Live (Tuple.decode schema payload pos)
-    | 1 ->
-        let raw =
-          Lz77.decompress (String.sub payload 1 (String.length payload - 1))
-        in
-        Col_segment.Live (Tuple.decode schema raw (ref 0))
-    | k -> raise (Binio.Corrupt (Printf.sprintf "hybrid: record tag %d" k))
-  in
-  { Col_segment.v1_encode = encode; v1_decode = decode }
-
 let segment t id = Vec.get t.segments id
 
 let seg_dummy =
@@ -139,12 +102,8 @@ let new_segment t =
   let seg_id = Vec.length t.segments in
   let path = seg_file_path t.dir seg_id in
   let seg =
-    if t.format >= 2 then
-      Col_segment.create_v2 ~pool:t.pool ~schema:t.schema ~compress:t.compress
-        ~path
-    else
-      Col_segment.create_v1 ~pool:t.pool ~schema:t.schema ~compress:t.compress
-        ~codec:(v1_codec ~schema:t.schema ~compress:t.compress) ~path
+    Col_segment.create_v2 ~pool:t.pool ~schema:t.schema ~compress:t.compress
+      ~path
   in
   let s = { seg_id; seg; local = Branch_bitmap.create () } in
   let _ = Vec.push t.segments s in
@@ -158,9 +117,7 @@ let ensure_branch bm b =
     ()
   done
 
-let create ~format ~compress ~dir ~pool ~schema =
-  if format <> 1 && format <> 2 then
-    errorf "hybrid: unknown segment format v%d" format;
+let create ~compress ~dir ~pool ~schema =
   Fsutil.mkdir_p dir;
   let t =
     {
@@ -168,7 +125,6 @@ let create ~format ~compress ~dir ~pool ~schema =
       pool;
       schema;
       compress;
-      format;
       graph = Vg.create ();
       (* dummy never dereferenced; fills unused Vec capacity *)
       segments = Vec.create ~dummy:seg_dummy ();
@@ -192,7 +148,6 @@ let create ~format ~compress ~dir ~pool ~schema =
 
 let schema t = t.schema
 let graph t = t.graph
-let format_version t = t.format
 
 let is_dirty t b = Hashtbl.find_opt t.dirty b = Some true
 let set_dirty t b v = Hashtbl.replace t.dirty b v
@@ -408,9 +363,8 @@ let lookup t b key =
     (Pk_index.find t.pk ~branch:b key)
 
 (* The local column goes straight down as the segment scan's selection
-   vector: in v2 the block skip + batch predicate machinery runs below
-   decompression, in v1 it degenerates to the old bit-test-per-row
-   walk. *)
+   vector: the block skip + batch predicate machinery runs below
+   decompression. *)
 let scan_segment_col ?preds t sid col f =
   Col_segment.scan ~sel:col ?preds (segment t sid).seg (fun _row tuple ->
       f tuple)
@@ -889,8 +843,7 @@ let storage_report t =
       (Array.to_list (Col_segment.merge_column_reports !reports))
   in
   {
-    R.e_format = t.format;
-    e_branches = branches;
+    R.e_branches = branches;
     e_segments = segments;
     e_columns = columns;
     e_history =
@@ -904,36 +857,22 @@ let storage_report t =
   }
 
 (* The manifest persists the graph, every segment's local bitmap and
-   layout metadata, branch head segments, the branch–segment bitmap,
+   block index, branch head segments, the branch–segment bitmap,
    history bookkeeping, the commit locator and dirtiness; the key index
-   is rebuilt from local bitmaps on reopen.  Format-v1 manifests keep
-   the original byte-for-byte encoding (heap size + per-row byte
-   offsets), so pre-columnar repositories reopen unchanged; v2
-   manifests lead with the columnar magic header and embed each
-   segment's block index instead of an offset table. *)
+   is rebuilt from local bitmaps on reopen. *)
 let manifest_path dir = Filename.concat dir "manifest.hy"
 
-let save_manifest t =
-  let v2 = t.format >= 2 in
+let save_manifest ?path t =
   let buf = Buffer.create 4096 in
-  if v2 then Col_segment.write_manifest_header buf;
+  Col_segment.write_manifest_header buf;
   Binio.write_u8 buf (if t.compress then 1 else 0);
   Binio.write_string buf (Vg.serialize t.graph);
   Schema.serialize buf t.schema;
   Binio.write_varint buf (Vec.length t.segments);
   Vec.iter
     (fun s ->
-      if v2 then begin
-        Col_segment.save_meta buf s.seg;
-        Branch_bitmap.serialize buf s.local
-      end
-      else begin
-        Binio.write_varint buf (Col_segment.byte_size s.seg);
-        Branch_bitmap.serialize buf s.local;
-        let offsets = Col_segment.v1_offsets s.seg in
-        Binio.write_varint buf (Vec.length offsets);
-        Vec.iter (fun off -> Binio.write_varint buf off) offsets
-      end)
+      Col_segment.save_meta buf s.seg;
+      Branch_bitmap.serialize buf s.local)
     t.segments;
   Binio.write_varint buf (Vec.length t.head_seg);
   Vec.iter (fun sid -> Binio.write_varint buf sid) t.head_seg;
@@ -962,32 +901,18 @@ let save_manifest t =
       Binio.write_u8 buf (if d then 1 else 0))
     t.dirty;
   Binio.write_varint buf t.wal_marker;
-  Atomic_file.write (manifest_path t.dir) (Buffer.contents buf)
+  Atomic_file.write
+    (Option.value path ~default:(manifest_path t.dir))
+    (Buffer.contents buf)
 
 let flush t =
   Vec.iter (fun s -> Col_segment.flush s.seg) t.segments;
   save_manifest t
 
-let migrate t =
-  if t.format < 2 then begin
-    for sid = 0 to Vec.length t.segments - 1 do
-      let s = segment t sid in
-      Vec.set t.segments sid { s with seg = Col_segment.migrate_to_v2 s.seg }
-    done;
-    (* local bitmaps, the key index and commit histories are all
-       row-addressed and rows survive migration 1:1 — only the format
-       flag and manifest encoding change *)
-    t.format <- 2;
-    save_manifest t
-  end
-
-let open_existing ~dir ~pool =
-  let data =
-    try Atomic_file.read (manifest_path dir)
-    with Sys_error _ -> errorf "hybrid: no repository in %s" dir
-  in
-  let pos = ref 0 in
-  let version = Col_segment.manifest_version data pos in
+(* Manifest body past the format header.  [read_seg] reads one
+   segment's section (segment plus local bitmap): the v2 block index
+   here, a staged v1 offset table in [upgrade_v1]. *)
+let load ~dir ~pool ~read_seg data pos =
   let compress = Binio.read_u8 data pos = 1 in
   let graph = Vg.deserialize (Binio.read_string data pos) in
   let schema = Schema.deserialize data pos in
@@ -997,7 +922,6 @@ let open_existing ~dir ~pool =
       pool;
       schema;
       compress;
-      format = version;
       graph;
       segments = Vec.create ~dummy:seg_dummy ();
       head_seg = Vec.create ~dummy:(-1) ();
@@ -1013,36 +937,9 @@ let open_existing ~dir ~pool =
   in
   let nsegs = Binio.read_varint data pos in
   for seg_id = 0 to nsegs - 1 do
-    if version >= 2 then begin
-      let seg =
-        Col_segment.open_v2 ~pool ~schema ~compress
-          ~path:(seg_file_path dir seg_id) data pos
-      in
-      let local = Branch_bitmap.deserialize data pos in
-      let _ = Vec.push t.segments { seg_id; seg; local } in
-      ()
-    end
-    else begin
-      let size = Binio.read_varint data pos in
-      let local = Branch_bitmap.deserialize data pos in
-      let offsets = ref [] in
-      let noff = Binio.read_varint data pos in
-      for _ = 1 to noff do
-        offsets := Binio.read_varint data pos :: !offsets
-      done;
-      let file =
-        Heap_file.open_existing ~pool (seg_file_path dir seg_id)
-      in
-      (* drop bytes past the checkpoint (recovered via the WAL instead) *)
-      Heap_file.truncate_to file size;
-      let seg =
-        Col_segment.of_v1 ~pool ~schema ~compress
-          ~codec:(v1_codec ~schema ~compress) ~file
-          ~offsets:(List.rev !offsets)
-      in
-      let _ = Vec.push t.segments { seg_id; seg; local } in
-      ()
-    end
+    let seg, local = read_seg ~schema ~compress seg_id data pos in
+    let _ = Vec.push t.segments { seg_id; seg; local } in
+    ()
   done;
   let nheads = Binio.read_varint data pos in
   for _ = 1 to nheads do
@@ -1097,6 +994,39 @@ let open_existing ~dir ~pool =
       done)
     t.segments;
   t
+
+let open_existing ~dir ~pool =
+  let data =
+    try Atomic_file.read (manifest_path dir)
+    with Sys_error _ -> errorf "hybrid: no repository in %s" dir
+  in
+  let pos = ref 0 in
+  Engine_intf.read_manifest_header data pos;
+  load ~dir ~pool data pos ~read_seg:(fun ~schema ~compress seg_id data pos ->
+      let seg =
+        Col_segment.open_v2 ~pool ~schema ~compress
+          ~path:(seg_file_path dir seg_id) data pos
+      in
+      (seg, Branch_bitmap.deserialize data pos))
+
+(* A v1 segment section is the heap's byte size, the local bitmap and
+   the per-row offset table, where v2 keeps the block index before the
+   local bitmap. *)
+let upgrade_v1 ~dir ~pool =
+  Seg_v1.upgrade ~manifest:(manifest_path dir) (fun st data pos ->
+      let t =
+        load ~dir ~pool data pos
+          ~read_seg:(fun ~schema ~compress seg_id data pos ->
+            let size = Binio.read_varint data pos in
+            let local = Branch_bitmap.deserialize data pos in
+            let offsets = Binio.read_list Binio.read_varint data pos in
+            let seg, _ =
+              Seg_v1.stage st ~pool ~schema ~compress ~layout:Seg_v1.Tagged
+                ~offsets ~path:(seg_file_path dir seg_id) ~size ()
+            in
+            (seg, local))
+      in
+      fun path -> save_manifest ~path t)
 
 let wal_marker t = t.wal_marker
 let set_wal_marker t lsn = t.wal_marker <- lsn
@@ -1200,8 +1130,7 @@ let seg_by_file t name =
    the next reopen, and the in-process [mp_cleanup] truncates it
    eagerly after invalidating the old handle's buffer-pool pages. *)
 let plan_compact t ~kind sid =
-  if t.format < 2 then None
-  else if sid < 0 || sid >= Vec.length t.segments then None
+  if sid < 0 || sid >= Vec.length t.segments then None
   else begin
     let rows = Col_segment.rows (segment t sid).seg in
     let kept = Bitvec.pop_count (keep_set t sid) in

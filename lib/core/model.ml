@@ -31,7 +31,7 @@ type t = {
 
 let scheme = "model"
 
-let create ~format:_ ~compress:_ ~dir:_ ~pool:_ ~schema =
+let create ~compress:_ ~dir:_ ~pool:_ ~schema =
   let snapshots = Hashtbl.create 64 in
   Hashtbl.replace snapshots Vg.root_version Vmap.empty;
   {
@@ -285,9 +285,6 @@ let merge ?ctx t ~into ~from ~policy ~message =
     Obs.with_span "model.merge" (fun () ->
         merge_impl ?ctx t ~into ~from ~policy ~message)
 
-(* in-memory maps: always the current format, nothing to rewrite *)
-let format_version _ = 2
-let migrate _ = ()
 let dataset_bytes _ = 0
 let commit_meta_bytes _ = 0
 
@@ -314,8 +311,7 @@ let storage_report t =
       (Vg.branches t.graph)
   in
   {
-    R.e_format = 2;
-    e_branches = branches;
+    R.e_branches = branches;
     e_segments = [];
     e_columns = [];
     e_history =

@@ -8,11 +8,11 @@
     deletes only flip bits (plus append the new copy on update), so old
     record versions remain readable through historical commits.
 
-    Record storage is a {!Decibel_storage.Col_segment}: format v1 is
-    the original row-per-record heap, format v2 packs rows into
-    columnar blocks with per-column compression, so branch scans skip
-    whole blocks the membership bitmap rules out and evaluate pushed
-    predicates on decoded batches before any [Tuple.t] exists.
+    Record storage is a {!Decibel_storage.Col_segment}, which packs
+    rows into columnar blocks with per-column compression, so branch
+    scans skip whole blocks the membership bitmap rules out and
+    evaluate pushed predicates on decoded batches before any [Tuple.t]
+    exists.
 
     The module is a functor over the bitmap layout
     ({!Decibel_index.Bitmap_intf.S}) so tuple-oriented and
@@ -44,13 +44,19 @@ let c_merges = Obs.counter "engine.merges"
 
 let bitmap_words col = (Bitvec.length col + 63) / 64
 
+module type S = sig
+  include Engine_intf.S
+
+  val upgrade_v1 : dir:string -> pool:Buffer_pool.t -> bool
+end
+
 module Make (B : Bitmap_intf.S) = struct
   type t = {
     dir : string;
     schema : Schema.t;
     compress : bool;
     graph : Vg.t;
-    mutable seg : Col_segment.t; (* replaced by [migrate] and compaction *)
+    mutable seg : Col_segment.t; (* replaced by compaction *)
     mutable bitmap : B.t; (* replaced wholesale by compaction *)
     mutable pk : int Pk_index.t; (* branch -> key -> live row *)
     mutable gen : int; (* heap generation, bumped by each compaction *)
@@ -116,52 +122,12 @@ module Make (B : Bitmap_intf.S) = struct
         Hashtbl.replace t.histories b h;
         h
 
-  (* Format-v1 record payload codec: a leading tag byte selects raw or
-     LZ77 form, so files remain self-describing (§5.5 compression
-     mitigation).  Tuple-first never writes tombstones — deletes only
-     clear bitmap bits. *)
-  let v1_codec ~schema ~compress =
-    let encode = function
-      | Col_segment.Live tuple ->
-          let buf = Buffer.create 64 in
-          if compress then begin
-            Binio.write_u8 buf 1;
-            Buffer.add_string buf (Lz77.compress (Tuple.encode schema tuple))
-          end
-          else begin
-            Binio.write_u8 buf 0;
-            Tuple.encode_into schema buf tuple
-          end;
-          Buffer.contents buf
-      | Col_segment.Tombstone _ ->
-          raise (Binio.Corrupt "tuple-first: tombstone in record stream")
-    in
-    let decode payload =
-      Obs.Prof.add Obs.Prof.Bytes_decoded (String.length payload);
-      let pos = ref 0 in
-      match Binio.read_u8 payload pos with
-      | 0 -> Col_segment.Live (Tuple.decode schema payload pos)
-      | 1 ->
-          let raw =
-            Lz77.decompress (String.sub payload 1 (String.length payload - 1))
-          in
-          Col_segment.Live (Tuple.decode schema raw (ref 0))
-      | k ->
-          raise (Binio.Corrupt (Printf.sprintf "tuple-first: record tag %d" k))
-    in
-    { Col_segment.v1_encode = encode; v1_decode = decode }
-
   let seg_path dir gen = Filename.concat dir (seg_file gen)
 
-  let create ~format ~compress ~dir ~pool ~schema =
-    if format <> 1 && format <> 2 then
-      errorf "tuple-first: unknown segment format v%d" format;
+  let create ~compress ~dir ~pool ~schema =
     Fsutil.mkdir_p dir;
     let seg =
-      if format = 1 then
-        Col_segment.create_v1 ~pool ~schema ~compress
-          ~codec:(v1_codec ~schema ~compress) ~path:(seg_path dir 0)
-      else Col_segment.create_v2 ~pool ~schema ~compress ~path:(seg_path dir 0)
+      Col_segment.create_v2 ~pool ~schema ~compress ~path:(seg_path dir 0)
     in
     let t =
       {
@@ -190,7 +156,6 @@ module Make (B : Bitmap_intf.S) = struct
 
   let schema t = t.schema
   let graph t = t.graph
-  let format_version t = Col_segment.format_version t.seg
 
   let is_dirty t b = Hashtbl.find_opt t.dirty b = Some true
   let set_dirty t b v = Hashtbl.replace t.dirty b v
@@ -300,7 +265,7 @@ module Make (B : Bitmap_intf.S) = struct
     Option.map (tuple_at t) (Pk_index.find t.pk ~branch:b key)
 
   (* Single scans drive the segment's batch reader with the branch
-     column as the selection bitmap: v2 blocks with no selected row are
+     column as the selection bitmap: blocks with no selected row are
      skipped before any read or decode (the interleaved-load penalty of
      §5.2 becomes a bitmap test instead of a page fetch), and pushed
      predicates run on the decoded columns before tuples materialize.
@@ -709,8 +674,7 @@ module Make (B : Bitmap_intf.S) = struct
         (Array.to_list (Col_segment.column_report t.seg))
     in
     {
-      R.e_format = Col_segment.format_version t.seg;
-      e_branches = branches;
+      R.e_branches = branches;
       e_segments = [ segment ];
       e_columns = columns;
       e_history =
@@ -725,32 +689,19 @@ module Make (B : Bitmap_intf.S) = struct
 
   (* The manifest persists everything the segment file and commit
      histories do not: the version graph, the live bitmap, the segment
-     metadata (v1: the row-offset table; v2: the block index behind the
-     columnar magic header), the commit locator and per-branch
-     dirtiness.  The key index is rebuilt from the bitmap on reopen.
-     Format-v1 manifests stay byte-identical to the pre-columnar
-     layout, so old repositories reopen unchanged. *)
+     block index, the commit locator and per-branch dirtiness.  The
+     key index is rebuilt from the bitmap on reopen. *)
   let manifest_path dir = Filename.concat dir "manifest.tf"
 
-  let save_manifest t =
+  let save_manifest ?path t =
     let buf = Buffer.create 4096 in
-    if Col_segment.format_version t.seg >= 2 then
-      Col_segment.write_manifest_header buf;
+    Col_segment.write_manifest_header buf;
     Binio.write_string buf B.layout;
-    (* heap generation, v2 manifests only: v1 stays byte-identical *)
-    if Col_segment.format_version t.seg >= 2 then
-      Binio.write_varint buf t.gen;
+    Binio.write_varint buf t.gen;
     Binio.write_u8 buf (if t.compress then 1 else 0);
     Schema.serialize buf t.schema;
     Binio.write_string buf (Vg.serialize t.graph);
-    (if Col_segment.format_version t.seg >= 2 then
-       Col_segment.save_meta buf t.seg
-     else begin
-       Binio.write_varint buf (Col_segment.byte_size t.seg);
-       let offsets = Col_segment.v1_offsets t.seg in
-       Binio.write_varint buf (Vec.length offsets);
-       Vec.iter (fun off -> Binio.write_varint buf off) offsets
-     end);
+    Col_segment.save_meta buf t.seg;
     B.serialize buf t.bitmap;
     Binio.write_varint buf (Hashtbl.length t.commit_loc);
     Hashtbl.iter
@@ -766,49 +717,27 @@ module Make (B : Bitmap_intf.S) = struct
         Binio.write_u8 buf (if d then 1 else 0))
       t.dirty;
     Binio.write_varint buf t.wal_marker;
-    Atomic_file.write (manifest_path t.dir) (Buffer.contents buf)
+    Atomic_file.write
+      (Option.value path ~default:(manifest_path t.dir))
+      (Buffer.contents buf)
 
   let flush t =
     Col_segment.flush t.seg;
     save_manifest t
 
-  let migrate t =
-    if Col_segment.format_version t.seg < 2 then begin
-      t.seg <- Col_segment.migrate_to_v2 t.seg;
-      save_manifest t
-    end
-
-  let open_existing ~dir ~pool =
-    let s = Atomic_file.read (manifest_path dir) in
-    let pos = ref 0 in
-    let version = Col_segment.manifest_version s pos in
+  (* Manifest body past the format header.  [read_gen] and [read_seg]
+     read the segment section: the v2 block index here, a staged v1
+     offset table in [upgrade_v1]. *)
+  let load ~dir ~read_gen ~read_seg s pos =
     let layout = Binio.read_string s pos in
     if layout <> B.layout then
       errorf "tuple-first: manifest written by %s layout, opening as %s"
         layout B.layout;
-    let gen = if version >= 2 then Binio.read_varint s pos else 0 in
+    let gen = read_gen s pos in
     let compress = Binio.read_u8 s pos = 1 in
     let schema = Schema.deserialize s pos in
     let graph = Vg.deserialize (Binio.read_string s pos) in
-    let seg =
-      if version >= 2 then
-        Col_segment.open_v2 ~pool ~schema ~compress ~path:(seg_path dir gen) s
-          pos
-      else begin
-        let heap_size = Binio.read_varint s pos in
-        let heap = Heap_file.open_existing ~pool (seg_path dir 0) in
-        (* drop bytes past the checkpoint (recovered via the WAL) *)
-        Heap_file.truncate_to heap heap_size;
-        let noff = Binio.read_varint s pos in
-        let offsets = ref [] in
-        for _ = 1 to noff do
-          offsets := Binio.read_varint s pos :: !offsets
-        done;
-        Col_segment.of_v1 ~pool ~schema ~compress
-          ~codec:(v1_codec ~schema ~compress) ~file:heap
-          ~offsets:(List.rev !offsets)
-      end
-    in
+    let seg = read_seg ~schema ~compress ~gen s pos in
     let bitmap = B.deserialize s pos in
     let commit_loc = Hashtbl.create 64 in
     let ncommits = Binio.read_varint s pos in
@@ -851,6 +780,33 @@ module Make (B : Bitmap_intf.S) = struct
         (B.column_view t.bitmap ~branch:b)
     done;
     t
+
+  let open_existing ~dir ~pool =
+    let s = Atomic_file.read (manifest_path dir) in
+    let pos = ref 0 in
+    Engine_intf.read_manifest_header s pos;
+    load ~dir s pos ~read_gen:Binio.read_varint
+      ~read_seg:(fun ~schema ~compress ~gen s pos ->
+        Col_segment.open_v2 ~pool ~schema ~compress ~path:(seg_path dir gen)
+          s pos)
+
+  (* A v1 manifest has no heap generation (always 0) and persists the
+     heap's byte size and per-row offset table where v2 keeps the
+     block index. *)
+  let upgrade_v1 ~dir ~pool =
+    Seg_v1.upgrade ~manifest:(manifest_path dir) (fun st s pos ->
+        let t =
+          load ~dir s pos
+            ~read_gen:(fun _ _ -> 0)
+            ~read_seg:(fun ~schema ~compress ~gen:_ s pos ->
+              let size = Binio.read_varint s pos in
+              let offsets = Binio.read_list Binio.read_varint s pos in
+              fst
+                (Seg_v1.stage st ~pool ~schema ~compress
+                   ~layout:Seg_v1.Tagged ~offsets ~path:(seg_path dir 0)
+                   ~size ()))
+        in
+        fun path -> save_manifest ~path t)
 
   let wal_marker t = t.wal_marker
   let set_wal_marker t lsn = t.wal_marker <- lsn
@@ -906,153 +862,151 @@ module Make (B : Bitmap_intf.S) = struct
     | Engine_intf.M_materialize -> None
     | Engine_intf.M_compact when target <> seg_file t.gen -> None
     | Engine_intf.M_compact | Engine_intf.M_gc ->
-        if Col_segment.format_version t.seg < 2 then None
-        else
-          let rows = Col_segment.rows t.seg in
-          let hb = hist_branches t in
-          let keep = keep_set t hb in
-          let kept = Bitvec.pop_count keep in
-          if kept >= rows then None
-          else begin
-            let gen' = t.gen + 1 in
-            let nheap_path = seg_path t.dir gen' in
-            let bytes_before =
-              List.fold_left
-                (fun acc b -> acc + Commit_history.disk_bytes (history t b))
-                (Col_segment.byte_size t.seg)
-                hb
+        let rows = Col_segment.rows t.seg in
+        let hb = hist_branches t in
+        let keep = keep_set t hb in
+        let kept = Bitvec.pop_count keep in
+        if kept >= rows then None
+        else begin
+          let gen' = t.gen + 1 in
+          let nheap_path = seg_path t.dir gen' in
+          let bytes_before =
+            List.fold_left
+              (fun acc b -> acc + Commit_history.disk_bytes (history t b))
+              (Col_segment.byte_size t.seg)
+              hb
+          in
+          (* old-generation artifacts to retire, captured at swap *)
+          let retired :
+              (Col_segment.t * Commit_history.t list * string list) option
+              ref =
+            ref None
+          in
+          let apply () =
+            let nbranches = B.branch_count t.bitmap in
+            (* dense remap old row -> new row for kept rows *)
+            let map = Array.make (max 1 rows) (-1) in
+            let next = ref 0 in
+            Bitvec.iter_set
+              (fun row ->
+                map.(row) <- !next;
+                incr next)
+              keep;
+            let remap col =
+              let c = Bitvec.create ~capacity:(max 1 kept) () in
+              Bitvec.iter_set (fun row -> Bitvec.set c map.(row)) col;
+              c
             in
-            (* old-generation artifacts to retire, captured at swap *)
-            let retired :
-                (Col_segment.t * Commit_history.t list * string list) option
-                ref =
-              ref None
+            let nseg =
+              Col_segment.create_v2 ~pool:(Col_segment.pool t.seg)
+                ~schema:t.schema ~compress:t.compress ~path:nheap_path
             in
-            let apply () =
-              let nbranches = B.branch_count t.bitmap in
-              (* dense remap old row -> new row for kept rows *)
-              let map = Array.make (max 1 rows) (-1) in
-              let next = ref 0 in
-              Bitvec.iter_set
-                (fun row ->
-                  map.(row) <- !next;
-                  incr next)
-                keep;
-              let remap col =
-                let c = Bitvec.create ~capacity:(max 1 kept) () in
-                Bitvec.iter_set (fun row -> Bitvec.set c map.(row)) col;
-                c
-              in
-              let nseg =
-                Col_segment.create_v2 ~pool:(Col_segment.pool t.seg)
-                  ~schema:t.schema ~compress:t.compress ~path:nheap_path
-              in
-              let nhists = ref [] in
-              (try
-                 Decibel_fault.Failpoint.hit "maint.rewrite";
-                 Bitvec.iter_set
-                   (fun row ->
-                     let nrow =
-                       Col_segment.append nseg
-                         (Col_segment.Live (tuple_at t row))
+            let nhists = ref [] in
+            (try
+               Decibel_fault.Failpoint.hit "maint.rewrite";
+               Bitvec.iter_set
+                 (fun row ->
+                   let nrow =
+                     Col_segment.append nseg
+                       (Col_segment.Live (tuple_at t row))
+                   in
+                   assert (nrow = map.(row)))
+                 keep;
+               Col_segment.flush nseg;
+               (* re-commit every history at the new generation; commit
+                  indices are preserved so [commit_loc] needs no edit *)
+               List.iter
+                 (fun b ->
+                   let oh = history t b in
+                   let nh =
+                     Commit_history.create
+                       ~path:(Filename.concat t.dir (hist_file gen' b))
+                   in
+                   nhists := (b, nh) :: !nhists;
+                   for i = 0 to Commit_history.count oh - 1 do
+                     let idx =
+                       Commit_history.commit nh
+                         (remap (Commit_history.checkout oh i))
                      in
-                     assert (nrow = map.(row)))
-                   keep;
-                 Col_segment.flush nseg;
-                 (* re-commit every history at the new generation; commit
-                    indices are preserved so [commit_loc] needs no edit *)
-                 List.iter
-                   (fun b ->
-                     let oh = history t b in
-                     let nh =
-                       Commit_history.create
-                         ~path:(Filename.concat t.dir (hist_file gen' b))
-                     in
-                     nhists := (b, nh) :: !nhists;
-                     for i = 0 to Commit_history.count oh - 1 do
-                       let idx =
-                         Commit_history.commit nh
-                           (remap (Commit_history.checkout oh i))
-                       in
-                       assert (idx = i)
-                     done)
+                     assert (idx = i)
+                   done)
+                 hb
+             with e ->
+               List.iter
+                 (fun (_, nh) ->
+                   let p = Commit_history.path nh in
+                   Commit_history.close nh;
+                   (try Sys.remove p with Sys_error _ -> ()))
+                 !nhists;
+               Col_segment.abandon nseg;
+               (try Sys.remove nheap_path with Sys_error _ -> ());
+               raise e);
+            (* rebuild bitmap and key index over the new row space *)
+            let nb = B.create () in
+            for b = 0 to nbranches - 1 do
+              let bid = B.add_branch nb ~from:None in
+              assert (bid = b)
+            done;
+            for _ = 1 to kept do
+              ignore (B.append_row nb)
+            done;
+            let npk = Pk_index.create () in
+            for b = 0 to nbranches - 1 do
+              B.overwrite_column nb ~branch:b
+                (remap (B.column_view t.bitmap ~branch:b));
+              let bid = Pk_index.add_branch npk ~from:None in
+              assert (bid = b);
+              Pk_index.iter t.pk ~branch:b (fun key row ->
+                  Pk_index.set npk ~branch:b key map.(row))
+            done;
+            (* swap: pure in-memory, nothing below can raise *)
+            let old_seg = t.seg in
+            let old_hists =
+              List.filter_map (fun b -> Hashtbl.find_opt t.histories b) hb
+            in
+            let old_paths =
+              Filename.concat t.dir (seg_file t.gen)
+              :: List.map
+                   (fun b -> Filename.concat t.dir (hist_file t.gen b))
                    hb
-               with e ->
-                 List.iter
-                   (fun (_, nh) ->
-                     let p = Commit_history.path nh in
-                     Commit_history.close nh;
-                     (try Sys.remove p with Sys_error _ -> ()))
-                   !nhists;
-                 Col_segment.abandon nseg;
-                 (try Sys.remove nheap_path with Sys_error _ -> ());
-                 raise e);
-              (* rebuild bitmap and key index over the new row space *)
-              let nb = B.create () in
-              for b = 0 to nbranches - 1 do
-                let bid = B.add_branch nb ~from:None in
-                assert (bid = b)
-              done;
-              for _ = 1 to kept do
-                ignore (B.append_row nb)
-              done;
-              let npk = Pk_index.create () in
-              for b = 0 to nbranches - 1 do
-                B.overwrite_column nb ~branch:b
-                  (remap (B.column_view t.bitmap ~branch:b));
-                let bid = Pk_index.add_branch npk ~from:None in
-                assert (bid = b);
-                Pk_index.iter t.pk ~branch:b (fun key row ->
-                    Pk_index.set npk ~branch:b key map.(row))
-              done;
-              (* swap: pure in-memory, nothing below can raise *)
-              let old_seg = t.seg in
-              let old_hists =
-                List.filter_map (fun b -> Hashtbl.find_opt t.histories b) hb
-              in
-              let old_paths =
-                Filename.concat t.dir (seg_file t.gen)
-                :: List.map
-                     (fun b -> Filename.concat t.dir (hist_file t.gen b))
-                     hb
-              in
-              t.seg <- nseg;
-              t.bitmap <- nb;
-              t.pk <- npk;
-              t.gen <- gen';
-              Hashtbl.reset t.histories;
-              List.iter
-                (fun (b, nh) -> Hashtbl.replace t.histories b nh)
-                !nhists;
-              retired := Some (old_seg, old_hists, old_paths)
             in
-            let cleanup () =
-              match !retired with
-              | None -> ()
-              | Some (old_seg, old_hists, old_paths) ->
-                  retired := None;
-                  List.iter Commit_history.close old_hists;
-                  (* abandon (not close): invalidates the buffer pool's
-                     pages for the old heap without flushing bytes into
-                     a file about to be unlinked *)
-                  Col_segment.abandon old_seg;
-                  List.iter
-                    (fun p -> try Sys.remove p with Sys_error _ -> ())
-                    old_paths
-            in
-            Some
-              {
-                Engine_intf.mp_kind = kind;
-                mp_target = seg_file t.gen;
-                mp_new_files =
-                  seg_file gen' :: List.map (hist_file gen') hb;
-                mp_old_files =
-                  seg_file t.gen :: List.map (hist_file t.gen) hb;
-                mp_bytes_before = bytes_before;
-                mp_apply = apply;
-                mp_cleanup = cleanup;
-              }
-          end
+            t.seg <- nseg;
+            t.bitmap <- nb;
+            t.pk <- npk;
+            t.gen <- gen';
+            Hashtbl.reset t.histories;
+            List.iter
+              (fun (b, nh) -> Hashtbl.replace t.histories b nh)
+              !nhists;
+            retired := Some (old_seg, old_hists, old_paths)
+          in
+          let cleanup () =
+            match !retired with
+            | None -> ()
+            | Some (old_seg, old_hists, old_paths) ->
+                retired := None;
+                List.iter Commit_history.close old_hists;
+                (* abandon (not close): invalidates the buffer pool's
+                   pages for the old heap without flushing bytes into
+                   a file about to be unlinked *)
+                Col_segment.abandon old_seg;
+                List.iter
+                  (fun p -> try Sys.remove p with Sys_error _ -> ())
+                  old_paths
+          in
+          Some
+            {
+              Engine_intf.mp_kind = kind;
+              mp_target = seg_file t.gen;
+              mp_new_files =
+                seg_file gen' :: List.map (hist_file gen') hb;
+              mp_old_files =
+                seg_file t.gen :: List.map (hist_file t.gen) hb;
+              mp_bytes_before = bytes_before;
+              mp_apply = apply;
+              mp_cleanup = cleanup;
+            }
+        end
 
   let verify t =
     let errs = ref [] in

@@ -8,11 +8,9 @@
     primary key winning.  Deletes append tombstones because a record
     physically present in an ancestor segment cannot be removed.
 
-    Segments are {!Decibel_storage.Col_segment}s addressed by dense row
-    index (format v1 keeps the original byte-offset record heap behind
-    the same row interface; format v2 stores columnar blocks).  Branch
-    points, commit locators and the key index all speak rows, which
-    survive the v1→v2 migration unchanged.
+    Segments are columnar {!Decibel_storage.Col_segment}s addressed by
+    dense row index.  Branch points, commit locators and the key index
+    all speak rows.
 
     Scan order: the paper scans segments so that descendants are read
     before ancestors (reverse topological order, §3.3 “Multi-branch
@@ -63,7 +61,6 @@ type t = {
   pool : Buffer_pool.t;
   schema : Schema.t;
   compress : bool;
-  mutable format : int; (* segment layout version; migrate flips to 2 *)
   graph : Vg.t;
   segments : segment Vec.t;
   head_seg : int Vec.t; (* branch -> its current head segment *)
@@ -75,44 +72,6 @@ type t = {
 }
 
 let scheme = "version-first"
-
-(* Format-v1 record wire format: [u8 flags][body]; flag bit 0 marks a
-   tombstone (body = deleted key, §3.3 “Data Modification”), flag bit 1
-   an LZ77-compressed tuple body (§5.5 compression mitigation). *)
-let v1_codec ~schema ~compress =
-  let encode = function
-    | Col_segment.Live tuple ->
-        let buf = Buffer.create 64 in
-        if compress then begin
-          Binio.write_u8 buf 2;
-          Buffer.add_string buf (Lz77.compress (Tuple.encode schema tuple))
-        end
-        else begin
-          Binio.write_u8 buf 0;
-          Tuple.encode_into schema buf tuple
-        end;
-        Buffer.contents buf
-    | Col_segment.Tombstone key ->
-        let buf = Buffer.create 16 in
-        Binio.write_u8 buf 1;
-        Value.encode buf key;
-        Buffer.contents buf
-  in
-  let decode payload =
-    Obs.Prof.add Obs.Prof.Bytes_decoded (String.length payload);
-    let pos = ref 0 in
-    match Binio.read_u8 payload pos with
-    | 0 -> Col_segment.Live (Tuple.decode schema payload pos)
-    | 1 -> Col_segment.Tombstone (Value.decode payload pos)
-    | 2 ->
-        let raw =
-          Lz77.decompress (String.sub payload 1 (String.length payload - 1))
-        in
-        Col_segment.Live (Tuple.decode schema raw (ref 0))
-    | f ->
-        raise (Binio.Corrupt (Printf.sprintf "version-first: bad flags %d" f))
-  in
-  { Col_segment.v1_encode = encode; v1_decode = decode }
 
 let record_key schema = function
   | Col_segment.Live tuple -> Tuple.pk schema tuple
@@ -128,20 +87,14 @@ let new_segment t parents =
   let seg_id = Vec.length t.segments in
   let path = seg_file_path t.dir seg_id in
   let seg =
-    if t.format >= 2 then
-      Col_segment.create_v2 ~pool:t.pool ~schema:t.schema ~compress:t.compress
-        ~path
-    else
-      Col_segment.create_v1 ~pool:t.pool ~schema:t.schema ~compress:t.compress
-        ~codec:(v1_codec ~schema:t.schema ~compress:t.compress) ~path
+    Col_segment.create_v2 ~pool:t.pool ~schema:t.schema ~compress:t.compress
+      ~path
   in
   let s = { seg_id; seg; parents } in
   let _ = Vec.push t.segments s in
   s
 
-let create ~format ~compress ~dir ~pool ~schema =
-  if format <> 1 && format <> 2 then
-    errorf "version-first: unknown segment format v%d" format;
+let create ~compress ~dir ~pool ~schema =
   Fsutil.mkdir_p dir;
   let t =
     {
@@ -149,7 +102,6 @@ let create ~format ~compress ~dir ~pool ~schema =
       pool;
       schema;
       compress;
-      format;
       graph = Vg.create ();
       (* the dummy fills unused Vec capacity only and is never read;
          its segment handle is a placeholder that no code path touches *)
@@ -170,7 +122,6 @@ let create ~format ~compress ~dir ~pool ~schema =
 
 let schema t = t.schema
 let graph t = t.graph
-let format_version t = t.format
 
 let is_dirty t b = Hashtbl.find_opt t.dirty b = Some true
 let set_dirty t b v = Hashtbl.replace t.dirty b v
@@ -777,8 +728,7 @@ let storage_report t =
       (Array.to_list (Col_segment.merge_column_reports !reports))
   in
   {
-    R.e_format = t.format;
-    e_branches = branches;
+    R.e_branches = branches;
     e_segments = segments;
     e_columns = columns;
     e_history =
@@ -792,33 +742,25 @@ let storage_report t =
   }
 
 (* The manifest persists the version graph, the segment DAG (parent
-   pointers with branch-point locations), branch head segments, the
-   commit locator and dirtiness; segment contents live in their own
-   files and the key index is rebuilt by lineage scans on reopen.
-   Format-v1 manifests keep the original byte-addressed encoding
-   (branch points and commit uptos as byte offsets), so pre-columnar
-   repositories reopen unchanged; v2 manifests lead with the columnar
-   magic header and speak rows throughout. *)
+   pointers with branch-point rows), branch head segments, the commit
+   locator and dirtiness; segment contents live in their own files and
+   the key index is rebuilt by lineage scans on reopen. *)
 let manifest_path dir = Filename.concat dir "manifest.vf"
 
-let save_manifest t =
-  let v2 = t.format >= 2 in
+let save_manifest ?path t =
   let buf = Buffer.create 4096 in
-  if v2 then Col_segment.write_manifest_header buf;
+  Col_segment.write_manifest_header buf;
   Binio.write_u8 buf (if t.compress then 1 else 0);
   Binio.write_string buf (Vg.serialize t.graph);
   Schema.serialize buf t.schema;
   Binio.write_varint buf (Vec.length t.segments);
   Vec.iter
     (fun s ->
-      (if v2 then Col_segment.save_meta buf s.seg
-       else Binio.write_varint buf (Col_segment.byte_size s.seg));
+      Col_segment.save_meta buf s.seg;
       Binio.write_list
         (fun b (p, row) ->
           Binio.write_varint b p;
-          Binio.write_varint b
-            (if v2 then row
-             else Col_segment.v1_offset_of_row (segment t p).seg row))
+          Binio.write_varint b row)
         buf s.parents)
     t.segments;
   Binio.write_varint buf (Vec.length t.head_seg);
@@ -828,9 +770,7 @@ let save_manifest t =
     (fun vid (sid, upto) ->
       Binio.write_varint buf vid;
       Binio.write_varint buf sid;
-      Binio.write_varint buf
-        (if v2 then upto
-         else Col_segment.v1_offset_of_row (segment t sid).seg upto))
+      Binio.write_varint buf upto)
     t.commits;
   Binio.write_varint buf (Hashtbl.length t.dirty);
   Hashtbl.iter
@@ -839,32 +779,19 @@ let save_manifest t =
       Binio.write_u8 buf (if d then 1 else 0))
     t.dirty;
   Binio.write_varint buf t.wal_marker;
-  Atomic_file.write (manifest_path t.dir) (Buffer.contents buf)
+  Atomic_file.write
+    (Option.value path ~default:(manifest_path t.dir))
+    (Buffer.contents buf)
 
 let flush t =
   Vec.iter (fun s -> Col_segment.flush s.seg) t.segments;
   save_manifest t
 
-let migrate t =
-  if t.format < 2 then begin
-    for sid = 0 to Vec.length t.segments - 1 do
-      let s = segment t sid in
-      Vec.set t.segments sid { s with seg = Col_segment.migrate_to_v2 s.seg }
-    done;
-    (* branch points, commit locators and the key index are all
-       row-addressed and rows survive migration 1:1 — only the format
-       flag and manifest encoding change *)
-    t.format <- 2;
-    save_manifest t
-  end
-
-let open_existing ~dir ~pool =
-  let data =
-    try Atomic_file.read (manifest_path dir)
-    with Sys_error _ -> errorf "version-first: no repository in %s" dir
-  in
-  let pos = ref 0 in
-  let version = Col_segment.manifest_version data pos in
+(* Manifest body past the format header.  [read_seg] reads one
+   segment's section and [row_of sid loc] turns a persisted locator
+   into segment [sid]'s row: the v2 block index and rows here, a
+   staged v1 heap and byte offsets in [upgrade_v1]. *)
+let load ~dir ~pool ~read_seg ~row_of data pos =
   let compress = Binio.read_u8 data pos = 1 in
   let graph = Vg.deserialize (Binio.read_string data pos) in
   let schema = Schema.deserialize data pos in
@@ -874,7 +801,6 @@ let open_existing ~dir ~pool =
       pool;
       schema;
       compress;
-      format = version;
       graph;
       segments = Vec.create ~dummy:seg_dummy ();
       head_seg = Vec.create ~dummy:(-1) ();
@@ -887,56 +813,17 @@ let open_existing ~dir ~pool =
   in
   let nsegs = Binio.read_varint data pos in
   for seg_id = 0 to nsegs - 1 do
-    if version >= 2 then begin
-      let seg =
-        Col_segment.open_v2 ~pool ~schema ~compress
-          ~path:(seg_file_path dir seg_id) data pos
-      in
-      let parents =
-        Binio.read_list
-          (fun s p ->
-            let a = Binio.read_varint s p in
-            let b = Binio.read_varint s p in
-            (a, b))
-          data pos
-      in
-      let _ = Vec.push t.segments { seg_id; seg; parents } in
-      ()
-    end
-    else begin
-      let size = Binio.read_varint data pos in
-      let byte_parents =
-        Binio.read_list
-          (fun s p ->
-            let a = Binio.read_varint s p in
-            let b = Binio.read_varint s p in
-            (a, b))
-          data pos
-      in
-      let file =
-        Heap_file.open_existing ~pool (seg_file_path dir seg_id)
-      in
-      (* drop bytes past the checkpoint (recovered via the WAL) *)
-      Heap_file.truncate_to file size;
-      (* rebuild the row-address table by walking the record framing *)
-      let offs = ref [] in
-      Heap_file.iter file (fun off _payload -> offs := off :: !offs);
-      let seg =
-        Col_segment.of_v1 ~pool ~schema ~compress
-          ~codec:(v1_codec ~schema ~compress) ~file
-          ~offsets:(List.rev !offs)
-      in
-      (* parents reference earlier segments only, so their byte
-         offsets can be translated to rows as we go *)
-      let parents =
-        List.map
-          (fun (p, off) ->
-            (p, Col_segment.v1_row_of_offset (segment t p).seg off))
-          byte_parents
-      in
-      let _ = Vec.push t.segments { seg_id; seg; parents } in
-      ()
-    end
+    let seg = read_seg ~schema ~compress seg_id data pos in
+    let parents =
+      Binio.read_list
+        (fun s p ->
+          let a = Binio.read_varint s p in
+          let b = Binio.read_varint s p in
+          (a, row_of a b))
+        data pos
+    in
+    let _ = Vec.push t.segments { seg_id; seg; parents } in
+    ()
   done;
   let nheads = Binio.read_varint data pos in
   for _ = 1 to nheads do
@@ -948,11 +835,7 @@ let open_existing ~dir ~pool =
     let vid = Binio.read_varint data pos in
     let sid = Binio.read_varint data pos in
     let upto = Binio.read_varint data pos in
-    let upto =
-      if version >= 2 then upto
-      else Col_segment.v1_row_of_offset (segment t sid).seg upto
-    in
-    Hashtbl.replace t.commits vid (sid, upto)
+    Hashtbl.replace t.commits vid (sid, row_of sid upto)
   done;
   let ndirty = Binio.read_varint data pos in
   for _ = 1 to ndirty do
@@ -970,6 +853,49 @@ let open_existing ~dir ~pool =
         Pk_index.set t.pk ~branch:b (Tuple.pk t.schema tuple) (s, row))
   done;
   t
+
+let open_existing ~dir ~pool =
+  let data =
+    try Atomic_file.read (manifest_path dir)
+    with Sys_error _ -> errorf "version-first: no repository in %s" dir
+  in
+  let pos = ref 0 in
+  Engine_intf.read_manifest_header data pos;
+  load ~dir ~pool data pos
+    ~read_seg:(fun ~schema ~compress seg_id data pos ->
+      Col_segment.open_v2 ~pool ~schema ~compress
+        ~path:(seg_file_path dir seg_id) data pos)
+    ~row_of:(fun _ row -> row)
+
+(* A v1 manifest persists each segment's byte size where v2 keeps the
+   block index, and addresses branch points and commit uptos by byte
+   offset. *)
+let upgrade_v1 ~dir ~pool =
+  Seg_v1.upgrade ~manifest:(manifest_path dir) (fun st data pos ->
+      (* parents reference earlier segments only, so their heaps are
+         staged by the time a locator into them is read *)
+      let heaps = Hashtbl.create 8 in
+      let row_of sid off =
+        match Hashtbl.find_opt heaps sid with
+        | Some h -> Seg_v1.row_of_offset h off
+        | None ->
+            raise
+              (Binio.Corrupt
+                 (Printf.sprintf "version-first: locator in unknown segment %d"
+                    sid))
+      in
+      let t =
+        load ~dir ~pool data pos ~row_of
+          ~read_seg:(fun ~schema ~compress seg_id data pos ->
+            let size = Binio.read_varint data pos in
+            let seg, h =
+              Seg_v1.stage st ~pool ~schema ~compress ~layout:Seg_v1.Flagged
+                ~path:(seg_file_path dir seg_id) ~size ()
+            in
+            Hashtbl.replace heaps seg_id h;
+            seg)
+      in
+      fun path -> save_manifest ~path t)
 
 let wal_marker t = t.wal_marker
 let set_wal_marker t lsn = t.wal_marker <- lsn
@@ -1032,67 +958,65 @@ let plan_maintenance t ~kind ~target =
          branches' branch points; version-first cannot rewrite them *)
       None
   | Engine_intf.M_materialize -> (
-      if t.format < 2 then None
-      else
-        match branch_by_name t target with
-        | None -> None
-        | Some br ->
-            let b = br.Vg.bid in
-            let sid0, upto0 = head_loc t b in
-            if List.length (plan t sid0 upto0) <= 1 then None
-            else begin
-              let new_sid = Vec.length t.segments in
-              let path = seg_file_path t.dir new_sid in
-              let apply () =
-                let sid, upto = head_loc t b in
-                (* buffer the winners before creating any file so a
-                   failure during the lineage scan leaves no debris *)
-                let winners = ref [] in
-                scan_live t sid upto (fun _ _ tuple ->
-                    winners := tuple :: !winners);
-                let winners = List.rev !winners in
-                let seg =
-                  Col_segment.create_v2 ~pool:t.pool ~schema:t.schema
-                    ~compress:t.compress ~path
-                in
-                try
-                  Decibel_fault.Failpoint.hit "maint.rewrite";
-                  let locs =
-                    List.map
-                      (fun tuple ->
-                        let row =
-                          Col_segment.append seg (Col_segment.Live tuple)
-                        in
-                        (Tuple.pk t.schema tuple, row))
-                      winners
-                  in
-                  Col_segment.flush seg;
-                  (* swap is the last step: nothing above mutated [t],
-                     so an exception leaves the old state intact *)
-                  let _ =
-                    Vec.push t.segments { seg_id = new_sid; seg; parents = [] }
-                  in
-                  Vec.set t.head_seg b new_sid;
-                  List.iter
-                    (fun (key, row) ->
-                      Pk_index.set t.pk ~branch:b key (new_sid, row))
-                    locs
-                with e ->
-                  Col_segment.abandon seg;
-                  (try Sys.remove path with Sys_error _ -> ());
-                  raise e
+      match branch_by_name t target with
+      | None -> None
+      | Some br ->
+          let b = br.Vg.bid in
+          let sid0, upto0 = head_loc t b in
+          if List.length (plan t sid0 upto0) <= 1 then None
+          else begin
+            let new_sid = Vec.length t.segments in
+            let path = seg_file_path t.dir new_sid in
+            let apply () =
+              let sid, upto = head_loc t b in
+              (* buffer the winners before creating any file so a
+                 failure during the lineage scan leaves no debris *)
+              let winners = ref [] in
+              scan_live t sid upto (fun _ _ tuple ->
+                  winners := tuple :: !winners);
+              let winners = List.rev !winners in
+              let seg =
+                Col_segment.create_v2 ~pool:t.pool ~schema:t.schema
+                  ~compress:t.compress ~path
               in
-              Some
-                {
-                  Engine_intf.mp_kind = kind;
-                  mp_target = target;
-                  mp_new_files = [ Filename.basename path ];
-                  mp_old_files = [];
-                  mp_bytes_before = 0;
-                  mp_apply = apply;
-                  mp_cleanup = (fun () -> ());
-                }
-            end)
+              try
+                Decibel_fault.Failpoint.hit "maint.rewrite";
+                let locs =
+                  List.map
+                    (fun tuple ->
+                      let row =
+                        Col_segment.append seg (Col_segment.Live tuple)
+                      in
+                      (Tuple.pk t.schema tuple, row))
+                    winners
+                in
+                Col_segment.flush seg;
+                (* swap is the last step: nothing above mutated [t],
+                   so an exception leaves the old state intact *)
+                let _ =
+                  Vec.push t.segments { seg_id = new_sid; seg; parents = [] }
+                in
+                Vec.set t.head_seg b new_sid;
+                List.iter
+                  (fun (key, row) ->
+                    Pk_index.set t.pk ~branch:b key (new_sid, row))
+                  locs
+              with e ->
+                Col_segment.abandon seg;
+                (try Sys.remove path with Sys_error _ -> ());
+                raise e
+            in
+            Some
+              {
+                Engine_intf.mp_kind = kind;
+                mp_target = target;
+                mp_new_files = [ Filename.basename path ];
+                mp_old_files = [];
+                mp_bytes_before = 0;
+                mp_apply = apply;
+                mp_cleanup = (fun () -> ());
+              }
+          end)
 
 let crash t =
   if not t.closed then begin

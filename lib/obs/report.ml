@@ -59,7 +59,6 @@ type column = {
 }
 
 type engine_part = {
-  e_format : int;
   e_branches : branch list;
   e_segments : segment list;
   e_columns : column list;

@@ -70,10 +70,9 @@ type column = {
   co_raw_bytes : int;  (** pre-encoding byte volume across blocks *)
   co_enc_bytes : int;  (** encoded byte volume across blocks *)
 }
-(** Per-column encoding facts from format-v2 segments (empty for v1). *)
+(** Per-column encoding facts from columnar segments. *)
 
 type engine_part = {
-  e_format : int;  (** segment layout version: 1 row-heap, 2 columnar *)
   e_branches : branch list;
   e_segments : segment list;
   e_columns : column list;
@@ -83,7 +82,7 @@ type engine_part = {
 
 type t = {
   r_scheme : string;
-  r_format : int;
+  r_format : int;  (** segment format of the store: always 2 (columnar) *)
   r_dataset_bytes : int;
   r_commit_meta_bytes : int;
   r_branches : branch list;

@@ -1,25 +1,25 @@
-(* Row-addressed segment storage, format v1 (row-per-record) and v2
-   (PAX column-group blocks with per-column lightweight compression).
+(* Row-addressed segment storage in format v2: PAX column-group
+   blocks with per-column lightweight compression.
 
    Engines address records by dense row index; this module maps rows
-   onto one of two on-disk layouts inside a {!Heap_file}:
+   onto sealed blocks inside a {!Heap_file}.  Rows are buffered in
+   memory and sealed into column blocks of up to [block_rows] rows.  A
+   sealed block is ONE heap record:
 
-   - v1: one heap record per row, payload encoded by an engine-supplied
-     codec (the pre-columnar format, kept so old repositories open).
-   - v2: rows are buffered in memory and sealed into column blocks of
-     up to [block_rows] rows.  A sealed block is ONE heap record:
+     u8 wrap            0 = raw, 1 = LZ77-compressed body
+     -- body --
+     varint nrows
+     u8 has_tombstones  (1: RLE bitmap of tombstone rows follows)
+     per column:        u8 encoding, varint byte length, bytes
 
-       u8 wrap            0 = raw, 1 = LZ77-compressed body
-       -- body --
-       varint nrows
-       u8 has_tombstones  (1: RLE bitmap of tombstone rows follows)
-       per column:        u8 encoding, varint byte length, bytes
+   Column encodings: ints are constant-folded (enc 0) or delta +
+   zigzag varint (enc 1); strings are raw (enc 2) or dictionary coded
+   in first-occurrence order (enc 3).
 
-     Column encodings: ints are constant-folded (enc 0) or delta +
-     zigzag varint (enc 1); strings are raw (enc 2) or dictionary
-     coded in first-occurrence order (enc 3).
+   The pre-columnar row-per-record format v1 is not readable here: its
+   only reader is {!Seg_v1}, behind the offline upgrade.
 
-   Scans over v2 decode a block at a time into per-domain scratch
+   Scans decode a block at a time into per-domain scratch
    arrays and evaluate column predicates on the decoded batch (on
    dictionary codes for string comparisons), materializing Tuple.t
    only for emitted rows.  A selection bitmap is tested against a
@@ -38,12 +38,7 @@ let block_rows = 1024
 
 type row_value = Live of Tuple.t | Tombstone of Value.t
 
-type v1_codec = {
-  v1_encode : row_value -> string;
-  v1_decode : string -> row_value;
-}
-
-(* per-column encoding statistics, persisted with the v2 manifest meta
+(* per-column encoding statistics, persisted with the manifest meta
    so compression-ratio reporting survives reopen *)
 type col_stats = {
   mutable cs_raw_bytes : int;   (* pre-encoding byte volume *)
@@ -66,8 +61,6 @@ let fresh_stats () =
 
 type blk = { bk_off : int; bk_start : int; bk_rows : int }
 
-type mode = V1 of v1_codec | V2
-
 let next_id = Atomic.make 0
 
 type t = {
@@ -76,29 +69,25 @@ type t = {
   pool : Buffer_pool.t;
   schema : Schema.t;
   compress : bool;
-  mode : mode;
   file : Heap_file.t;
-  offsets : int Vec.t; (* v1: heap offset of each row *)
-  blocks : blk Vec.t; (* v2: sealed blocks, ascending bk_start *)
+  blocks : blk Vec.t; (* sealed blocks, ascending bk_start *)
   mutable sealed_rows : int;
-  open_block : row_value array; (* v2: rows not yet sealed *)
+  open_block : row_value array; (* rows not yet sealed *)
   mutable open_n : int;
   mutable open_bytes : int; (* approximate raw bytes buffered in it *)
-  stats : col_stats array; (* v2: one per column *)
+  stats : col_stats array; (* one per column *)
 }
 
 let dummy_blk = { bk_off = 0; bk_start = 0; bk_rows = 0 }
 
-let make ~pool ~schema ~compress ~path mode file =
+let make ~pool ~schema ~compress ~path file =
   {
     id = Atomic.fetch_and_add next_id 1;
     path;
     pool;
     schema;
     compress;
-    mode;
     file;
-    offsets = Vec.create ~dummy:0 ();
     blocks = Vec.create ~dummy:dummy_blk ();
     sealed_rows = 0;
     open_block = Array.make block_rows (Live [||]);
@@ -107,37 +96,21 @@ let make ~pool ~schema ~compress ~path mode file =
     stats = Array.init (Schema.arity schema) (fun _ -> fresh_stats ());
   }
 
-let create_v1 ~pool ~schema ~compress ~codec ~path =
-  make ~pool ~schema ~compress ~path (V1 codec) (Heap_file.create ~pool path)
-
 let create_v2 ~pool ~schema ~compress ~path =
-  make ~pool ~schema ~compress ~path V2 (Heap_file.create ~pool path)
+  make ~pool ~schema ~compress ~path (Heap_file.create ~pool path)
 
-(* Empty v2 segment staged over a slot file whose old bytes must stay
+(* Empty segment staged over a slot file whose old bytes must stay
    on disk until the engine manifest commits (maintenance compaction).
    [save_meta] records size 0 and zero blocks without touching the fd,
    and [open_v2]'s truncate-to-manifest-size reclaims the stale tail
    on the next reopen. *)
 let empty_over ~pool ~schema ~compress ~path =
-  make ~pool ~schema ~compress ~path V2 (Heap_file.open_reset ~pool path)
+  make ~pool ~schema ~compress ~path (Heap_file.open_reset ~pool path)
 
-(* Wrap an already-opened v1 heap (the engine parsed its own manifest
-   and truncated the file); [offsets] lists each row's heap offset. *)
-let of_v1 ~pool ~schema ~compress ~codec ~file ~offsets =
-  let t =
-    make ~pool ~schema ~compress ~path:(Heap_file.path file) (V1 codec) file
-  in
-  List.iter (fun off -> ignore (Vec.push t.offsets off)) offsets;
-  t
-
-let format_version t = match t.mode with V1 _ -> 1 | V2 -> 2
 let schema t = t.schema
 let path t = t.path
 let pool t = t.pool
-let rows t =
-  match t.mode with
-  | V1 _ -> Vec.length t.offsets
-  | V2 -> t.sealed_rows + t.open_n
+let rows t = t.sealed_rows + t.open_n
 
 (* Unsealed rows live only in the open block; the dataset-size and
    page-traffic figures count their approximate raw footprint so
@@ -151,29 +124,24 @@ let page_count t =
 (* Approximate on-disk bytes holding rows [0, row): the charge basis
    for governed scans bounded by a row locator. *)
 let bytes_upto t row =
-  match t.mode with
-  | V1 _ ->
-      if row >= Vec.length t.offsets then Heap_file.size t.file
-      else Vec.get t.offsets row
-  | V2 ->
-      if row >= t.sealed_rows then Heap_file.size t.file
-      else begin
-        (* first block starting at or after [row] *)
-        let n = Vec.length t.blocks in
-        let rec search lo hi =
-          if lo >= hi then lo
-          else
-            let mid = (lo + hi) / 2 in
-            let b = Vec.get t.blocks mid in
-            if b.bk_start + b.bk_rows <= row then search (mid + 1) hi
-            else search lo mid
-        in
-        let i = search 0 n in
-        if i >= n then Heap_file.size t.file else (Vec.get t.blocks i).bk_off
-      end
+  if row >= t.sealed_rows then Heap_file.size t.file
+  else begin
+    (* first block starting at or after [row] *)
+    let n = Vec.length t.blocks in
+    let rec search lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        let b = Vec.get t.blocks mid in
+        if b.bk_start + b.bk_rows <= row then search (mid + 1) hi
+        else search lo mid
+    in
+    let i = search 0 n in
+    if i >= n then Heap_file.size t.file else (Vec.get t.blocks i).bk_off
+  end
 
 (* ------------------------------------------------------------------ *)
-(* v2 block encoding *)
+(* block encoding *)
 
 let tomb_filler = function Schema.T_int -> Value.Int 0L | Schema.T_str -> Value.Str ""
 
@@ -328,24 +296,19 @@ let approx_row_bytes rv =
   | Tombstone key -> 2 + value_bytes key
 
 let append t rv =
-  match t.mode with
-  | V1 codec ->
-      let off = Heap_file.append t.file (codec.v1_encode rv) in
-      Vec.push t.offsets off
-  | V2 ->
-      let row = t.sealed_rows + t.open_n in
-      t.open_block.(t.open_n) <- rv;
-      t.open_n <- t.open_n + 1;
-      t.open_bytes <- t.open_bytes + approx_row_bytes rv;
-      if t.open_n = block_rows then seal t;
-      row
+  let row = t.sealed_rows + t.open_n in
+  t.open_block.(t.open_n) <- rv;
+  t.open_n <- t.open_n + 1;
+  t.open_bytes <- t.open_bytes + approx_row_bytes rv;
+  if t.open_n = block_rows then seal t;
+  row
 
 let flush t =
-  (match t.mode with V1 _ -> () | V2 -> seal t);
+  seal t;
   Heap_file.flush t.file
 
 (* ------------------------------------------------------------------ *)
-(* v2 block decoding *)
+(* block decoding *)
 
 type col_batch =
   | C_int of int64 array
@@ -591,15 +554,12 @@ let scratch_batch t scratch bi =
 
 let get t row =
   check_row t row;
-  match t.mode with
-  | V1 codec -> codec.v1_decode (Heap_file.get t.file (Vec.get t.offsets row))
-  | V2 ->
-      if row >= t.sealed_rows then t.open_block.(row - t.sealed_rows)
-      else
-        let bi = block_index_of_row t row in
-        let blk = Vec.get t.blocks bi in
-        let b = cached_batch t bi in
-        row_value_of_batch t b (row - blk.bk_start)
+  if row >= t.sealed_rows then t.open_block.(row - t.sealed_rows)
+  else
+    let bi = block_index_of_row t row in
+    let blk = Vec.get t.blocks bi in
+    let b = cached_batch t bi in
+    row_value_of_batch t b (row - blk.bk_start)
 
 let get_tuple t row =
   match get t row with
@@ -617,85 +577,57 @@ let clip_bounds t from upto =
 (* All rows (live and tombstone) in [from, upto), ascending. *)
 let iter ?from ?upto t f =
   let from, upto = clip_bounds t from upto in
-  if from < upto then
-    match t.mode with
-    | V1 codec ->
-        let byte_from = Vec.get t.offsets from in
-        let byte_upto =
-          if upto >= Vec.length t.offsets then Heap_file.size t.file
-          else Vec.get t.offsets upto
-        in
-        let row = ref from in
-        Heap_file.iter ~from:byte_from ~upto:byte_upto t.file
-          (fun _off payload ->
-            f !row (codec.v1_decode payload);
-            incr row)
-    | V2 ->
-        let nb = Vec.length t.blocks in
-        if from < t.sealed_rows then
-          with_scratch (fun scratch ->
-              let bi0 = block_index_of_row t from in
-              let bi = ref bi0 in
-              let continue = ref true in
-              while !continue && !bi < nb do
-                let blk = Vec.get t.blocks !bi in
-                if blk.bk_start >= upto then continue := false
-                else begin
-                  let b = scratch_batch t scratch !bi in
-                  let lo = max from blk.bk_start
-                  and hi = min upto (blk.bk_start + blk.bk_rows) in
-                  for row = lo to hi - 1 do
-                    f row (row_value_of_batch t b (row - blk.bk_start))
-                  done;
-                  incr bi
-                end
-              done);
-        let lo = max from t.sealed_rows in
-        for row = lo to upto - 1 do
-          f row t.open_block.(row - t.sealed_rows)
-        done
+  if from < upto then begin
+    let nb = Vec.length t.blocks in
+    if from < t.sealed_rows then
+      with_scratch (fun scratch ->
+          let bi = ref (block_index_of_row t from) in
+          let continue = ref true in
+          while !continue && !bi < nb do
+            let blk = Vec.get t.blocks !bi in
+            if blk.bk_start >= upto then continue := false
+            else begin
+              let b = scratch_batch t scratch !bi in
+              let lo = max from blk.bk_start
+              and hi = min upto (blk.bk_start + blk.bk_rows) in
+              for row = lo to hi - 1 do
+                f row (row_value_of_batch t b (row - blk.bk_start))
+              done;
+              incr bi
+            end
+          done);
+    let lo = max from t.sealed_rows in
+    for row = lo to upto - 1 do
+      f row t.open_block.(row - t.sealed_rows)
+    done
+  end
 
 (* All rows in [from, upto), descending. *)
 let iter_rev ?from ?upto t f =
   let from, upto = clip_bounds t from upto in
-  if from < upto then
-    match t.mode with
-    | V1 codec ->
-        let byte_from = Vec.get t.offsets from in
-        let byte_upto =
-          if upto >= Vec.length t.offsets then Heap_file.size t.file
-          else Vec.get t.offsets upto
-        in
-        let row = ref upto in
-        Heap_file.iter_rev ~from:byte_from ~upto:byte_upto t.file
-          (fun _off payload ->
-            decr row;
-            f !row (codec.v1_decode payload))
-    | V2 ->
-        let hi = min upto (rows t) in
-        (for row = hi - 1 downto max from t.sealed_rows do
-           f row t.open_block.(row - t.sealed_rows)
-         done);
-        if from < t.sealed_rows then begin
-          let last = min hi t.sealed_rows - 1 in
-          if last >= from then
-            with_scratch (fun scratch ->
-                let bi = ref (block_index_of_row t last) in
-                let continue = ref true in
-                while !continue && !bi >= 0 do
-                  let blk = Vec.get t.blocks !bi in
-                  if blk.bk_start + blk.bk_rows <= from then continue := false
-                  else begin
-                    let b = scratch_batch t scratch !bi in
-                    let lo = max from blk.bk_start
-                    and bhi = min (last + 1) (blk.bk_start + blk.bk_rows) in
-                    for row = bhi - 1 downto lo do
-                      f row (row_value_of_batch t b (row - blk.bk_start))
-                    done;
-                    decr bi
-                  end
-                done)
-        end
+  if from < upto then begin
+    for row = upto - 1 downto max from t.sealed_rows do
+      f row t.open_block.(row - t.sealed_rows)
+    done;
+    let last = min upto t.sealed_rows - 1 in
+    if last >= from then
+      with_scratch (fun scratch ->
+          let bi = ref (block_index_of_row t last) in
+          let continue = ref true in
+          while !continue && !bi >= 0 do
+            let blk = Vec.get t.blocks !bi in
+            if blk.bk_start + blk.bk_rows <= from then continue := false
+            else begin
+              let b = scratch_batch t scratch !bi in
+              let lo = max from blk.bk_start
+              and bhi = min (last + 1) (blk.bk_start + blk.bk_rows) in
+              for row = bhi - 1 downto lo do
+                f row (row_value_of_batch t b (row - blk.bk_start))
+              done;
+              decr bi
+            end
+          done)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* predicate compilation against a decoded batch *)
@@ -737,160 +669,93 @@ let compile_preds cols preds =
 let scan ?sel ?(preds = []) ?from ?upto t f =
   let from, upto = clip_bounds t from upto in
   if from < upto then
-    match t.mode with
-    | V1 codec ->
-        let emit row payload =
-          match codec.v1_decode payload with
-          | Live tuple -> if Col_pred.eval_tuple preds tuple then f row tuple
-          | Tombstone _ -> ()
-        in
-        (match sel with
-        | Some sel ->
-            Bitvec.iter_set_range
-              (fun row ->
-                emit row (Heap_file.get t.file (Vec.get t.offsets row)))
-              sel ~lo:from ~hi:upto
-        | None ->
-            iter ~from ~upto t (fun row rv ->
-                match rv with
-                | Live tuple ->
-                    if Col_pred.eval_tuple preds tuple then f row tuple
-                | Tombstone _ -> ()))
-    | V2 ->
-        with_scratch (fun scratch ->
-            let nb = Vec.length t.blocks in
-            if from < t.sealed_rows then begin
-              let bi = ref (block_index_of_row t from) in
-              let continue = ref true in
-              while !continue && !bi < nb do
-                let blk = Vec.get t.blocks !bi in
-                if blk.bk_start >= upto then continue := false
-                else begin
-                  let lo = max from blk.bk_start
-                  and hi = min upto (blk.bk_start + blk.bk_rows) in
-                  let selected =
-                    match sel with
-                    | None -> true
-                    | Some sel -> Bitvec.any_in_range sel ~lo ~hi
-                  in
-                  if not selected then Obs.incr c_blocks_skipped
-                  else begin
-                    let b =
-                      decode_payload t ?scratch
-                        (Heap_file.get t.file blk.bk_off)
-                    in
-                    if b.b_rows <> blk.bk_rows then
-                      corrupt
-                        "Col_segment: block at %d has %d rows, expected %d in %s"
-                        blk.bk_off b.b_rows blk.bk_rows t.path;
-                    let ok = compile_preds b.b_cols preds in
-                    let emit row =
-                      let j = row - blk.bk_start in
-                      if (not (is_tomb b j)) && ok j then
-                        f row (tuple_of_batch t b j)
-                    in
-                    match sel with
-                    | Some sel -> Bitvec.iter_set_range emit sel ~lo ~hi
-                    | None ->
-                        for row = lo to hi - 1 do
-                          emit row
-                        done
-                  end;
-                  incr bi
-                end
-              done
-            end;
-            (* open block: evaluate row-wise on the in-memory rows *)
-            let lo = max from t.sealed_rows in
-            for row = lo to upto - 1 do
+    with_scratch (fun scratch ->
+        let nb = Vec.length t.blocks in
+        if from < t.sealed_rows then begin
+          let bi = ref (block_index_of_row t from) in
+          let continue = ref true in
+          while !continue && !bi < nb do
+            let blk = Vec.get t.blocks !bi in
+            if blk.bk_start >= upto then continue := false
+            else begin
+              let lo = max from blk.bk_start
+              and hi = min upto (blk.bk_start + blk.bk_rows) in
               let selected =
-                match sel with None -> true | Some sel -> Bitvec.get sel row
+                match sel with
+                | None -> true
+                | Some sel -> Bitvec.any_in_range sel ~lo ~hi
               in
-              if selected then
-                match t.open_block.(row - t.sealed_rows) with
-                | Live tuple ->
-                    if Col_pred.eval_tuple preds tuple then f row tuple
-                | Tombstone _ -> ()
-            done)
+              if not selected then Obs.incr c_blocks_skipped
+              else begin
+                let b = scratch_batch t scratch !bi in
+                let ok = compile_preds b.b_cols preds in
+                let emit row =
+                  let j = row - blk.bk_start in
+                  if (not (is_tomb b j)) && ok j then
+                    f row (tuple_of_batch t b j)
+                in
+                match sel with
+                | Some sel -> Bitvec.iter_set_range emit sel ~lo ~hi
+                | None ->
+                    for row = lo to hi - 1 do
+                      emit row
+                    done
+              end;
+              incr bi
+            end
+          done
+        end;
+        (* open block: evaluate row-wise on the in-memory rows *)
+        let lo = max from t.sealed_rows in
+        for row = lo to upto - 1 do
+          let selected =
+            match sel with None -> true | Some sel -> Bitvec.get sel row
+          in
+          if selected then
+            match t.open_block.(row - t.sealed_rows) with
+            | Live tuple ->
+                if Col_pred.eval_tuple preds tuple then f row tuple
+            | Tombstone _ -> ()
+        done)
 
 (* Row ranges at block granularity, for engines fanning a scan across
    domains: each range decodes disjoint blocks, so parallel workers
-   never share scratch or cache entries.  v1 segments use fixed-size
-   ranges (every row is its own record). *)
+   never share scratch or cache entries. *)
 let block_ranges t =
   let n = rows t in
-  match t.mode with
-  | V1 _ ->
-      let nr = (n + block_rows - 1) / block_rows in
-      Array.init nr (fun i ->
-          (i * block_rows, min n ((i + 1) * block_rows)))
-  | V2 ->
-      let sealed = Vec.length t.blocks in
-      let extra = if t.open_n > 0 then 1 else 0 in
-      Array.init (sealed + extra) (fun i ->
-          if i < sealed then begin
-            let b = Vec.get t.blocks i in
-            (b.bk_start, b.bk_start + b.bk_rows)
-          end
-          else (t.sealed_rows, n))
+  let sealed = Vec.length t.blocks in
+  let extra = if t.open_n > 0 then 1 else 0 in
+  Array.init (sealed + extra) (fun i ->
+      if i < sealed then begin
+        let b = Vec.get t.blocks i in
+        (b.bk_start, b.bk_start + b.bk_rows)
+      end
+      else (t.sealed_rows, n))
 
 (* ------------------------------------------------------------------ *)
-(* v1 locator conversion (version-first manifests address by byte) *)
-
-let v1_offset_of_row t row =
-  match t.mode with
-  | V2 -> invalid_arg "Col_segment.v1_offset_of_row: v2 segment"
-  | V1 _ ->
-      if row >= Vec.length t.offsets then Heap_file.size t.file
-      else Vec.get t.offsets row
-
-let v1_row_of_offset t off =
-  match t.mode with
-  | V2 -> invalid_arg "Col_segment.v1_row_of_offset: v2 segment"
-  | V1 _ ->
-      (* count of rows whose offset is below [off] *)
-      let n = Vec.length t.offsets in
-      let rec search lo hi =
-        if lo >= hi then lo
-        else
-          let mid = (lo + hi) / 2 in
-          if Vec.get t.offsets mid < off then search (mid + 1) hi
-          else search lo mid
-      in
-      search 0 n
-
-let v1_offsets t =
-  match t.mode with
-  | V2 -> invalid_arg "Col_segment.v1_offsets: v2 segment"
-  | V1 _ -> t.offsets
-
-(* ------------------------------------------------------------------ *)
-(* manifest metadata (v2) *)
+(* manifest metadata *)
 
 (* Seals the open block and flushes the heap first, so the persisted
    byte size covers every appended row — reopen truncates the heap to
    exactly this size. *)
 let save_meta buf t =
-  match t.mode with
-  | V1 _ -> invalid_arg "Col_segment.save_meta: v1 manifests are engine-owned"
-  | V2 ->
-      flush t;
-      Binio.write_varint buf (Heap_file.size t.file);
-      Binio.write_varint buf (Vec.length t.blocks);
-      Vec.iter
-        (fun b ->
-          Binio.write_varint buf b.bk_off;
-          Binio.write_varint buf b.bk_rows)
-        t.blocks;
-      Array.iter
-        (fun st ->
-          Binio.write_varint buf st.cs_raw_bytes;
-          Binio.write_varint buf st.cs_enc_bytes;
-          Binio.write_varint buf st.cs_const_blocks;
-          Binio.write_varint buf st.cs_delta_blocks;
-          Binio.write_varint buf st.cs_rawstr_blocks;
-          Binio.write_varint buf st.cs_dict_blocks)
-        t.stats
+  flush t;
+  Binio.write_varint buf (Heap_file.size t.file);
+  Binio.write_varint buf (Vec.length t.blocks);
+  Vec.iter
+    (fun b ->
+      Binio.write_varint buf b.bk_off;
+      Binio.write_varint buf b.bk_rows)
+    t.blocks;
+  Array.iter
+    (fun st ->
+      Binio.write_varint buf st.cs_raw_bytes;
+      Binio.write_varint buf st.cs_enc_bytes;
+      Binio.write_varint buf st.cs_const_blocks;
+      Binio.write_varint buf st.cs_delta_blocks;
+      Binio.write_varint buf st.cs_rawstr_blocks;
+      Binio.write_varint buf st.cs_dict_blocks)
+    t.stats
 
 let open_v2 ~pool ~schema ~compress ~path s pos =
   let size = Binio.read_varint s pos in
@@ -899,7 +764,7 @@ let open_v2 ~pool ~schema ~compress ~path s pos =
   if size > Heap_file.size file then
     corrupt "Col_segment: manifest size %d exceeds file %s" size path;
   Heap_file.truncate_to file size;
-  let t = make ~pool ~schema ~compress ~path V2 file in
+  let t = make ~pool ~schema ~compress ~path file in
   let start = ref 0 in
   for _ = 1 to nblocks do
     let bk_off = Binio.read_varint s pos in
@@ -921,6 +786,7 @@ let open_v2 ~pool ~schema ~compress ~path s pos =
     t.stats;
   t
 
+
 (* ------------------------------------------------------------------ *)
 (* per-column encoding report *)
 
@@ -932,40 +798,36 @@ type col_report = {
 }
 
 let column_report t =
-  match t.mode with
-  | V1 _ -> [||]
-  | V2 ->
-      let cols = Schema.columns t.schema in
-      Array.mapi
-        (fun c (col : Schema.column) ->
-          let st = t.stats.(c) in
-          let kinds =
-            [
-              ("const", st.cs_const_blocks);
-              ("delta", st.cs_delta_blocks);
-              ("raw", st.cs_rawstr_blocks);
-              ("dict", st.cs_dict_blocks);
-            ]
-          in
-          let dominant =
-            List.fold_left
-              (fun (bn, bc) (n, c) -> if c > bc then (n, c) else (bn, bc))
-              ("none", 0) kinds
-            |> fst
-          in
-          {
-            cr_name = col.Schema.col_name;
-            cr_encoding = dominant;
-            cr_raw_bytes = st.cs_raw_bytes;
-            cr_enc_bytes = st.cs_enc_bytes;
-          })
-        cols
+  let cols = Schema.columns t.schema in
+  Array.mapi
+    (fun c (col : Schema.column) ->
+      let st = t.stats.(c) in
+      let kinds =
+        [
+          ("const", st.cs_const_blocks);
+          ("delta", st.cs_delta_blocks);
+          ("raw", st.cs_rawstr_blocks);
+          ("dict", st.cs_dict_blocks);
+        ]
+      in
+      let dominant =
+        List.fold_left
+          (fun (bn, bc) (n, c) -> if c > bc then (n, c) else (bn, bc))
+          ("none", 0) kinds
+        |> fst
+      in
+      {
+        cr_name = col.Schema.col_name;
+        cr_encoding = dominant;
+        cr_raw_bytes = st.cs_raw_bytes;
+        cr_enc_bytes = st.cs_enc_bytes;
+      })
+    cols
 
 (* Aggregate several segments' reports (multi-segment engines): byte
    volumes sum per column; the dominant encoding is taken from the
    segment contributing the most raw bytes to that column. *)
 let merge_column_reports reports =
-  let reports = List.filter (fun r -> Array.length r > 0) reports in
   match reports with
   | [] -> [||]
   | r0 :: _ ->
@@ -992,28 +854,24 @@ let merge_column_reports reports =
         r0
 
 (* ------------------------------------------------------------------ *)
-(* integrity, migration, lifecycle *)
+(* integrity, lifecycle *)
 
 let verify t =
-  match t.mode with
-  | V1 _ -> Heap_file.verify t.file
-  | V2 ->
+  match Heap_file.verify t.file with
+  | [] ->
       let errors = ref [] in
-      (match Heap_file.verify t.file with
-      | [] ->
-          Vec.iteri
-            (fun i blk ->
-              try
-                let b = decode_payload t (Heap_file.get t.file blk.bk_off) in
-                if b.b_rows <> blk.bk_rows then
-                  errors :=
-                    ( blk.bk_off,
-                      Printf.sprintf "block %d row count mismatch" i )
-                    :: !errors
-              with Binio.Corrupt msg -> errors := (blk.bk_off, msg) :: !errors)
-            t.blocks
-      | errs -> errors := List.rev errs);
+      Vec.iteri
+        (fun i blk ->
+          try
+            let b = decode_payload t (Heap_file.get t.file blk.bk_off) in
+            if b.b_rows <> blk.bk_rows then
+              errors :=
+                (blk.bk_off, Printf.sprintf "block %d row count mismatch" i)
+                :: !errors
+          with Binio.Corrupt msg -> errors := (blk.bk_off, msg) :: !errors)
+        t.blocks;
       List.rev !errors
+  | errs -> errs
 
 let close t =
   flush t;
@@ -1023,41 +881,22 @@ let abandon t = Heap_file.abandon t.file
 
 let remove t = Heap_file.remove t.file
 
-(* Rewrite a v1 segment as v2 in place, preserving row order 1:1 (so
-   every row-addressed locator — bitmaps, commit histories, version
-   pointers — stays valid).  Crash-safe: the v2 copy is built beside
-   the original and renamed over it only once complete. *)
-let migrate_to_v2 t =
-  match t.mode with
-  | V2 -> t
-  | V1 _ ->
-      let tmp = t.path ^ ".mig" in
-      let nt = create_v2 ~pool:t.pool ~schema:t.schema ~compress:t.compress ~path:tmp in
-      iter t (fun _row rv -> ignore (append nt rv));
-      flush nt;
-      let blocks = nt.blocks and sealed = nt.sealed_rows and stats = nt.stats in
-      Heap_file.close nt.file;
-      Heap_file.close t.file;
-      Sys.rename tmp t.path;
-      let file = Heap_file.open_existing ~pool:t.pool t.path in
-      let r = make ~pool:t.pool ~schema:t.schema ~compress:t.compress ~path:t.path V2 file in
-      let r = { r with sealed_rows = sealed } in
-      Vec.iter (fun b -> ignore (Vec.push r.blocks b)) blocks;
-      Array.blit stats 0 r.stats 0 (Array.length stats);
-      r
-
 (* ------------------------------------------------------------------ *)
 (* manifest format header *)
+
+(* The only segment format the engines read and write. *)
+let current_format = 2
 
 (* v2 manifests lead with a magic byte no v1 manifest can start with:
    v1 tuple-first manifests begin with a varint string length (a small
    layout name, < 0x80) and v1 version-first / hybrid manifests begin
-   with a 0/1 compress flag. *)
+   with a 0/1 compress flag.  Recognising a v1 manifest is all that is
+   left of v1 here. *)
 let manifest_magic_v2 = 0xF2
 
 let write_manifest_header buf =
   Binio.write_u8 buf manifest_magic_v2;
-  Binio.write_u8 buf 2
+  Binio.write_u8 buf current_format
 
 (* Peek the format version of a manifest blob; consumes the header
    only when it is a v2 one. *)

@@ -1,8 +1,8 @@
-(** Row-addressed segment storage: format v1 (row-per-record heap) and
-    v2 (PAX column-group blocks with per-column compression).
+(** Row-addressed segment storage in format v2: PAX column-group
+    blocks with per-column compression, the only format the engines
+    read and write.
 
-    Engines address records by dense row index.  In v2 mode, appended
-    rows accumulate in an in-memory open block and are sealed into one
+    Engines address records by dense row index.  Appended rows accumulate in an in-memory open block and are sealed into one
     heap record of up to {!block_rows} rows: per-column byte ranges
     encoded as constant / delta+zigzag-varint ints and raw /
     dictionary strings, with an RLE tombstone bitmap, optionally LZ77
@@ -12,55 +12,29 @@
     decoded batch (on dictionary codes for string equality), and
     materialize [Tuple.t] only for emitted rows.
 
-    v1 mode reproduces the pre-columnar layout byte for byte (payload
-    encoding is engine-supplied), so old repositories open unchanged
-    and {!migrate_to_v2} can rewrite them row-order-preserving. *)
+    Pre-columnar (v1) repositories are not readable here; {!Seg_v1}
+    upgrades them offline. *)
 
 val block_rows : int
-(** Maximum rows per sealed v2 block (1024). *)
+(** Maximum rows per sealed block (1024). *)
 
 type row_value =
   | Live of Tuple.t
   | Tombstone of Value.t  (** deletion marker, keyed by primary key *)
 
-type v1_codec = {
-  v1_encode : row_value -> string;
-  v1_decode : string -> row_value;
-}
-(** Engine-owned payload codec for v1 row records. *)
-
 type t
 
 (** {1 Construction} *)
-
-val create_v1 :
-  pool:Buffer_pool.t ->
-  schema:Schema.t ->
-  compress:bool ->
-  codec:v1_codec ->
-  path:string ->
-  t
 
 val create_v2 :
   pool:Buffer_pool.t -> schema:Schema.t -> compress:bool -> path:string -> t
 
 val empty_over :
   pool:Buffer_pool.t -> schema:Schema.t -> compress:bool -> path:string -> t
-(** Empty v2 segment handle over [path] {e without} truncating the
+(** Empty segment handle over [path] {e without} truncating the
     file: old bytes stay on disk (crash safety for maintenance slot
     swaps) and are reclaimed when the slot is next created or
     reopened, since the manifest records size 0. *)
-
-val of_v1 :
-  pool:Buffer_pool.t ->
-  schema:Schema.t ->
-  compress:bool ->
-  codec:v1_codec ->
-  file:Heap_file.t ->
-  offsets:int list ->
-  t
-(** Wrap an already-opened (and truncated) v1 heap; [offsets] is each
-    row's heap byte offset, ascending. *)
 
 val open_v2 :
   pool:Buffer_pool.t ->
@@ -75,15 +49,12 @@ val open_v2 :
 
 (** {1 Introspection} *)
 
-val format_version : t -> int
-(** 1 or 2. *)
-
 val schema : t -> Schema.t
 val path : t -> string
 
 val pool : t -> Buffer_pool.t
 (** The buffer pool this segment reads through — lets engines build
-    sibling segments (migration, compaction) without threading the pool
+    sibling segments (compaction) without threading the pool
     separately. *)
 
 val rows : t -> int
@@ -100,12 +71,12 @@ val append : t -> row_value -> int
 (** Appends and returns the new row's index. *)
 
 val flush : t -> unit
-(** Seals the open block (v2) and flushes the heap. *)
+(** Seals the open block and flushes the heap. *)
 
 (** {1 Access} *)
 
 val get : t -> int -> row_value
-(** Point lookup; v2 decodes through a per-domain one-block cache. *)
+(** Point lookup, decoding through a per-domain one-block cache. *)
 
 val get_tuple : t -> int -> Tuple.t
 (** [get], raising [Binio.Corrupt] on a tombstone row. *)
@@ -126,28 +97,24 @@ val scan :
   (int -> Tuple.t -> unit) ->
   unit
 (** Live rows passing the selection bitmap and predicates, ascending.
-    v2 skips blocks whose row range has no selected bit without
-    reading them, and evaluates [preds] on decoded batches before any
-    tuple is built. *)
+    Blocks whose row range has no selected bit are skipped without
+    being read, and [preds] are evaluated on decoded batches before
+    any tuple is built. *)
 
 val block_ranges : t -> (int * int) array
 (** Row ranges at block granularity covering [\[0, rows)], for fanning
     a scan across domains: parallel workers over distinct ranges touch
     disjoint blocks. *)
 
-(** {1 v1 locator conversion} *)
-
-val v1_offset_of_row : t -> int -> int
-val v1_row_of_offset : t -> int -> int
-val v1_offsets : t -> int Decibel_util.Vec.t
-(** v1-mode only: byte-offset/row translation for engine manifests
-    that address records by byte. *)
-
 (** {1 Manifest metadata} *)
 
 val save_meta : Buffer.t -> t -> unit
-(** v2-mode only: flushes, then appends heap size + block index +
+(** Flushes, then appends heap size + block index +
     per-column stats (read back by {!open_v2}). *)
+
+val current_format : int
+(** The segment format every engine writes (2); reported as the
+    storage report's format. *)
 
 val manifest_magic_v2 : int
 
@@ -169,23 +136,17 @@ type col_report = {
 
 val column_report : t -> col_report array
 (** Per-column dominant encoding and raw-vs-encoded byte volume across
-    sealed blocks (empty for v1). *)
+    sealed blocks. *)
 
 val merge_column_reports : col_report array list -> col_report array
 (** Aggregate several same-schema segments' reports: byte volumes sum;
     each column's dominant encoding comes from the segment that
-    contributed the most raw bytes.  Empty (v1) reports are ignored. *)
+    contributed the most raw bytes. *)
 
 (** {1 Integrity and lifecycle} *)
 
 val verify : t -> (int * string) list
-(** Record checksums plus (v2) block decode and row-count checks. *)
-
-val migrate_to_v2 : t -> t
-(** Rewrite a v1 segment as v2 in place, preserving row order 1:1 so
-    row-addressed locators stay valid.  The v2 copy is built beside
-    the original and renamed over it only once complete.  Identity on
-    v2 segments. *)
+(** Record checksums plus block decode and row-count checks. *)
 
 val close : t -> unit
 val abandon : t -> unit

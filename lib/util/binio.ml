@@ -69,6 +69,9 @@ let write_list write_elt buf l =
 
 let read_list read_elt s pos =
   let n = read_varint s pos in
+  (* every element takes at least one byte *)
+  if n < 0 || n > String.length s - !pos then
+    fail "list length %d out of range at %d" n !pos;
   List.init n (fun _ -> read_elt s pos)
 
 let read_file path =

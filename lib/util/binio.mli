@@ -26,6 +26,8 @@ val read_string : string -> int ref -> string
 
 val write_list : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a list -> unit
 val read_list : (string -> int ref -> 'a) -> string -> int ref -> 'a list
+(** Raises {!Corrupt} on a count larger than the remaining input
+    (every element takes at least one byte). *)
 
 (** {1 Whole-file helpers} *)
 

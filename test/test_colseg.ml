@@ -2,9 +2,12 @@
    (delta-varint ints, dictionary strings, RLE tombstone bitmaps)
    through append / save_meta / open_v2, vectorized-scan pushdown
    against row-wise evaluation, adversarial truncated and bit-flipped
-   input, and the v1 compatibility story — a v1-format repository
-   opens read-only under the v2 binary and [fsck --migrate] rewrites
-   it in place with identical query results, for all three schemes. *)
+   input, and the v1 upgrade story on committed fixtures — a v1
+   repository refuses to open, [fsck --migrate] rewrites it with the
+   query results of a fresh v2 build (also after a crash at any
+   failpoint the upgrade crosses), hostile v1 bytes are refused
+   untouched, and today's writer reproduces the v2 fixtures byte for
+   byte, for all three schemes. *)
 
 open Decibel
 open Decibel_storage
@@ -336,7 +339,16 @@ let test_segment_truncation_detected () =
       Binio.write_file path pristine)
 
 (* ------------------------------------------------------------------ *)
-(* v1 compatibility: open read-only, fsck --migrate, identical results *)
+(* v1 upgrade: committed fixtures, fsck --migrate, identical results
+
+   [fixtures/v1/<s>] and [fixtures/v2/<s>] were written by
+   [build_branchy] (then closed, minus workload.jsonl) by the last
+   build that could still create v1 repositories: the v1 ones can no
+   longer be produced, and the v2 ones pin today's v2 bytes.  The
+   [<s>-z] variants were written with [~compress:true] (LZ77 v1
+   records, LZ77-wrapped v2 blocks). *)
+
+module Failpoint = Decibel_fault.Failpoint
 
 let db_schema = Schema.ints ~name:"r" ~width:4
 
@@ -358,7 +370,7 @@ let build_branchy db =
   done;
   ignore (Database.commit db child ~message:"child")
 
-(* FNV-1a over every query surface the migration must preserve: each
+(* FNV-1a over every query surface the upgrade must preserve: each
    head's scan (in emission order), the head-pair diff, and a pushed
    predicate scan *)
 let fingerprint db =
@@ -387,49 +399,107 @@ let fingerprint db =
     heads;
   !h
 
-let test_v1_migrate_roundtrip scheme () =
-  let dir = Fsutil.fresh_dir "decibel-colseg-migrate" in
-  Fun.protect
-    ~finally:(fun () -> Fsutil.rm_rf dir)
-    (fun () ->
-      (* build and close a v1-format repository *)
-      let db =
-        Database.open_ ~format:1 ~scheme ~dir ~schema:db_schema ()
-      in
+let fixture_tag = function
+  | Database.Tuple_first -> "tf"
+  | Database.Version_first -> "vf"
+  | _ -> "hy"
+
+let fixture_dir ?(compress = false) version scheme =
+  Filename.concat "fixtures"
+    (Printf.sprintf "v%d/%s%s" version (fixture_tag scheme)
+       (if compress then "-z" else ""))
+
+(* file name -> bytes, sorted by name *)
+let dir_files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f -> (f, Binio.read_file (Filename.concat dir f)))
+
+let copy_fixture ?compress version scheme =
+  let dir = Fsutil.fresh_dir "decibel-colseg-fixture" in
+  List.iter
+    (fun (f, bytes) -> Binio.write_file (Filename.concat dir f) bytes)
+    (dir_files (fixture_dir ?compress version scheme));
+  dir
+
+let with_dir dir f =
+  Fun.protect ~finally:(fun () -> Fsutil.rm_rf dir) (fun () -> f dir)
+
+(* fingerprint of a fresh v2 build of the same history, checked
+   against the one measured when the fixtures were written *)
+let fresh_fingerprint ?(compress = false) scheme =
+  with_dir (Fsutil.fresh_dir "decibel-colseg-fresh") (fun dir ->
+      let db = Database.open_ ~compress ~scheme ~dir ~schema:db_schema () in
       build_branchy db;
-      let fp0 = fingerprint db in
+      let fp = fingerprint db in
       Database.close db;
-      (* reopens read-only under the v2 binary, reads intact *)
-      let db = Database.reopen ~dir () in
-      Alcotest.(check int) "still v1" 1 (Database.format_version db);
-      (match Database.health db with
-      | Database.Degraded _ -> ()
-      | Database.Healthy -> Alcotest.fail "v1 repository opened writable");
-      (match Database.insert db Vg.master (row 9000 0 0 0) with
-      | () -> Alcotest.fail "write accepted on v1 repository"
-      | exception Types.Engine_error _ -> ());
-      Alcotest.(check int64) "v1 reads intact" fp0 (fingerprint db);
+      let expected =
+        match scheme with
+        | Database.Version_first -> 0x9e9305fcd784edb3L
+        | _ -> 0x6073cf96cbe73135L
+      in
+      Alcotest.(check int64) "fresh v2 fingerprint" expected fp;
+      fp)
+
+let reopen_fingerprint dir =
+  let db = Database.reopen ~dir () in
+  Fun.protect ~finally:(fun () -> Database.close db) (fun () -> fingerprint db)
+
+let expect_v1_refused dir =
+  match Database.reopen ~dir () with
+  | db ->
       Database.close db;
-      (* fsck --migrate rewrites it as a repaired finding *)
-      let report = Fsck.run ~migrate:true ~dir () in
-      (match
-         List.find_opt (fun f -> f.Fsck.repaired) report.Fsck.findings
-       with
-      | Some _ -> ()
-      | None -> Alcotest.fail "no repaired migration finding");
-      (* migrated repository: v2, writable, identical results *)
-      let db = Database.reopen ~dir () in
-      Alcotest.(check int) "now v2" 2 (Database.format_version db);
-      (match Database.health db with
-      | Database.Healthy -> ()
-      | Database.Degraded r -> Alcotest.failf "still degraded: %s" r);
-      Alcotest.(check int64) "migrated reads identical" fp0 (fingerprint db);
-      Database.insert db Vg.master (row 9000 1 2 3);
-      Database.delete db Vg.master (Value.int 9000);
-      Database.close db;
-      (* a second --migrate run is a clean no-op *)
-      let again = Fsck.run ~migrate:true ~dir () in
-      Alcotest.(check bool) "second migrate clean" true (Fsck.clean again))
+      Alcotest.fail "v1 repository opened"
+  | exception Types.Engine_error msg ->
+      let needle = "fsck --migrate" in
+      let n = String.length needle in
+      let rec has i =
+        i + n <= String.length msg
+        && (String.sub msg i n = needle || has (i + 1))
+      in
+      if not (has 0) then
+        Alcotest.failf "v1 refusal does not name fsck --migrate: %s" msg
+
+let test_v1_migrate_roundtrip scheme () =
+  List.iter
+    (fun compress ->
+      let expected = fresh_fingerprint ~compress scheme in
+      with_dir (copy_fixture ~compress 1 scheme) (fun dir ->
+          let pristine = dir_files dir in
+          (* a v1 repository no longer opens, and refusing it changes
+             nothing on disk *)
+          expect_v1_refused dir;
+          Alcotest.(check bool) "refused open left v1 files alone" true
+            (dir_files dir = pristine);
+          (* without --migrate, fsck reports the upgrade as needed *)
+          Alcotest.(check bool) "plain fsck flags v1" false
+            (Fsck.clean (Fsck.run ~dir ()));
+          (* fsck --migrate upgrades it: the only finding is the repaired
+             upgrade *)
+          let report = Fsck.run ~migrate:true ~dir () in
+          (match report.Fsck.findings with
+          | [ f ] when f.Fsck.repaired -> ()
+          | fs ->
+              Alcotest.failf "unexpected migrate findings: %s"
+                (String.concat "; "
+                   (List.map
+                      (fun f -> f.Fsck.artifact ^ ": " ^ f.Fsck.problem)
+                      fs)));
+          Alcotest.(check bool) "no staged files left" true
+            (List.for_all
+               (fun (f, _) -> not (Filename.check_suffix f ".mig"))
+               (dir_files dir));
+          (* upgraded repository: writable, same results as a fresh v2
+             build of the same history *)
+          Alcotest.(check int64) "migrated = fresh v2" expected
+            (reopen_fingerprint dir);
+          let db = Database.reopen ~dir () in
+          Database.insert db Vg.master (row 9000 1 2 3);
+          Database.delete db Vg.master (Value.int 9000);
+          Database.close db;
+          (* a second --migrate run is a clean no-op *)
+          let again = Fsck.run ~migrate:true ~dir () in
+          Alcotest.(check bool) "second migrate clean" true (Fsck.clean again)))
+    [ false; true ]
 
 let test_v2_migrate_noop () =
   let dir = Fsutil.fresh_dir "decibel-colseg-noop" in
@@ -444,6 +514,213 @@ let test_v2_migrate_noop () =
       let report = Fsck.run ~migrate:true ~dir () in
       Alcotest.(check bool) "v2 repo untouched and clean" true
         (Fsck.clean report))
+
+(* Today's v2 writer reproduces the committed v2 fixture byte for byte,
+   and today's reader reads the fixture to the same results. *)
+let test_v2_bytes_unchanged scheme () =
+  List.iter
+    (fun compress ->
+      let expected = fresh_fingerprint ~compress scheme in
+      with_dir (Fsutil.fresh_dir "decibel-colseg-v2") (fun dir ->
+          let db = Database.open_ ~compress ~scheme ~dir ~schema:db_schema () in
+          build_branchy db;
+          Database.close db;
+          let wl = Filename.concat dir "workload.jsonl" in
+          if Sys.file_exists wl then Sys.remove wl;
+          let fixture = dir_files (fixture_dir ~compress 2 scheme) in
+          Alcotest.(check (list string)) "same files" (List.map fst fixture)
+            (List.map fst (dir_files dir));
+          List.iter2
+            (fun (f, want) (_, got) ->
+              if want <> got then
+                Alcotest.failf "%s differs from the v2 fixture" f)
+            fixture (dir_files dir));
+      with_dir (copy_fixture ~compress 2 scheme) (fun dir ->
+          Alcotest.(check int64) "v2 fixture reads" expected
+            (reopen_fingerprint dir)))
+    [ false; true ]
+
+(* Crash the upgrade at every failpoint it crosses (first, middle and
+   last crossing; torn as well as raised at the write sites), then
+   rerun fsck --migrate: the result must match a fresh v2 build.  A
+   crash before the commit point (the staged manifest) must leave
+   every v1 file byte-identical. *)
+let test_upgrade_crash_matrix scheme () =
+  let expected = fresh_fingerprint scheme in
+  let manifest =
+    match scheme with
+    | Database.Tuple_first -> "manifest.tf"
+    | Database.Version_first -> "manifest.vf"
+    | _ -> "manifest.hy"
+  in
+  let sites =
+    with_dir (copy_fixture 1 scheme) (fun dir ->
+        Failpoint.disarm_all ();
+        Failpoint.reset_census ();
+        Alcotest.(check bool) "dry run upgrades" true
+          (Database.upgrade_v1 ~dir ());
+        Failpoint.sites ())
+  in
+  Alcotest.(check bool) "upgrade crosses migrate.rename" true
+    (List.mem_assoc "migrate.rename" sites);
+  let tearable = [ "heap.flush"; "manifest.write_tmp" ] in
+  let cases = ref 0 in
+  List.iter
+    (fun (site, count) ->
+      let actions =
+        if List.mem site tearable then [ Failpoint.Raise; Failpoint.Torn 0.5 ]
+        else [ Failpoint.Raise ]
+      in
+      List.iter
+        (fun occurrence ->
+          List.iter
+            (fun action ->
+              incr cases;
+              with_dir (copy_fixture 1 scheme) (fun dir ->
+                  let pristine = dir_files dir in
+                  Failpoint.disarm_all ();
+                  Failpoint.arm ~action site (Failpoint.After_hits occurrence);
+                  (match Database.upgrade_v1 ~dir () with
+                  | _ -> ()
+                  | exception Failpoint.Fault_injected _ -> ());
+                  Failpoint.disarm_all ();
+                  let committed =
+                    Sys.file_exists (Filename.concat dir (manifest ^ ".mig"))
+                    || List.assoc manifest (dir_files dir)
+                       <> List.assoc manifest pristine
+                  in
+                  if not committed then
+                    List.iter
+                      (fun (f, bytes) ->
+                        if Binio.read_file (Filename.concat dir f) <> bytes then
+                          Alcotest.failf
+                            "%s@%d: v1 file %s modified before commit"
+                            site occurrence f)
+                      pristine;
+                  ignore (Fsck.run ~migrate:true ~dir ());
+                  let fp = reopen_fingerprint dir in
+                  if fp <> expected then
+                    Alcotest.failf "%s@%d: recovered fingerprint %Lx, want %Lx"
+                      site occurrence fp expected;
+                  let after = Fsck.run ~dir () in
+                  if not (Fsck.clean after) then
+                    Alcotest.failf "%s@%d: fsck after recovery: %s" site
+                      occurrence (Fsck.to_text after)))
+            actions)
+        (List.sort_uniq compare [ 1; (count + 1) / 2; count ]))
+    sites;
+  Alcotest.(check bool) "cases ran" true (!cases > 0)
+
+(* Hostile v1 input: the upgrade raises [Binio.Corrupt] (never
+   [Invalid_argument]), fsck --migrate reports "cannot migrate" and
+   exits normally, and every file is left exactly as it was. *)
+let check_refuses_hostile ~label dir =
+  let before = dir_files dir in
+  (match Database.upgrade_v1 ~dir () with
+  | _ -> Alcotest.failf "%s: corrupt v1 input was migrated" label
+  | exception Binio.Corrupt _ -> ());
+  Alcotest.(check bool) (label ^ ": untouched after upgrade") true
+    (dir_files dir = before);
+  let report = Fsck.run ~migrate:true ~dir () in
+  Alcotest.(check bool) (label ^ ": cannot-migrate finding") true
+    (List.exists
+       (fun f ->
+         String.length f.Fsck.problem >= 15
+         && String.sub f.Fsck.problem 0 15 = "cannot migrate:")
+       report.Fsck.findings);
+  Alcotest.(check bool) (label ^ ": untouched after fsck") true
+    (dir_files dir = before)
+
+(* Replace the payload of a v1 segment's first record, keeping the
+   checksum valid, so only strict decoding can reject it. *)
+let rewrite_first_record path f =
+  let s = Binio.read_file path in
+  let pos = ref 0 in
+  let len = Binio.read_varint s pos in
+  let hdr = !pos + 4 in
+  let payload = f (String.sub s hdr len) in
+  let buf = Buffer.create (String.length s) in
+  Binio.write_varint buf (String.length payload);
+  Binio.write_u32 buf (Decibel_util.Crc32.string payload);
+  Buffer.add_string buf payload;
+  Buffer.add_string buf
+    (String.sub s (hdr + len) (String.length s - hdr - len));
+  Binio.write_file path (Buffer.contents buf)
+
+let test_hostile_v1 () =
+  (* truncated heap: the manifest's size runs past end of file *)
+  with_dir (copy_fixture 1 Database.Tuple_first) (fun dir ->
+      let heap = Filename.concat dir "heap.dat" in
+      let s = Binio.read_file heap in
+      Binio.write_file heap (String.sub s 0 (String.length s / 2));
+      check_refuses_hostile ~label:"truncated heap" dir);
+  (* one flipped byte inside a version-first segment *)
+  with_dir (copy_fixture 1 Database.Version_first) (fun dir ->
+      let seg = Filename.concat dir "seg_1.dat" in
+      let s = Bytes.of_string (Binio.read_file seg) in
+      let i = Bytes.length s / 2 in
+      Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor 0x10));
+      Binio.write_file seg (Bytes.to_string s);
+      check_refuses_hostile ~label:"flipped byte" dir);
+  (* a checksum-valid record with an unknown tag *)
+  with_dir (copy_fixture 1 Database.Hybrid) (fun dir ->
+      rewrite_first_record (Filename.concat dir "seg_0.dat") (fun p ->
+          "\007" ^ String.sub p 1 (String.length p - 1));
+      check_refuses_hostile ~label:"bad record tag" dir);
+  (* a checksum-valid LZ77 record whose body ends early *)
+  with_dir (copy_fixture 1 Database.Hybrid) (fun dir ->
+      rewrite_first_record (Filename.concat dir "seg_0.dat") (fun _ ->
+          let b = Buffer.create 16 in
+          Binio.write_u8 b 1;
+          Binio.write_varint b (1 lsl 40);
+          Binio.write_u8 b 0;
+          Binio.write_varint b 1;
+          Buffer.add_char b 'x';
+          Buffer.contents b);
+      check_refuses_hostile ~label:"malformed lz77 body" dir);
+  (* an offset-table count whose varint decodes negative *)
+  with_dir (copy_fixture 1 Database.Tuple_first) (fun dir ->
+      let path = Filename.concat dir "manifest.tf" in
+      let m = Atomic_file.read path in
+      let pos = ref 0 in
+      ignore (Binio.read_string m pos) (* layout *);
+      ignore (Binio.read_u8 m pos) (* compress *);
+      ignore (Schema.deserialize m pos);
+      ignore (Binio.read_string m pos) (* graph *);
+      ignore (Binio.read_varint m pos) (* heap size *);
+      let count_at = !pos in
+      ignore (Binio.read_varint m pos);
+      Atomic_file.write path
+        (String.sub m 0 count_at ^ "\x80\x80\x80\x80\x80\x80\x80\x80\x40"
+        ^ String.sub m !pos (String.length m - !pos));
+      check_refuses_hostile ~label:"negative offset count" dir);
+  (* a version-first commit locator one byte past a record start *)
+  with_dir (copy_fixture 1 Database.Version_first) (fun dir ->
+      let path = Filename.concat dir "manifest.vf" in
+      let m = Atomic_file.read path in
+      let pos = ref 0 in
+      ignore (Binio.read_u8 m pos) (* compress *);
+      ignore (Binio.read_string m pos) (* graph *);
+      ignore (Schema.deserialize m pos);
+      let read_pair s p =
+        ignore (Binio.read_varint s p);
+        ignore (Binio.read_varint s p)
+      in
+      for _ = 1 to Binio.read_varint m pos do
+        ignore (Binio.read_varint m pos) (* segment size *);
+        ignore (Binio.read_list read_pair m pos) (* parents *)
+      done;
+      ignore (Binio.read_list Binio.read_varint m pos) (* heads *);
+      ignore (Binio.read_varint m pos) (* commit count *);
+      read_pair m pos (* version, segment *);
+      let upto_at = !pos in
+      let upto = Binio.read_varint m pos in
+      let b = Buffer.create 8 in
+      Binio.write_varint b (upto + 1);
+      Atomic_file.write path
+        (String.sub m 0 upto_at ^ Buffer.contents b
+        ^ String.sub m !pos (String.length m - !pos));
+      check_refuses_hostile ~label:"locator off a record boundary" dir)
 
 (* ------------------------------------------------------------------ *)
 
@@ -488,5 +765,21 @@ let () =
             (test_v1_migrate_roundtrip Database.Hybrid);
           Alcotest.test_case "v2 migrate is a no-op" `Quick
             test_v2_migrate_noop;
+          Alcotest.test_case "v2 bytes unchanged: tuple-first" `Quick
+            (test_v2_bytes_unchanged Database.Tuple_first);
+          Alcotest.test_case "v2 bytes unchanged: version-first" `Quick
+            (test_v2_bytes_unchanged Database.Version_first);
+          Alcotest.test_case "v2 bytes unchanged: hybrid" `Quick
+            (test_v2_bytes_unchanged Database.Hybrid);
+          Alcotest.test_case "hostile v1 input refused" `Quick test_hostile_v1;
+        ] );
+      ( "v1-upgrade-crash",
+        [
+          Alcotest.test_case "tuple-first" `Quick
+            (test_upgrade_crash_matrix Database.Tuple_first);
+          Alcotest.test_case "version-first" `Quick
+            (test_upgrade_crash_matrix Database.Version_first);
+          Alcotest.test_case "hybrid" `Quick
+            (test_upgrade_crash_matrix Database.Hybrid);
         ] );
     ]

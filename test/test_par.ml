@@ -200,14 +200,25 @@ let build_db ?(compress = false) scheme dir =
 
 type snapshot = {
   scan : Tuple.t list;
+  filtered : Tuple.t list;
   multi : (Tuple.t * Types.branch_id list) list;
   pos : Tuple.t list;
   neg : Tuple.t list;
 }
 
+(* pushed predicates: an equality the dictionary/const paths decide per
+   block and a range over the delta-coded key column *)
+let preds =
+  [
+    Col_pred.make schema ~column:"c3" Col_pred.Eq (Value.int 1);
+    Col_pred.make schema ~column:"c1" Col_pred.Lt (Value.int 500);
+  ]
+
 let snapshot db ~b1 ~b2 =
   let scan = ref [] in
   Database.scan db b1 (fun t -> scan := t :: !scan);
+  let filtered = ref [] in
+  Database.scan_filtered db b1 ~preds (fun t -> filtered := t :: !filtered);
   let multi = ref [] in
   Database.multi_scan db (Database.heads db) (fun a ->
       multi := (a.Types.tuple, a.Types.in_branches) :: !multi);
@@ -217,6 +228,7 @@ let snapshot db ~b1 ~b2 =
     ~neg:(fun t -> neg := t :: !neg);
   {
     scan = List.rev !scan;
+    filtered = List.rev !filtered;
     multi = List.rev !multi;
     pos = List.rev !pos;
     neg = List.rev !neg;
@@ -225,6 +237,7 @@ let snapshot db ~b1 ~b2 =
 let check_snapshots_equal ~msg a b =
   let tuples = Alcotest.(list (testable Tuple.pp Tuple.equal)) in
   Alcotest.check tuples (msg ^ ": scan") a.scan b.scan;
+  Alcotest.check tuples (msg ^ ": scan_filtered") a.filtered b.filtered;
   Alcotest.check tuples (msg ^ ": diff pos") a.pos b.pos;
   Alcotest.check tuples (msg ^ ": diff neg") a.neg b.neg;
   Alcotest.(check int)
@@ -250,6 +263,8 @@ let test_engine_identity ?compress scheme () =
             with_domains n (fun () -> snapshot db ~b1:child ~b2:m)
           in
           let serial = run 0 in
+          Alcotest.(check bool) "pushed predicates select rows" true
+            (serial.filtered <> []);
           check_snapshots_equal ~msg:"1 domain" serial (run 1);
           check_snapshots_equal ~msg:"4 domains" serial (run 4)))
 
