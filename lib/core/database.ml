@@ -40,10 +40,18 @@ let all_schemes = [ Tuple_first; Tuple_first_tuple_oriented; Version_first; Hybr
     silently serving bad data. *)
 type health = Healthy | Degraded of string
 
+(* first half of the [<scheme>.<op>] span names *)
+let span_prefix = function
+  | Tuple_first | Tuple_first_tuple_oriented -> "tuple_first"
+  | Version_first -> "version_first"
+  | Hybrid -> "hybrid"
+  | Model -> "model"
+
 type t =
   | Db : {
       engine : (module Engine_intf.S with type t = 'e);
       state : 'e;
+      span_prefix : string;
       dir : string;
       pool : Buffer_pool.t;
       locks : Lock_manager.t;
@@ -66,6 +74,8 @@ let workload_path dir = Filename.concat dir "workload.jsonl"
 
 let c_corruption = Obs.counter "storage.corruption_detected"
 let c_replay_skipped = Obs.counter "wal.replay_skipped"
+let c_commits = Obs.counter "engine.commits"
+let c_merges = Obs.counter "engine.merges"
 
 let open_ ?pool ?(durable = false) ?(compress = false) ?lock_timeout_s
     ?governor ~scheme ~dir ~schema () =
@@ -88,6 +98,7 @@ let open_ ?pool ?(durable = false) ?(compress = false) ?lock_timeout_s
       {
         engine = (module E);
         state;
+        span_prefix = span_prefix scheme;
         dir;
         pool;
         locks;
@@ -156,6 +167,7 @@ let reopen_checkpoint ?pool ?scheme ?governor ~dir () =
       {
         engine = (module E);
         state;
+        span_prefix = span_prefix scheme;
         dir;
         pool;
         locks = Lock_manager.create ();
@@ -339,6 +351,66 @@ let breaker_list (Db { breakers; _ }) =
        breakers [])
 
 (* ------------------------------------------------------------------ *)
+(* The operation boundary.
+
+   Every costed engine call passes through [bounded] (inside
+   [governed], for the governed ones), which is where the engines'
+   costs meet the three views.  With observability on it
+
+     - opens the [<scheme>.<op>] span (the profiler's operator node);
+     - runs the call under its own trace bag ([Obs.Prof.metered]), so
+       every charge the engine, codec and buffer pool make — on worker
+       domains too — is known as this operation's cost;
+     - charges [Tuples_emitted] once, as the rows handed to the caller
+       (engines never charge it);
+     - feeds the workload table: a single-branch read or write adds its
+       bag to that branch's row; multi-branch reads touch each named
+       branch at zero cost; version reads and merges name no row.
+
+   With observability off it is a direct call: [emit] hands back the
+   caller's callback unwrapped.  Operations that raise note no row;
+   their charges stay in the global counters and the request bag. *)
+
+type row = Read of branch_id | Write of branch_id | Touch of branch_id list
+
+(* wraps an output callback so each row it receives is counted *)
+type emit = { emit : 'a. ('a -> unit) -> 'a -> unit }
+
+let direct = { emit = (fun f -> f) }
+
+let note_row (Db { engine = (module E); state; _ } as t) row costs =
+  let table = Schema.name (E.schema state) in
+  match row with
+  | Some (Read b) ->
+      Workload.note_read ~costs ~table ~branch:(branch_name t b) ()
+  | Some (Write b) ->
+      Workload.note_write ~costs ~table ~branch:(branch_name t b) ()
+  | Some (Touch bs) ->
+      List.iter
+        (fun b -> Workload.note_read ~table ~branch:(branch_name t b) ())
+        bs
+  | None -> ()
+
+let bounded (Db { span_prefix; _ } as t) ?span ?row run =
+  if not (Obs.enabled ()) then run direct
+  else
+    let body () =
+      let n = ref 0 in
+      let counted = { emit = (fun f x -> incr n; f x) } in
+      let v, costs =
+        Obs.Prof.metered (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Obs.charge Obs.Prof.Tuples_emitted !n)
+              (fun () -> run counted))
+      in
+      note_row t row costs;
+      v
+    in
+    match span with
+    | None -> body ()
+    | Some op -> Obs.with_span (span_prefix ^ "." ^ op) body
+
+(* ------------------------------------------------------------------ *)
 (* Logged operations.  The WAL entry is written (and synced) before the
    engine applies the operation; once the engine has applied it, its
    LSN becomes the state's wal-marker, which the next checkpoint
@@ -371,31 +443,36 @@ let branch_from t ~name ~of_branch =
 let commit (Db { engine = (module E); state; _ } as t) b ~message =
   check_writable t;
   guarded t [ b ] (fun () ->
-      let lsn = log t (Wal.W_commit (b, message)) in
-      let vid = E.commit state b ~message in
-      mark t lsn;
-      vid)
+      bounded t ~span:"commit" ~row:(Write b) (fun _ ->
+          Obs.incr c_commits;
+          let lsn = log t (Wal.W_commit (b, message)) in
+          let vid = E.commit state b ~message in
+          mark t lsn;
+          vid))
 
 let insert (Db { engine = (module E); state; _ } as t) b tuple =
   check_writable t;
   guarded t [ b ] (fun () ->
-      let lsn = log t (Wal.W_insert (b, tuple)) in
-      E.insert state b tuple;
-      mark t lsn)
+      bounded t ~row:(Write b) (fun _ ->
+          let lsn = log t (Wal.W_insert (b, tuple)) in
+          E.insert state b tuple;
+          mark t lsn))
 
 let update (Db { engine = (module E); state; _ } as t) b tuple =
   check_writable t;
   guarded t [ b ] (fun () ->
-      let lsn = log t (Wal.W_update (b, tuple)) in
-      E.update state b tuple;
-      mark t lsn)
+      bounded t ~row:(Write b) (fun _ ->
+          let lsn = log t (Wal.W_update (b, tuple)) in
+          E.update state b tuple;
+          mark t lsn))
 
 let delete (Db { engine = (module E); state; _ } as t) b key =
   check_writable t;
   guarded t [ b ] (fun () ->
-      let lsn = log t (Wal.W_delete (b, key)) in
-      E.delete state b key;
-      mark t lsn)
+      bounded t ~row:(Write b) (fun _ ->
+          let lsn = log t (Wal.W_delete (b, key)) in
+          E.delete state b key;
+          mark t lsn))
 
 let lookup (Db { engine = (module E); state; _ } as t) b key =
   guarded t [ b ] (fun () -> E.lookup state b key)
@@ -403,48 +480,56 @@ let lookup (Db { engine = (module E); state; _ } as t) b key =
 let scan ?ctx (Db { engine = (module E); state; _ } as t) b f =
   guarded t [ b ] (fun () ->
       governed t ?ctx ~cls:Governor.Cheap [ b ] (fun () ->
-          E.scan ?ctx state b f))
+          bounded t ~span:"scan" ~row:(Read b) (fun c ->
+              E.scan ?ctx state b (c.emit f))))
 
 let scan_filtered ?ctx (Db { engine = (module E); state; _ } as t) b ~preds f =
   guarded t [ b ] (fun () ->
       governed t ?ctx ~cls:Governor.Cheap [ b ] (fun () ->
-          E.scan_filtered ?ctx state b ~preds f))
+          bounded t ~span:"scan_filtered" ~row:(Read b) (fun c ->
+              E.scan_filtered ?ctx state b ~preds (c.emit f))))
 
 let scan_version ?ctx (Db { engine = (module E); state; _ } as t) v f =
   try
     governed t ?ctx ~cls:Governor.Cheap [] (fun () ->
-        E.scan_version ?ctx state v f)
+        bounded t ~span:"scan_version" (fun c ->
+            E.scan_version ?ctx state v (c.emit f)))
   with Decibel_util.Binio.Corrupt msg -> corruption t msg
 
 let multi_scan ?ctx (Db { engine = (module E); state; _ } as t) bs f =
   guarded t bs (fun () ->
       governed t ?ctx ~cls:Governor.Heavy bs (fun () ->
-          E.multi_scan ?ctx state bs f))
+          bounded t ~span:"multi_scan" ~row:(Touch bs) (fun c ->
+              E.multi_scan ?ctx state bs (c.emit f))))
 
 let diff ?ctx (Db { engine = (module E); state; _ } as t) a b ~pos ~neg =
   guarded t [ a; b ] (fun () ->
       governed t ?ctx ~cls:Governor.Heavy [ a; b ] (fun () ->
-          E.diff ?ctx state a b ~pos ~neg))
+          bounded t ~span:"diff" ~row:(Touch [ a; b ]) (fun c ->
+              E.diff ?ctx state a b ~pos:(c.emit pos) ~neg:(c.emit neg))))
 
 let merge ?ctx (Db { engine = (module E); state; _ } as t) ~into ~from ~policy
     ~message =
   check_writable t;
   guarded t [ into; from ] (fun () ->
       governed t ?ctx ~cls:Governor.Heavy [ into; from ] (fun () ->
-          let lsn = log t (Wal.W_merge (into, from, policy, message)) in
-          match E.merge ?ctx state ~into ~from ~policy ~message with
-          | r ->
-              mark t lsn;
-              r
-          | exception
-              (( Governor.Cancelled | Governor.Deadline_exceeded
-               | Governor.Budget_exceeded _ ) as e) ->
-              (* Engines abort merges only in the read phase, so the
-                 logged entry had no effect on state.  Marking it
-                 consumed keeps recovery from replaying — and this time
-                 applying — an operation the caller saw fail. *)
-              mark t lsn;
-              raise e))
+          bounded t ~span:"merge" (fun _ ->
+              Obs.incr c_merges;
+              let lsn = log t (Wal.W_merge (into, from, policy, message)) in
+              match E.merge ?ctx state ~into ~from ~policy ~message with
+              | r ->
+                  mark t lsn;
+                  r
+              | exception
+                  (( Governor.Cancelled | Governor.Deadline_exceeded
+                   | Governor.Budget_exceeded _ ) as e) ->
+                  (* Engines abort merges only in the read phase, so
+                     the logged entry had no effect on state.  Marking
+                     it consumed keeps recovery from replaying — and
+                     this time applying — an operation the caller saw
+                     fail. *)
+                  mark t lsn;
+                  raise e)))
 
 let dataset_bytes (Db { engine = (module E); state; _ }) =
   E.dataset_bytes state

@@ -84,7 +84,16 @@ val branch_named : t -> string -> branch_id
 
 val branch_name : t -> branch_id -> string
 
-(** {1 Version control} *)
+(** {1 Version control}
+
+    Every operation below that reaches the storage engine with a cost
+    (the writes, commits, merges and reads; not [lookup] or branch
+    creation) passes through one operation boundary while the
+    {!Decibel_obs.Obs} switch is on: a [<scheme>.<op>] span (none for
+    insert/update/delete), the operation's own cost bag
+    ({!Decibel_obs.Obs.Prof.metered}), one [Tuples_emitted] charge for
+    the rows handed to the caller, and the branch's workload row.  With
+    the switch off the engine is called directly. *)
 
 val create_branch : t -> name:string -> from:version_id -> branch_id
 
@@ -206,9 +215,11 @@ val close : t -> unit
 
 (** {1 Workload telemetry, storage advice and health}
 
-    Per-branch access accounting ({!Decibel_obs.Workload}) is fed from
-    hooks inside the engines and the buffer pool whenever the
-    {!Decibel_obs.Obs} recording switch is on.  The advisor joins it
+    Per-branch access accounting ({!Decibel_obs.Workload}) is fed by
+    the operation boundary whenever the {!Decibel_obs.Obs} recording
+    switch is on: a single-branch read or write adds its own cost bag
+    to its branch's row, a [multi_scan] or [diff] touches each named
+    branch at zero cost.  The advisor joins it
     with {!storage_report} through the recreation/storage cost model;
     the watchdog turns both into a sticky ok/warn/critical status. *)
 

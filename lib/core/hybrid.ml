@@ -28,7 +28,6 @@ open Decibel_index
 open Types
 module Vg = Decibel_graph.Version_graph
 module Obs = Decibel_obs.Obs
-module Workload = Decibel_obs.Workload
 module Par = Decibel_par.Par
 module Gctx = Decibel_governor.Governor.Ctx
 
@@ -40,21 +39,8 @@ let scratch () = Domain.DLS.get scratch_key
 
 (* same engine.* names as the other schemes: Obs interns by name, so
    all engines feed the shared counters *)
-let c_scan_tuples = Obs.counter "engine.scan.tuples"
 let c_scan_pages = Obs.counter "engine.scan.pages"
 let c_scan_segments = Obs.counter "engine.scan.segments"
-let c_scan_bitmap_words = Obs.counter "engine.scan.bitmap_words"
-let c_multi_scan_tuples = Obs.counter "engine.multi_scan.tuples"
-let c_diff_tuples = Obs.counter "engine.diff.tuples"
-let c_commits = Obs.counter "engine.commits"
-let c_merges = Obs.counter "engine.merges"
-let sp_scan = "hybrid.scan"
-let sp_scan_filtered = "hybrid.scan_filtered"
-let sp_scan_version = "hybrid.scan_version"
-let sp_multi_scan = "hybrid.multi_scan"
-let sp_diff = "hybrid.diff"
-let sp_merge = "hybrid.merge"
-let sp_commit = "hybrid.commit"
 
 let bitmap_words col = (Bitvec.length col + 63) / 64
 
@@ -207,22 +193,7 @@ let clear_live t b sid row =
     Branch_bitmap.clear t.seg_index ~branch:b ~row:sid
   end
 
-(* Workload accounting mirrors the Prof sites: the single-branch scan
-   reports summed per-segment counts — the same figures added to the
-   engine.* counters, so per-branch totals reconcile with the globals;
-   multi-branch reads leave zero-count touches. *)
-let wl_table t = Schema.name t.schema
-let wl_branch t b = (Vg.branch t.graph b).Vg.name
-
-let wl_touch t b =
-  Workload.note_read ~table:(wl_table t) ~branch:(wl_branch t b) ~scanned:0
-    ~emitted:0 ~fragments:0 ()
-
-let wl_write t b =
-  if Obs.enabled () then
-    Workload.note_write ~table:(wl_table t) ~branch:(wl_branch t b) ()
-
-let commit_impl t b ~message =
+let commit t b ~message =
   (* snapshot every segment the branch has ever had a history for plus
      any it now touches, so deletions round-trip through checkout *)
   let touched : (int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -242,14 +213,6 @@ let commit_impl t b ~message =
   Hashtbl.replace t.commit_loc vid (b, snaps);
   set_dirty t b false;
   vid
-
-let commit t b ~message =
-  if not (Obs.enabled ()) then commit_impl t b ~message
-  else
-    Obs.with_span sp_commit (fun () ->
-        Obs.incr c_commits;
-        wl_write t b;
-        commit_impl t b ~message)
 
 let commit_cols t vid =
   match Hashtbl.find_opt t.commit_loc vid with
@@ -332,8 +295,7 @@ let insert t b tuple =
   let sid, row = append_record t b tuple in
   set_live t b sid row;
   Pk_index.set t.pk ~branch:b key (sid, row);
-  set_dirty t b true;
-  wl_write t b
+  set_dirty t b true
 
 let update t b tuple =
   validate t tuple;
@@ -345,8 +307,7 @@ let update t b tuple =
       let sid, row = append_record t b tuple in
       set_live t b sid row;
       Pk_index.set t.pk ~branch:b key (sid, row);
-      set_dirty t b true;
-      wl_write t b
+      set_dirty t b true
 
 let delete t b key =
   match Pk_index.find t.pk ~branch:b key with
@@ -354,8 +315,7 @@ let delete t b key =
   | Some (sid, row) ->
       clear_live t b sid row;
       Pk_index.remove t.pk ~branch:b key;
-      set_dirty t b true;
-      wl_write t b
+      set_dirty t b true
 
 let lookup t b key =
   Option.map
@@ -369,20 +329,33 @@ let scan_segment_col ?preds t sid col f =
   Col_segment.scan ~sel:col ?preds (segment t sid).seg (fun _row tuple ->
       f tuple)
 
-(* One segment's worth of accounting, charged per segment (not per
-   tuple) so instrumentation stays amortized: the segment scan walks
-   the whole extent page by page, and the live-tuple count is the
-   bitmap's population count, so the scan itself runs uninstrumented. *)
-let account_segment t sid col =
-  Obs.incr c_scan_segments;
-  Obs.Prof.incr Obs.Prof.Delta_fragments;
-  Obs.add c_scan_pages (Col_segment.page_count (segment t sid).seg);
-  Obs.add c_scan_bitmap_words (bitmap_words col);
-  Obs.Prof.add Obs.Prof.Bitmap_words (bitmap_words col);
-  let live = Bitvec.pop_count col in
-  Obs.add c_scan_tuples live;
-  Obs.Prof.add Obs.Prof.Tuples_scanned live;
-  Obs.Prof.add Obs.Prof.Tuples_emitted live
+(* A branch's (or version's) read costs over its (segment, local
+   column) pairs, charged per read rather than per tuple: the live
+   count is the columns' population, so the scans themselves run
+   uninstrumented.  Every segment is one delta fragment. *)
+let charge_cols cols =
+  let words = ref 0 and live = ref 0 in
+  List.iter
+    (fun (_, col) ->
+      words := !words + bitmap_words col;
+      live := !live + Bitvec.pop_count col)
+    cols;
+  Obs.charge Obs.Prof.Delta_fragments (List.length cols);
+  Obs.charge Obs.Prof.Bitmap_words !words;
+  Obs.charge Obs.Prof.Tuples_scanned !live
+
+(* A single-branch or version scan also reports the extent it walks:
+   the whole of each segment, page by page. *)
+let charge_scan t cols =
+  List.iter
+    (fun (sid, _) ->
+      Obs.incr c_scan_segments;
+      Obs.add c_scan_pages (Col_segment.page_count (segment t sid).seg))
+    cols;
+  charge_cols cols
+
+let branch_cols t b =
+  List.map (fun sid -> (sid, local_col t b sid)) (segs_of_branch t b)
 
 (* Segment-parallel scan over (segment, column) pairs: pool workers
    decode their segments into buffered tuple lists against the
@@ -418,68 +391,25 @@ let scan_cols ?ctx ?preds t cols f =
 (* Single-branch scan: only segments flagged in the branch–segment
    bitmap are read, in any order (§3.4 “Single-branch Scan”). *)
 let scan ?ctx t b f =
-  let cols =
-    List.map (fun sid -> (sid, local_col t b sid)) (segs_of_branch t b)
-  in
-  if not (Obs.enabled ()) then scan_cols ?ctx t cols f
-  else
-    let table = wl_table t and branch = wl_branch t b in
-    (* ambient context attributes buffer-pool page traffic during the
-       segment walk to this (table, branch) *)
-    Workload.with_context ~table ~branch (fun () ->
-        Obs.with_span sp_scan (fun () ->
-            List.iter (fun (sid, col) -> account_segment t sid col) cols;
-            let live =
-              List.fold_left
-                (fun acc (_, col) -> acc + Bitvec.pop_count col)
-                0 cols
-            in
-            Workload.note_read ~table ~branch ~scanned:live ~emitted:live
-              ~fragments:(List.length cols) ();
-            scan_cols ?ctx t cols f))
+  let cols = branch_cols t b in
+  charge_scan t cols;
+  scan_cols ?ctx t cols f
 
 (* Predicate pushdown composes with segment skipping: the branch's
    local columns select, the predicates filter on decoded batches (or
    dictionary codes) inside each surviving block. *)
 let scan_filtered ?ctx t b ~preds f =
-  let cols =
-    List.map (fun sid -> (sid, local_col t b sid)) (segs_of_branch t b)
-  in
-  if not (Obs.enabled ()) then scan_cols ?ctx ~preds t cols f
-  else
-    let table = wl_table t and branch = wl_branch t b in
-    Workload.with_context ~table ~branch (fun () ->
-        Obs.with_span sp_scan_filtered (fun () ->
-            let scanned = ref 0 in
-            List.iter
-              (fun (sid, col) ->
-                Obs.incr c_scan_segments;
-                Obs.Prof.incr Obs.Prof.Delta_fragments;
-                Obs.add c_scan_pages
-                  (Col_segment.page_count (segment t sid).seg);
-                Obs.add c_scan_bitmap_words (bitmap_words col);
-                Obs.Prof.add Obs.Prof.Bitmap_words (bitmap_words col);
-                scanned := !scanned + Bitvec.pop_count col)
-              cols;
-            let n = ref 0 in
-            scan_cols ?ctx ~preds t cols (fun tu ->
-                incr n;
-                f tu);
-            Obs.add c_scan_tuples !n;
-            Obs.Prof.add Obs.Prof.Tuples_scanned !scanned;
-            Obs.Prof.add Obs.Prof.Tuples_emitted !n;
-            Workload.note_read ~table ~branch ~scanned:!scanned ~emitted:!n
-              ~fragments:(List.length cols) ()))
+  let cols = branch_cols t b in
+  charge_scan t cols;
+  scan_cols ?ctx ~preds t cols f
 
 let scan_version ?ctx t vid f =
   let cols = commit_cols t vid in
-  if not (Obs.enabled ()) then scan_cols ?ctx t cols f
-  else
-    Obs.with_span sp_scan_version (fun () ->
-        List.iter (fun (sid, col) -> account_segment t sid col) cols;
-        scan_cols ?ctx t cols f)
+  charge_scan t cols;
+  scan_cols ?ctx t cols f
 
-let multi_scan_impl ?ctx t branches f =
+let multi_scan ?ctx t branches f =
+  List.iter (fun b -> charge_cols (branch_cols t b)) branches;
   let seg_set : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun b -> List.iter (fun s -> Hashtbl.replace seg_set s ()) (segs_of_branch t b))
@@ -522,19 +452,9 @@ let multi_scan_impl ?ctx t branches f =
       ()
   else Array.iter (fun sid -> List.iter f (annotated_of_segment sid)) segs
 
-let multi_scan ?ctx t branches f =
-  if not (Obs.enabled ()) then multi_scan_impl ?ctx t branches f
-  else
-    Obs.with_span sp_multi_scan (fun () ->
-        List.iter (wl_touch t) branches;
-        let n = ref 0 in
-        multi_scan_impl ?ctx t branches (fun mt ->
-            n := !n + 1;
-            f mt);
-        Obs.add c_multi_scan_tuples !n;
-        Obs.Prof.add Obs.Prof.Tuples_emitted !n)
-
-let diff_impl ?ctx t a b ~pos ~neg =
+let diff ?ctx t a b ~pos ~neg =
+  charge_cols (branch_cols t a);
+  charge_cols (branch_cols t b);
   let seg_set : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun s -> Hashtbl.replace seg_set s ()) (segs_of_branch t a);
   List.iter (fun s -> Hashtbl.replace seg_set s ()) (segs_of_branch t b);
@@ -574,21 +494,6 @@ let diff_impl ?ctx t a b ~pos ~neg =
       ~produce:(fun i -> collect segs.(i))
       ~consume ()
   else Array.iter (fun sid -> consume (collect sid)) segs
-
-let diff ?ctx t a b ~pos ~neg =
-  if not (Obs.enabled ()) then diff_impl ?ctx t a b ~pos ~neg
-  else
-    Obs.with_span sp_diff (fun () ->
-        wl_touch t a;
-        wl_touch t b;
-        let n = ref 0 in
-        let count out tuple =
-          n := !n + 1;
-          out tuple
-        in
-        diff_impl ?ctx t a b ~pos:(count pos) ~neg:(count neg);
-        Obs.add c_diff_tuples !n;
-        Obs.Prof.add Obs.Prof.Tuples_emitted !n)
 
 (* Change tables for merge: per segment, XOR the branch's current
    column against the LCA's restored column; set-minus directions give
@@ -646,7 +551,7 @@ let changes_since t b lca_cols =
     tbl;
   tbl
 
-let merge_impl ?ctx t ~into ~from ~policy ~message =
+let merge ?ctx t ~into ~from ~policy ~message =
   (* the read phase (change collection) polls the context; once
      decisions start installing the merge runs to completion so a
      deadline can never leave a half-applied merge behind *)
@@ -720,13 +625,6 @@ let merge_impl ?ctx t ~into ~from ~policy ~message =
     keys_theirs = stats.Merge_driver.n_theirs;
     keys_both = stats.Merge_driver.n_both;
   }
-
-let merge ?ctx t ~into ~from ~policy ~message =
-  if not (Obs.enabled ()) then merge_impl ?ctx t ~into ~from ~policy ~message
-  else
-    Obs.with_span sp_merge (fun () ->
-        Obs.incr c_merges;
-        merge_impl ?ctx t ~into ~from ~policy ~message)
 
 let dataset_bytes t =
   let acc = ref 0 in

@@ -91,38 +91,25 @@ let validate t tuple =
   | Error msg -> errorf "model: %s" msg
 
 module Obs = Decibel_obs.Obs
-module Workload = Decibel_obs.Workload
-
-(* Workload notes mirror the Prof sites, as in the physical engines:
-   single-branch scans carry real counts, writes a per-op note. *)
-let wl_table t = Schema.name t.schema
-let wl_branch t b = (Vg.branch t.graph b).Vg.name
-
-let wl_write t b =
-  if Obs.enabled () then
-    Workload.note_write ~table:(wl_table t) ~branch:(wl_branch t b) ()
 
 let insert t b tuple =
   validate t tuple;
   let key = Tuple.pk t.schema tuple in
   if Vmap.mem key (head_state t b) then
     errorf "model: duplicate key %s in branch %d" (Value.to_string key) b;
-  set_head t b (Vmap.add key tuple (head_state t b));
-  wl_write t b
+  set_head t b (Vmap.add key tuple (head_state t b))
 
 let update t b tuple =
   validate t tuple;
   let key = Tuple.pk t.schema tuple in
   if not (Vmap.mem key (head_state t b)) then
     errorf "model: update of absent key %s" (Value.to_string key);
-  set_head t b (Vmap.add key tuple (head_state t b));
-  wl_write t b
+  set_head t b (Vmap.add key tuple (head_state t b))
 
 let delete t b key =
   if not (Vmap.mem key (head_state t b)) then
     errorf "model: delete of absent key %s" (Value.to_string key);
-  set_head t b (Vmap.remove key (head_state t b));
-  wl_write t b
+  set_head t b (Vmap.remove key (head_state t b))
 
 let lookup t b key = Vmap.find_opt key (head_state t b)
 
@@ -132,22 +119,14 @@ let ctx_poll ctx =
   let poll = Decibel_governor.Governor.Ctx.poller ~stride:1 ctx in
   fun f x -> poll (); f x
 
-(* Oracle ops still profile (one span + one batch-total counter add per
-   operation) so model-vs-engine comparisons show up in profile trees,
-   while the uninstrumented fast path stays allocation-free. *)
+(* Every state a read resolves is scanned whole. *)
+let charge_state st = Obs.charge Obs.Prof.Tuples_scanned (Vmap.cardinal st)
+
 let scan ?ctx t b f =
-  let run ?(count = fun g x -> g x) () =
-    let f = ctx_poll ctx (count f) in
-    Vmap.iter (fun _ tuple -> f tuple) (head_state t b)
-  in
-  if not (Obs.enabled ()) then run ()
-  else
-    Obs.with_span "model.scan" (fun () ->
-        let n = ref 0 in
-        run ~count:(fun g x -> incr n; g x) ();
-        Obs.Prof.add Obs.Prof.Tuples_emitted !n;
-        Workload.note_read ~table:(wl_table t) ~branch:(wl_branch t b)
-          ~scanned:!n ~emitted:!n ~fragments:0 ())
+  let st = head_state t b in
+  charge_state st;
+  let f = ctx_poll ctx f in
+  Vmap.iter (fun _ tuple -> f tuple) st
 
 (* No physical layout, so predicate pushdown degenerates to a row-wise
    filter — the executable semantics the columnar engines must match. *)
@@ -156,18 +135,12 @@ let scan_filtered ?ctx t b ~preds f =
       if Col_pred.eval_tuple preds tuple then f tuple)
 
 let scan_version ?ctx t vid f =
-  let run ?(count = fun g x -> g x) () =
-    let f = ctx_poll ctx (count f) in
-    Vmap.iter (fun _ tuple -> f tuple) (snapshot t vid)
-  in
-  if not (Obs.enabled ()) then run ()
-  else
-    Obs.with_span "model.scan_version" (fun () ->
-        let n = ref 0 in
-        run ~count:(fun g x -> incr n; g x) ();
-        Obs.Prof.add Obs.Prof.Tuples_emitted !n)
+  let st = snapshot t vid in
+  charge_state st;
+  let f = ctx_poll ctx f in
+  Vmap.iter (fun _ tuple -> f tuple) st
 
-let multi_scan_impl ?ctx t branches f =
+let multi_scan ?ctx t branches f =
   let f = ctx_poll ctx f in
   (* group by record content: each distinct live tuple once, annotated
      with the branches holding exactly that state for its key *)
@@ -176,30 +149,24 @@ let multi_scan_impl ?ctx t branches f =
   in
   List.iter
     (fun b ->
+      let st = head_state t b in
+      charge_state st;
       Vmap.iter
         (fun key tuple ->
           let k = (key, tuple) in
           let prev = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
           Hashtbl.replace tbl k (b :: prev))
-        (head_state t b))
+        st)
     branches;
   Hashtbl.iter
     (fun (_, tuple) bs -> f { tuple; in_branches = List.sort compare bs })
     tbl
 
-let multi_scan ?ctx t branches f =
-  if not (Obs.enabled ()) then multi_scan_impl ?ctx t branches f
-  else
-    Obs.with_span "model.multi_scan" (fun () ->
-        let n = ref 0 in
-        multi_scan_impl ?ctx t branches (fun mt ->
-            incr n;
-            f mt);
-        Obs.Prof.add Obs.Prof.Tuples_emitted !n)
-
-let diff_impl ?ctx t a b ~pos ~neg =
+let diff ?ctx t a b ~pos ~neg =
   let pos = ctx_poll ctx pos and neg = ctx_poll ctx neg in
   let sa = head_state t a and sb = head_state t b in
+  charge_state sa;
+  charge_state sb;
   Vmap.iter
     (fun key tuple ->
       match Vmap.find_opt key sb with
@@ -212,18 +179,6 @@ let diff_impl ?ctx t a b ~pos ~neg =
       | Some other when Tuple.equal other tuple -> ()
       | _ -> neg tuple)
     sb
-
-let diff ?ctx t a b ~pos ~neg =
-  if not (Obs.enabled ()) then diff_impl ?ctx t a b ~pos ~neg
-  else
-    Obs.with_span "model.diff" (fun () ->
-        let n = ref 0 in
-        let count out tuple =
-          incr n;
-          out tuple
-        in
-        diff_impl ?ctx t a b ~pos:(count pos) ~neg:(count neg);
-        Obs.Prof.add Obs.Prof.Tuples_emitted !n)
 
 let changes_since t b base =
   let cur = head_state t b in
@@ -244,7 +199,7 @@ let changes_since t b base =
     base;
   tbl
 
-let merge_impl ?ctx t ~into ~from ~policy ~message =
+let merge ?ctx t ~into ~from ~policy ~message =
   let check () =
     match ctx with
     | Some c -> Decibel_governor.Governor.Ctx.check c
@@ -278,12 +233,6 @@ let merge_impl ?ctx t ~into ~from ~policy ~message =
     keys_theirs = stats.Merge_driver.n_theirs;
     keys_both = stats.Merge_driver.n_both;
   }
-
-let merge ?ctx t ~into ~from ~policy ~message =
-  if not (Obs.enabled ()) then merge_impl ?ctx t ~into ~from ~policy ~message
-  else
-    Obs.with_span "model.merge" (fun () ->
-        merge_impl ?ctx t ~into ~from ~policy ~message)
 
 let dataset_bytes _ = 0
 let commit_meta_bytes _ = 0

@@ -24,7 +24,6 @@ open Decibel_index
 open Types
 module Vg = Decibel_graph.Version_graph
 module Obs = Decibel_obs.Obs
-module Workload = Decibel_obs.Workload
 module Par = Decibel_par.Par
 module Gctx = Decibel_governor.Governor.Ctx
 
@@ -34,13 +33,7 @@ let scratch () = Domain.DLS.get scratch_key
 
 (* engine.* counters are shared across all three schemes (Obs.counter
    interns by name), so benchmark reports can diff them uniformly *)
-let c_scan_tuples = Obs.counter "engine.scan.tuples"
 let c_scan_pages = Obs.counter "engine.scan.pages"
-let c_scan_bitmap_words = Obs.counter "engine.scan.bitmap_words"
-let c_multi_scan_tuples = Obs.counter "engine.multi_scan.tuples"
-let c_diff_tuples = Obs.counter "engine.diff.tuples"
-let c_commits = Obs.counter "engine.commits"
-let c_merges = Obs.counter "engine.merges"
 
 let bitmap_words col = (Bitvec.length col + 63) / 64
 
@@ -69,33 +62,6 @@ module Make (B : Bitmap_intf.S) = struct
   }
 
   let scheme = "tuple-first (" ^ B.layout ^ ")"
-
-  (* span names precomputed once per functor instantiation so the
-     instrumented paths allocate nothing per call *)
-  let sp_scan = "tuple_first.scan"
-  let sp_scan_filtered = "tuple_first.scan_filtered"
-  let sp_scan_version = "tuple_first.scan_version"
-  let sp_multi_scan = "tuple_first.multi_scan"
-  let sp_diff = "tuple_first.diff"
-  let sp_merge = "tuple_first.merge"
-  let sp_commit = "tuple_first.commit"
-
-  (* Workload accounting mirrors the Prof sites at batch granularity.
-     Only single-branch scans report tuple/fragment counts — the same
-     figures added to the engine.* counters, so per-branch totals
-     reconcile exactly with the globals.  Multi-branch reads leave a
-     zero-count touch that moves the read rate without double-counting
-     tuples. *)
-  let wl_table t = Schema.name t.schema
-  let wl_branch t b = (Vg.branch t.graph b).Vg.name
-
-  let wl_touch t b =
-    Workload.note_read ~table:(wl_table t) ~branch:(wl_branch t b) ~scanned:0
-      ~emitted:0 ~fragments:0 ()
-
-  let wl_write t b =
-    if Obs.enabled () then
-      Workload.note_write ~table:(wl_table t) ~branch:(wl_branch t b) ()
 
   (* Generation-suffixed file names: gen 0 keeps the original names so
      pre-compaction repositories are untouched; each compaction rewrites
@@ -167,21 +133,13 @@ module Make (B : Bitmap_intf.S) = struct
     | Some (b, idx) -> Commit_history.checkout (history t b) idx
     | None -> errorf "tuple-first: version %d has no snapshot" vid
 
-  let commit_impl t b ~message =
+  let commit t b ~message =
     let col = B.snapshot t.bitmap ~branch:b in
     let idx = Commit_history.commit (history t b) col in
     let vid = Vg.commit t.graph b ~message in
     Hashtbl.replace t.commit_loc vid (b, idx);
     set_dirty t b false;
     vid
-
-  let commit t b ~message =
-    if not (Obs.enabled ()) then commit_impl t b ~message
-    else
-      Obs.with_span sp_commit (fun () ->
-          Obs.incr c_commits;
-          wl_write t b;
-          commit_impl t b ~message)
 
   let create_branch t ~name ~from =
     let v = Vg.version t.graph from in
@@ -234,8 +192,7 @@ module Make (B : Bitmap_intf.S) = struct
     let row = append_record t tuple in
     B.set t.bitmap ~branch:b ~row;
     Pk_index.set t.pk ~branch:b key row;
-    set_dirty t b true;
-    wl_write t b
+    set_dirty t b true
 
   let update t b tuple =
     validate t tuple;
@@ -248,8 +205,7 @@ module Make (B : Bitmap_intf.S) = struct
         let row = append_record t tuple in
         B.set t.bitmap ~branch:b ~row;
         Pk_index.set t.pk ~branch:b key row;
-        set_dirty t b true;
-        wl_write t b
+        set_dirty t b true
 
   let delete t b key =
     match Pk_index.find t.pk ~branch:b key with
@@ -258,8 +214,7 @@ module Make (B : Bitmap_intf.S) = struct
     | Some row ->
         B.clear t.bitmap ~branch:b ~row;
         Pk_index.remove t.pk ~branch:b key;
-        set_dirty t b true;
-        wl_write t b
+        set_dirty t b true
 
   let lookup t b key =
     Option.map (tuple_at t) (Pk_index.find t.pk ~branch:b key)
@@ -297,66 +252,37 @@ module Make (B : Bitmap_intf.S) = struct
           ~consume:(fun tuples -> List.iter f tuples)
           ()
 
-  (* Page accounting stays amortized: the figure reported is the
-     segment's page count rather than a per-row count (scattered rows
-     under interleaved loads touch nearly every page, §5.2). *)
-  let instrumented_scan_col ?ctx ?on_live span t col f =
-    Obs.with_span span (fun () ->
-        Obs.add c_scan_pages (Col_segment.page_count t.seg);
-        Obs.add c_scan_bitmap_words (bitmap_words col);
-        Obs.Prof.add Obs.Prof.Bitmap_words (bitmap_words col);
-        (* emitted tuples == set bits in the branch column, so the
-           count is amortized and the scan runs uninstrumented *)
-        let live = Bitvec.pop_count col in
-        Obs.add c_scan_tuples live;
-        Obs.Prof.add Obs.Prof.Tuples_scanned live;
-        Obs.Prof.add Obs.Prof.Tuples_emitted live;
-        (match on_live with Some g -> g live | None -> ());
-        scan_col ?ctx t col f)
+  (* Costs are charged per scan, not per row: the live count is the
+     column's population, and the page figure is the segment's page
+     count rather than a per-row count (scattered rows under
+     interleaved loads touch nearly every page, §5.2). *)
+  let charge_col t col =
+    Obs.add c_scan_pages (Col_segment.page_count t.seg);
+    Obs.charge Obs.Prof.Bitmap_words (bitmap_words col);
+    Obs.charge Obs.Prof.Tuples_scanned (Bitvec.pop_count col)
 
   let scan ?ctx t b f =
     let col = B.column_view t.bitmap ~branch:b in
-    if not (Obs.enabled ()) then scan_col ?ctx t col f
-    else
-      let table = wl_table t and branch = wl_branch t b in
-      (* ambient context attributes buffer-pool page traffic during the
-         scan body to this (table, branch) *)
-      Workload.with_context ~table ~branch (fun () ->
-          instrumented_scan_col ?ctx
-            ~on_live:(fun live ->
-              Workload.note_read ~table ~branch ~scanned:live ~emitted:live
-                ~fragments:0 ())
-            sp_scan t col f)
+    charge_col t col;
+    scan_col ?ctx t col f
 
-  (* Predicated scan: the emitted count is no longer the column's
-     population, so it is measured rather than amortized. *)
   let scan_filtered ?ctx t b ~preds f =
     let col = B.column_view t.bitmap ~branch:b in
-    if not (Obs.enabled ()) then scan_col ?ctx ~preds t col f
-    else
-      let table = wl_table t and branch = wl_branch t b in
-      Workload.with_context ~table ~branch (fun () ->
-          Obs.with_span sp_scan_filtered (fun () ->
-              Obs.add c_scan_pages (Col_segment.page_count t.seg);
-              Obs.add c_scan_bitmap_words (bitmap_words col);
-              Obs.Prof.add Obs.Prof.Bitmap_words (bitmap_words col);
-              let live = Bitvec.pop_count col in
-              Obs.add c_scan_tuples live;
-              Obs.Prof.add Obs.Prof.Tuples_scanned live;
-              let n = ref 0 in
-              scan_col ?ctx ~preds t col (fun tuple ->
-                  incr n;
-                  f tuple);
-              Obs.Prof.add Obs.Prof.Tuples_emitted !n;
-              Workload.note_read ~table ~branch ~scanned:live ~emitted:!n
-                ~fragments:0 ()))
+    charge_col t col;
+    scan_col ?ctx ~preds t col f
 
   let scan_version ?ctx t vid f =
     let col = bitmap_at_version t vid in
-    if not (Obs.enabled ()) then scan_col ?ctx t col f
-    else instrumented_scan_col ?ctx sp_scan_version t col f
+    charge_col t col;
+    scan_col ?ctx t col f
 
-  let multi_scan_impl ?ctx t branches f =
+  let multi_scan ?ctx t branches f =
+    Obs.add c_scan_pages (Col_segment.page_count t.seg);
+    List.iter
+      (fun b ->
+        Obs.charge Obs.Prof.Tuples_scanned
+          (Bitvec.pop_count (B.column_view t.bitmap ~branch:b)))
+      branches;
     let nrows = Col_segment.rows t.seg in
     let probe row =
       List.filter (fun b -> B.get t.bitmap ~branch:b ~row) branches
@@ -391,27 +317,18 @@ module Make (B : Bitmap_intf.S) = struct
               let live = probe row in
               if live <> [] then f { tuple; in_branches = live })
 
-  let multi_scan ?ctx t branches f =
-    if not (Obs.enabled ()) then multi_scan_impl ?ctx t branches f
-    else
-      Obs.with_span sp_multi_scan (fun () ->
-          Obs.add c_scan_pages (Col_segment.page_count t.seg);
-          List.iter (wl_touch t) branches;
-          (* every segment row is probed against each head's bitmap *)
-          Obs.Prof.add Obs.Prof.Tuples_scanned (Col_segment.rows t.seg);
-          let n = ref 0 in
-          multi_scan_impl ?ctx t branches (fun mt ->
-              n := !n + 1;
-              f mt);
-          Obs.add c_multi_scan_tuples !n;
-          Obs.Prof.add Obs.Prof.Tuples_emitted !n)
 
   (* Bitmap XOR yields candidate rows; a key-level content check drops
      rows whose key has an identical live copy on the other side, so
      diff is by content, consistently across engines. *)
-  let diff_impl ?ctx t a b ~pos ~neg =
+  let diff ?ctx t a b ~pos ~neg =
     let ca = B.column_view t.bitmap ~branch:a in
     let cb = B.column_view t.bitmap ~branch:b in
+    List.iter
+      (fun col ->
+        Obs.charge Obs.Prof.Bitmap_words (bitmap_words col);
+        Obs.charge Obs.Prof.Tuples_scanned (Bitvec.pop_count col))
+      [ ca; cb ];
     (* candidate rows into the per-domain scratch, in place *)
     let sym = scratch () in
     Bitvec.copy_into ~src:ca ~dst:sym;
@@ -460,22 +377,6 @@ module Make (B : Bitmap_intf.S) = struct
             (List.iter (fun (side, tu) -> if side then pos tu else neg tu))
           ()
 
-  let diff ?ctx t a b ~pos ~neg =
-    if not (Obs.enabled ()) then diff_impl ?ctx t a b ~pos ~neg
-    else
-      Obs.with_span sp_diff (fun () ->
-          Obs.Prof.add Obs.Prof.Bitmap_words
-            (bitmap_words (B.column_view t.bitmap ~branch:a));
-          wl_touch t a;
-          wl_touch t b;
-          let n = ref 0 in
-          let count out tuple =
-            n := !n + 1;
-            out tuple
-          in
-          diff_impl ?ctx t a b ~pos:(count pos) ~neg:(count neg);
-          Obs.add c_diff_tuples !n;
-          Obs.Prof.add Obs.Prof.Tuples_emitted !n)
 
   (* Change table for one branch relative to the LCA snapshot: rows set
      now but not at the LCA are new live copies; rows live at the LCA
@@ -516,7 +417,7 @@ module Make (B : Bitmap_intf.S) = struct
       tbl;
     tbl
 
-  let merge_impl ?ctx t ~into ~from ~policy ~message =
+  let merge ?ctx t ~into ~from ~policy ~message =
     (* read phase polls the context; the install loop below never does,
        so an expired deadline cannot leave a half-applied merge *)
     let check () = match ctx with Some c -> Gctx.check c | None -> () in
@@ -578,12 +479,6 @@ module Make (B : Bitmap_intf.S) = struct
       keys_both = stats.Merge_driver.n_both;
     }
 
-  let merge ?ctx t ~into ~from ~policy ~message =
-    if not (Obs.enabled ()) then merge_impl ?ctx t ~into ~from ~policy ~message
-    else
-      Obs.with_span sp_merge (fun () ->
-          Obs.incr c_merges;
-          merge_impl ?ctx t ~into ~from ~policy ~message)
 
   let dataset_bytes t = Col_segment.byte_size t.seg
 

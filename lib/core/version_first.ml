@@ -29,26 +29,13 @@ open Decibel_index
 open Types
 module Vg = Decibel_graph.Version_graph
 module Obs = Decibel_obs.Obs
-module Workload = Decibel_obs.Workload
 module Par = Decibel_par.Par
 module Gctx = Decibel_governor.Governor.Ctx
 
 (* same engine.* names as the other schemes: Obs interns by name, so
    all engines feed the shared counters *)
-let c_scan_tuples = Obs.counter "engine.scan.tuples"
 let c_scan_pages = Obs.counter "engine.scan.pages"
 let c_scan_segments = Obs.counter "engine.scan.segments"
-let c_multi_scan_tuples = Obs.counter "engine.multi_scan.tuples"
-let c_diff_tuples = Obs.counter "engine.diff.tuples"
-let c_commits = Obs.counter "engine.commits"
-let c_merges = Obs.counter "engine.merges"
-let sp_scan = "version_first.scan"
-let sp_scan_filtered = "version_first.scan_filtered"
-let sp_scan_version = "version_first.scan_version"
-let sp_multi_scan = "version_first.multi_scan"
-let sp_diff = "version_first.diff"
-let sp_merge = "version_first.merge"
-let sp_commit = "version_first.commit"
 
 type segment = {
   seg_id : int;
@@ -193,10 +180,10 @@ let plan t seg0 upto0 =
 (* Core lineage scan: emit each key's winning record once, newest copy
    first within a segment, descendants before ancestors across
    segments.  [f] receives the segment, row and record of each winner
-   (tombstone winners mean "deleted here"). *)
-let scan_winners ?ctx t seg0 upto0 f =
+   (tombstone winners mean "deleted here").  [items] is the lineage's
+   {!plan}. *)
+let scan_winners ?ctx t items f =
   let seen : (Value.t, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let items = plan t seg0 upto0 in
   if Par.available () && List.length items > 1 then
     (* Branch fragments decode in parallel (the expensive part: block
        read + CRC + decode); the first-writer-wins [seen] filter runs
@@ -237,11 +224,24 @@ let scan_winners ?ctx t seg0 upto0 f =
             end))
       items
 
-let scan_live ?ctx t seg0 upto0 f =
-  scan_winners ?ctx t seg0 upto0 (fun sid row rv ->
+let live_winners ?ctx t items f =
+  scan_winners ?ctx t items (fun sid row rv ->
       match rv with
       | Col_segment.Live tuple -> f sid row tuple
       | Col_segment.Tombstone _ -> ())
+
+let scan_live ?ctx t seg0 upto0 f = live_winners ?ctx t (plan t seg0 upto0) f
+
+(* A read's lineage walk, charged by the cost kinds' definitions: one
+   delta fragment per plan extent, one scanned tuple per live
+   winner. *)
+let charged_walk ?ctx t items f =
+  Obs.charge Obs.Prof.Delta_fragments (List.length items);
+  let n = ref 0 in
+  live_winners ?ctx t items (fun sid row tuple ->
+      incr n;
+      f sid row tuple);
+  Obs.charge Obs.Prof.Tuples_scanned !n
 
 let head_loc t b =
   let sid = Vec.get t.head_seg b in
@@ -252,37 +252,13 @@ let commit_loc t vid =
   | Some loc -> loc
   | None -> errorf "version-first: version %d has no commit record" vid
 
-(* Workload accounting mirrors the Prof sites: single-branch scans
-   report the exact counts also added to the engine.* counters, so
-   per-branch totals reconcile with the globals; multi-branch reads
-   leave zero-count touches.  [diff] needs no touch of its own — it is
-   implemented as two instrumented scans, which already note reads. *)
-let wl_table t = Schema.name t.schema
-let wl_branch t b = (Vg.branch t.graph b).Vg.name
-
-let wl_touch t b =
-  Workload.note_read ~table:(wl_table t) ~branch:(wl_branch t b) ~scanned:0
-    ~emitted:0 ~fragments:0 ()
-
-let wl_write t b =
-  if Obs.enabled () then
-    Workload.note_write ~table:(wl_table t) ~branch:(wl_branch t b) ()
-
-let commit_impl t b ~message =
+let commit t b ~message =
   let sid, upto = head_loc t b in
   Col_segment.flush (segment t sid).seg;
   let vid = Vg.commit t.graph b ~message in
   Hashtbl.replace t.commits vid (sid, upto);
   set_dirty t b false;
   vid
-
-let commit t b ~message =
-  if not (Obs.enabled ()) then commit_impl t b ~message
-  else
-    Obs.with_span sp_commit (fun () ->
-        Obs.incr c_commits;
-        wl_write t b;
-        commit_impl t b ~message)
 
 let create_branch t ~name ~from =
   let v = Vg.version t.graph from in
@@ -328,8 +304,7 @@ let insert t b tuple =
       (Value.to_string key) b;
   let loc = append t b (Col_segment.Live tuple) in
   Pk_index.set t.pk ~branch:b key loc;
-  set_dirty t b true;
-  wl_write t b
+  set_dirty t b true
 
 let update t b tuple =
   validate t tuple;
@@ -338,16 +313,14 @@ let update t b tuple =
     errorf "version-first: update of absent key %s" (Value.to_string key);
   let loc = append t b (Col_segment.Live tuple) in
   Pk_index.set t.pk ~branch:b key loc;
-  set_dirty t b true;
-  wl_write t b
+  set_dirty t b true
 
 let delete t b key =
   if not (Pk_index.mem t.pk ~branch:b key) then
     errorf "version-first: delete of absent key %s" (Value.to_string key);
   let _ = append t b (Col_segment.Tombstone key) in
   Pk_index.remove t.pk ~branch:b key;
-  set_dirty t b true;
-  wl_write t b
+  set_dirty t b true
 
 let fetch t (sid, row) =
   match Col_segment.get (segment t sid).seg row with
@@ -358,85 +331,41 @@ let fetch t (sid, row) =
 let lookup t b key =
   Option.map (fetch t) (Pk_index.find t.pk ~branch:b key)
 
-(* Pages a lineage scan reads: for each planned (segment, upto) pair,
-   the extent up to the branch point, in buffer-pool pages. *)
-let account_plan t sid upto =
+(* A single-lineage read also reports its extent: each planned
+   (segment, upto) pair up to the branch point, in buffer-pool pages. *)
+let scan_loc ?ctx t (sid, upto) f =
+  let items = plan t sid upto in
   let psz = Buffer_pool.page_size t.pool in
-  let p = plan t sid upto in
   List.iter
     (fun (s, u) ->
       let bytes = Col_segment.bytes_upto (segment t s).seg u in
       Obs.add c_scan_pages ((bytes + psz - 1) / psz))
-    p;
-  Obs.add c_scan_segments (List.length p);
-  (* the plan's (segment, upto) pairs are exactly the delta fragments
-     this lineage scan replays *)
-  Obs.Prof.add Obs.Prof.Delta_fragments (List.length p)
+    items;
+  Obs.add c_scan_segments (List.length items);
+  charged_walk ?ctx t items (fun _ _ tuple -> f tuple)
 
-let instrumented_scan ?ctx ?on_emitted span t sid upto f =
-  Obs.with_span span (fun () ->
-      account_plan t sid upto;
-      let n = ref 0 in
-      scan_live ?ctx t sid upto (fun _ _ tuple ->
-          n := !n + 1;
-          f tuple);
-      Obs.add c_scan_tuples !n;
-      Obs.Prof.add Obs.Prof.Tuples_scanned !n;
-      Obs.Prof.add Obs.Prof.Tuples_emitted !n;
-      match on_emitted with Some g -> g !n | None -> ())
-
-let scan ?ctx t b f =
-  let sid, upto = head_loc t b in
-  if not (Obs.enabled ()) then
-    scan_live ?ctx t sid upto (fun _ _ tuple -> f tuple)
-  else
-    let table = wl_table t and branch = wl_branch t b in
-    let frags = List.length (plan t sid upto) in
-    (* ambient context attributes buffer-pool page traffic during the
-       lineage walk to this (table, branch) *)
-    Workload.with_context ~table ~branch (fun () ->
-        instrumented_scan ?ctx
-          ~on_emitted:(fun n ->
-            Workload.note_read ~table ~branch ~scanned:n ~emitted:n
-              ~fragments:frags ())
-          sp_scan t sid upto f)
+let scan ?ctx t b f = scan_loc ?ctx t (head_loc t b) f
 
 (* Winners must be resolved before predicates apply: filtering below
    the newest-copy-wins dedup would let a stale copy of a key win when
    its head copy fails the predicate.  So version-first evaluates
    predicates row-wise on winning tuples. *)
 let scan_filtered ?ctx t b ~preds f =
-  let filter tuple = if Col_pred.eval_tuple preds tuple then f tuple in
-  if not (Obs.enabled ()) then
-    let sid, upto = head_loc t b in
-    scan_live ?ctx t sid upto (fun _ _ tuple -> filter tuple)
-  else
-    Obs.with_span sp_scan_filtered (fun () ->
-        let n = ref 0 in
-        scan ?ctx t b (fun tuple ->
-            if Col_pred.eval_tuple preds tuple then begin
-              n := !n + 1;
-              f tuple
-            end);
-        Obs.Prof.add Obs.Prof.Tuples_emitted !n)
+  scan ?ctx t b (fun tuple -> if Col_pred.eval_tuple preds tuple then f tuple)
 
-let scan_version ?ctx t vid f =
-  let sid, upto = commit_loc t vid in
-  if not (Obs.enabled ()) then
-    scan_live ?ctx t sid upto (fun _ _ tuple -> f tuple)
-  else instrumented_scan ?ctx sp_scan_version t sid upto f
+let scan_version ?ctx t vid f = scan_loc ?ctx t (commit_loc t vid) f
 
 (* Multi-branch scan, per the paper's two-pass scheme (§3.3): pass one
    records each branch's live (segment, row) pairs in hash tables;
    pass two walks the union of segments in storage order emitting each
    live record once with its branch annotations. *)
-let multi_scan_impl ?ctx t branches f =
+let multi_scan ?ctx t branches f =
   let ann : (int * int, branch_id list) Hashtbl.t = Hashtbl.create 4096 in
   let segs : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun b ->
       let sid, upto = head_loc t b in
-      scan_live ?ctx t sid upto (fun s row _tuple ->
+      charged_walk ?ctx t (plan t sid upto) (fun s row _tuple ->
           Hashtbl.replace segs s ();
           let prev = Option.value ~default:[] (Hashtbl.find_opt ann (s, row)) in
           Hashtbl.replace ann (s, row) (b :: prev)))
@@ -471,28 +400,10 @@ let multi_scan_impl ?ctx t branches f =
       ()
   else List.iter (fun sid -> List.iter f (annotated_of_segment sid)) seg_ids
 
-let multi_scan ?ctx t branches f =
-  if not (Obs.enabled ()) then multi_scan_impl ?ctx t branches f
-  else
-    Obs.with_span sp_multi_scan (fun () ->
-        List.iter
-          (fun b ->
-            let sid, upto = head_loc t b in
-            Obs.Prof.add Obs.Prof.Delta_fragments
-              (List.length (plan t sid upto));
-            wl_touch t b)
-          branches;
-        let n = ref 0 in
-        multi_scan_impl ?ctx t branches (fun mt ->
-            n := !n + 1;
-            f mt);
-        Obs.add c_multi_scan_tuples !n;
-        Obs.Prof.add Obs.Prof.Tuples_emitted !n)
-
 (* Content diff needs the active records of both branches, which
    version-first can only obtain with full lineage scans — the
    multiple-pass cost the paper reports for Q2 (§5.2). *)
-let diff_impl ?ctx t a b ~pos ~neg =
+let diff ?ctx t a b ~pos ~neg =
   let in_a : (Value.t, Tuple.t) Hashtbl.t = Hashtbl.create 4096 in
   scan ?ctx t a
     (fun tuple -> Hashtbl.replace in_a (Tuple.pk t.schema tuple) tuple);
@@ -506,19 +417,6 @@ let diff_impl ?ctx t a b ~pos ~neg =
           Hashtbl.remove in_a key
       | None -> neg tuple);
   Hashtbl.iter (fun _ tuple -> pos tuple) in_a
-
-let diff ?ctx t a b ~pos ~neg =
-  if not (Obs.enabled ()) then diff_impl ?ctx t a b ~pos ~neg
-  else
-    Obs.with_span sp_diff (fun () ->
-        let n = ref 0 in
-        let count out tuple =
-          n := !n + 1;
-          out tuple
-        in
-        diff_impl ?ctx t a b ~pos:(count pos) ~neg:(count neg);
-        Obs.add c_diff_tuples !n;
-        Obs.Prof.add Obs.Prof.Tuples_emitted !n)
 
 (* Keys a branch touched since the LCA: scan only the segment ranges of
    the branch's lineage that lie beyond the LCA's coverage (the records
@@ -564,7 +462,7 @@ let changes_since t b lca_loc ~lca_state =
     keys;
   tbl
 
-let merge_impl ?ctx t ~into ~from ~policy ~message =
+let merge ?ctx t ~into ~from ~policy ~message =
   (* the read phase (LCA scan, change collection) polls the context;
      once the merge segment starts filling the operation runs to
      completion so no half-applied merge is observable *)
@@ -632,13 +530,6 @@ let merge_impl ?ctx t ~into ~from ~policy ~message =
     keys_theirs = stats.Merge_driver.n_theirs;
     keys_both = stats.Merge_driver.n_both;
   }
-
-let merge ?ctx t ~into ~from ~policy ~message =
-  if not (Obs.enabled ()) then merge_impl ?ctx t ~into ~from ~policy ~message
-  else
-    Obs.with_span sp_merge (fun () ->
-        Obs.incr c_merges;
-        merge_impl ?ctx t ~into ~from ~policy ~message)
 
 let dataset_bytes t =
   let acc = ref 0 in

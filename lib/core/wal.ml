@@ -33,9 +33,9 @@ module Obs = Decibel_obs.Obs
 module Failpoint = Decibel_fault.Failpoint
 module Retry = Decibel_fault.Retry
 
-(* wal.* registry counters: log volume and durability cost *)
+(* wal.* registry counters: log volume and durability cost ([wal.bytes]
+   is the [Wal_bytes] cost kind's counter, bumped by [Obs.charge]) *)
 let c_records = Obs.counter "wal.records"
-let c_bytes = Obs.counter "wal.bytes"
 let c_fsyncs = Obs.counter "wal.fsyncs"
 let c_resets = Obs.counter "wal.resets"
 
@@ -200,8 +200,7 @@ let append t schema entry =
   t.next_lsn <- lsn + 1;
   t.entries <- t.entries + 1;
   Obs.incr c_records;
-  Obs.add c_bytes (String.length payload + 8);
-  Obs.Prof.add Obs.Prof.Wal_bytes (String.length payload + 8);
+  Obs.charge Obs.Prof.Wal_bytes (String.length payload + 8);
   Obs.incr c_fsyncs;
   lsn
 

@@ -31,14 +31,19 @@ let locked f =
    installed per-domain (DLS), so instrumentation sites attribute to
    whichever request's dynamic extent they run under — including on
    pool worker domains, where [Par] re-installs the submitting
-   domain's trace around each chunk task. *)
+   domain's trace around each chunk task.
+
+   A trace may nest inside another ([Prof.metered] opens one per
+   operation): a charge lands in the ambient bag and in every
+   enclosing one, so an operation's own bag is exactly its costs while
+   the request's bag still sees everything. *)
 
 let prof_nkinds = 8
 
 type prof_trace = {
-  tr_id : string;
-  tr_ops : int Atomic.t; (* operator-node id allocator *)
+  tr_id : string; (* "" for an operation meter outside any request *)
   tr_bag : int Atomic.t array; (* length [prof_nkinds] *)
+  tr_parent : prof_trace option; (* enclosing trace, charged too *)
 }
 
 let prof_trace_key : prof_trace option Domain.DLS.key =
@@ -160,8 +165,8 @@ let observe h v =
         (* tail-latency exemplar: remember which request last landed in
            this bucket, so a p99 spike links to a concrete trace *)
         match current_prof_trace () with
-        | Some tr -> h.h_exemplars.(i) <- tr.tr_id
-        | None -> ())
+        | Some tr when tr.tr_id <> "" -> h.h_exemplars.(i) <- tr.tr_id
+        | _ -> ())
 
 let quantile h q =
   if h.h_count = 0 then 0.0
@@ -567,21 +572,43 @@ module Prof = struct
     | Wal_bytes -> "wal_bytes"
     | Bytes_decoded -> "bytes_decoded"
 
+  type costs = int array
+
+  let cost (c : costs) kind = c.(kind_index kind)
+
+  (* Each kind's one process-wide counter.  Where a layer already
+     counted the same event under its own name, that name is kept. *)
+  let counter_name = function
+    | Tuples_scanned -> "engine.tuples_scanned"
+    | Tuples_emitted -> "engine.tuples_emitted"
+    | Pages_hit -> "buffer_pool.hits"
+    | Pages_missed -> "buffer_pool.misses"
+    | Bitmap_words -> "engine.bitmap_words"
+    | Delta_fragments -> "engine.delta_fragments"
+    | Wal_bytes -> "wal.bytes"
+    | Bytes_decoded -> "storage.bytes_decoded"
+
+  let kind_counters =
+    Array.of_list (List.map (fun k -> counter (counter_name k)) all_kinds)
+
   type trace = prof_trace
 
   let c_profiles = counter "prof.profiles"
   let c_prof_aborted = counter "prof.aborted"
-  let bump = incr (* the counter [incr]; [incr] below counts kinds *)
   let trace_seq = Atomic.make 0
 
-  let make_trace () =
+  let new_trace ~id parent =
     {
-      tr_id =
-        Printf.sprintf "t%d-%d" (Unix.getpid ())
-          (Atomic.fetch_and_add trace_seq 1);
-      tr_ops = Atomic.make 0;
+      tr_id = id;
       tr_bag = Array.init prof_nkinds (fun _ -> Atomic.make 0);
+      tr_parent = parent;
     }
+
+  let make_trace () =
+    new_trace None
+      ~id:
+        (Printf.sprintf "t%d-%d" (Unix.getpid ())
+           (Atomic.fetch_and_add trace_seq 1))
 
   let trace_id (tr : trace) = tr.tr_id
   let current_trace = current_prof_trace
@@ -591,17 +618,43 @@ module Prof = struct
     Domain.DLS.set prof_trace_key (Some tr);
     Fun.protect ~finally:(fun () -> Domain.DLS.set prof_trace_key saved) f
 
-  (* hot path of the whole profiler: one DLS read, one atomic add when
-     a trace is ambient.  Callers are per-operation (or per-page), never
-     per-tuple — tuple counts arrive as single [add]s of batch totals. *)
-  let add kind n =
-    if n <> 0 then
-      match Domain.DLS.get prof_trace_key with
-      | Some tr ->
-          Stdlib.ignore (Atomic.fetch_and_add tr.tr_bag.(kind_index kind) n)
-      | None -> ()
+  (* The one charge point, and the hot path of the whole profiler: a
+     branch, one atomic add on the kind's counter, then one per
+     ambient bag (an operation meter and its request: two at most in
+     practice).  Callers are per-operation (or per-page), never
+     per-tuple — tuple counts arrive as single charges of batch
+     totals. *)
+  let charge kind n =
+    if !on && n <> 0 then begin
+      let i = kind_index kind in
+      Stdlib.ignore (Atomic.fetch_and_add kind_counters.(i).c_value n);
+      let rec bags = function
+        | Some tr ->
+            Stdlib.ignore (Atomic.fetch_and_add tr.tr_bag.(i) n);
+            bags tr.tr_parent
+        | None -> ()
+      in
+      bags (Domain.DLS.get prof_trace_key)
+    end
 
-  let incr kind = add kind 1
+  let bag_snapshot tr = Array.map Atomic.get tr.tr_bag
+
+  (* One operation's costs: a child of the ambient trace (which keeps
+     receiving every charge), installed for [f]'s extent and read back
+     at the end.  [Par] hands the child to worker domains like any
+     trace, so their charges land in it too. *)
+  let metered f =
+    let parent = Domain.DLS.get prof_trace_key in
+    let id = match parent with Some p -> p.tr_id | None -> "" in
+    let tr = new_trace ~id parent in
+    Domain.DLS.set prof_trace_key (Some tr);
+    match f () with
+    | v ->
+        Domain.DLS.set prof_trace_key parent;
+        (v, bag_snapshot tr)
+    | exception e ->
+        Domain.DLS.set prof_trace_key parent;
+        raise e
 
   (* ---------------- operator tree *)
 
@@ -629,8 +682,6 @@ module Prof = struct
   let builder_key : builder option Domain.DLS.key =
     Domain.DLS.new_key (fun () -> None)
 
-  let bag_snapshot tr = Array.map Atomic.get tr.tr_bag
-
   let new_node name =
     {
       n_name = name;
@@ -646,7 +697,6 @@ module Prof = struct
     match Domain.DLS.get builder_key with
     | None -> ()
     | Some b ->
-        Stdlib.ignore (Atomic.fetch_and_add b.b_trace.tr_ops 1);
         b.b_stack <-
           { f_node = new_node name; f_bag0 = bag_snapshot b.b_trace }
           :: b.b_stack
@@ -763,8 +813,8 @@ module Prof = struct
           p_aborted = aborted;
         }
       in
-      bump c_profiles;
-      (match aborted with Some _ -> bump c_prof_aborted | None -> ());
+      incr c_profiles;
+      (match aborted with Some _ -> incr c_prof_aborted | None -> ());
       keep p;
       p
     in
@@ -775,7 +825,7 @@ module Prof = struct
         Stdlib.ignore (finish (Some (Printexc.to_string e)));
         Printexc.raise_with_backtrace e bt
 
-  let total p kind = p.p_root.n_counters.(kind_index kind)
+  let total p kind = cost p.p_root.n_counters kind
 
   (* ---------------- rendering *)
 
@@ -859,6 +909,8 @@ module Prof = struct
     Buffer.add_char buf ']';
     Buffer.contents buf
 end
+
+let charge = Prof.charge
 
 (* ------------------------------------------------------------------ *)
 (* spans *)

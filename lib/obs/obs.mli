@@ -270,11 +270,18 @@ val write_trace : path:string -> unit
     Request-scoped cost attribution and EXPLAIN ANALYZE-style operator
     trees.  {!Prof.profiled} allocates a {e trace} — a process-unique
     id plus a bag of atomic cost counters — and installs it ambiently
-    (per-domain) for the extent of the request, so every
-    {!Prof.add}-instrumented site (buffer pool, WAL, engines) and every
-    {!with_span} attributes to the active request.  [Par] re-installs
-    the submitting domain's trace around worker tasks, so a 4-domain
-    parallel scan's costs land in the one requesting trace.
+    (per-domain) for the extent of the request, so every {!charge}
+    (buffer pool, WAL, codec, engines, the database's operation
+    boundary) and every {!with_span} attributes to the active request.
+    [Par] re-installs the submitting domain's trace around worker
+    tasks, so a 4-domain parallel scan's costs land in the one
+    requesting trace.
+
+    Traces nest: {!Prof.metered} runs one operation under a child of
+    the ambient trace, and a charge reaches the child and every
+    enclosing trace, so the operation's own bag is exactly its cost
+    (the per-branch workload row is fed from it) while the request's
+    bag still sees everything.
 
     Each {!with_span} inside the profiled extent (on the requesting
     domain) becomes a node of the operator tree; a node's counters are
@@ -283,22 +290,55 @@ val write_trace : path:string -> unit
     kept in a bounded ring for the monitor's [/profile] route. *)
 
 module Prof : sig
-  (** Cost-counter kinds, chosen to explain the paper's scheme
-      tradeoffs (§5): tuples touched vs. emitted, page traffic, bitmap
-      words intersected (tuple-first/hybrid), delta fragments replayed
-      (version-first), WAL and decode volume. *)
+  (** Cost kinds, chosen to explain the paper's scheme tradeoffs (§5):
+      tuples touched vs. emitted, page traffic, bitmap words
+      (tuple-first/hybrid), delta fragments replayed (version-first
+      and hybrid), WAL and decode volume.  Each kind means the same on
+      every scheme; the definitions below are what the engines
+      charge. *)
   type kind =
     | Tuples_scanned
+        (** Live tuples of every branch head or committed version the
+            operation reads, counted before predicates and before
+            cross-branch de-duplication: a scan charges the branch's
+            live count, a [multi_scan] or [diff] the sum over its
+            branches.  Superseded or dead rows an engine walks past
+            show up in page and decode costs, not here. *)
     | Tuples_emitted
-    | Pages_hit
-    | Pages_missed
+        (** Rows handed to the caller (for [multi_scan], annotated
+            records; for [diff], both sides).  Charged once, by the
+            database's operation boundary — never by an engine. *)
+    | Pages_hit  (** Buffer-pool lookups that found the page resident. *)
+    | Pages_missed  (** Buffer-pool lookups that had to load the page. *)
     | Bitmap_words
+        (** 64-bit words of whole branch-bitmap columns a tuple-first
+            or hybrid read uses as a selection or XORs (per-row
+            membership probes do not count). *)
     | Delta_fragments
-    | Wal_bytes
+        (** Segment extents a read replays to resolve a branch or
+            version: each [(segment, upto)] pair of a version-first
+            lineage plan, each segment a hybrid branch is live in.
+            Tuple-first keeps one shared heap and charges none.
+            Summed over the branches a multi-branch read resolves. *)
+    | Wal_bytes  (** Bytes appended to the write-ahead log, framing included. *)
     | Bytes_decoded
+        (** Bytes materialized into the buffer pool plus column-block
+            payload bytes run through the segment codec. *)
 
   val all_kinds : kind list
   val kind_name : kind -> string
+
+  val counter_name : kind -> string
+  (** Name of the kind's one process-wide counter, bumped by every
+      {!charge}: ["engine.tuples_scanned"], ["engine.tuples_emitted"],
+      ["buffer_pool.hits"], ["buffer_pool.misses"],
+      ["engine.bitmap_words"], ["engine.delta_fragments"],
+      ["wal.bytes"], ["storage.bytes_decoded"]. *)
+
+  type costs = int array
+  (** Per-kind totals, indexed like {!all_kinds}. *)
+
+  val cost : costs -> kind -> int
 
   type trace
   (** A request identity: trace id + atomic counter bag.  Shareable
@@ -316,12 +356,12 @@ module Prof : sig
       domain's trace into pool worker tasks; usable directly by any
       code that moves work across domains. *)
 
-  val add : kind -> int -> unit
-  (** Attribute [n] units to the ambient trace; no-op (one DLS read)
-      when no trace is installed.  Call per operation or per batch,
-      never per tuple. *)
-
-  val incr : kind -> unit
+  val metered : (unit -> 'a) -> 'a * costs
+  (** Run [f] (one operation) under a child of the ambient trace — a
+      fresh bag when none is ambient — and return its result with the
+      child bag: exactly the charges made inside [f], on any domain
+      that inherited the trace.  Every enclosing trace is charged as
+      well.  Exceptions propagate; the bag is then dropped. *)
 
   val set_rows : int -> unit
   (** Annotate the innermost open operator node with its logical row
@@ -332,8 +372,7 @@ module Prof : sig
     n_name : string;
     mutable n_rows : int;
     mutable n_dur : float;  (** seconds *)
-    n_counters : int array;
-        (** indexed like {!all_kinds}; cumulative — children included *)
+    n_counters : costs;  (** cumulative — children included *)
     mutable n_children : node list;
   }
 
@@ -375,6 +414,14 @@ module Prof : sig
   (** The ring as one JSON array of {!profile_json} objects; [limit]
       keeps only the newest that many. *)
 end
+
+val charge : Prof.kind -> int -> unit
+(** [charge kind n]: the one way to report a {!Prof.kind} cost.  Adds
+    [n] to the kind's counter ({!Prof.counter_name}) and to the ambient
+    trace bag and every bag enclosing it, so the global, per-request
+    and per-operation views count the same event once each.  A no-op
+    while recording is disabled.  Call per operation or per batch,
+    never per tuple. *)
 
 (** {1 Snapshots} *)
 

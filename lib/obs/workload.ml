@@ -114,80 +114,41 @@ let entry_for s table branch =
       Hashtbl.replace s.tbl key e;
       e
 
-let note_read ?now ~table ~branch ~scanned ~emitted ~fragments () =
+(* Fold one operation's trace-bag delta into the row; caller holds the
+   shard mutex. *)
+let add_costs e = function
+  | None -> ()
+  | Some c ->
+      let module P = Obs.Prof in
+      e.e_scanned <- e.e_scanned + P.cost c P.Tuples_scanned;
+      e.e_emitted <- e.e_emitted + P.cost c P.Tuples_emitted;
+      e.e_fragments <- e.e_fragments + P.cost c P.Delta_fragments;
+      e.e_pages_hit <- e.e_pages_hit + P.cost c P.Pages_hit;
+      e.e_pages_missed <- e.e_pages_missed + P.cost c P.Pages_missed
+
+let note_read ?now ?costs ~table ~branch () =
   let now = now_default now in
   let s = shard_of (table, branch) in
   with_shard s (fun () ->
       let e = entry_for s table branch in
       e.e_reads <- e.e_reads + 1;
-      e.e_scanned <- e.e_scanned + scanned;
-      e.e_emitted <- e.e_emitted + emitted;
-      e.e_fragments <- e.e_fragments + fragments;
+      add_costs e costs;
       e.e_read_rate <-
         decayed e.e_read_rate e.e_read_rate_ts now +. (1.0 /. !tau);
       e.e_read_rate_ts <- now;
       e.e_last_read <- now)
 
-let note_write ?now ~table ~branch () =
+let note_write ?now ?costs ~table ~branch () =
   let now = now_default now in
   let s = shard_of (table, branch) in
   with_shard s (fun () ->
       let e = entry_for s table branch in
       e.e_writes <- e.e_writes + 1;
+      add_costs e costs;
       e.e_write_rate <-
         decayed e.e_write_rate e.e_write_rate_ts now +. (1.0 /. !tau);
       e.e_write_rate_ts <- now;
       e.e_last_write <- now)
-
-(* ------------------------------------------------------------------ *)
-(* Ambient attribution context for the buffer pool.
-
-   Engines install the (table, branch) being scanned around the scan
-   body; pool page hits/misses inside that extent attribute to it.  The
-   key is per-domain, so parallel worker domains (which don't inherit
-   the context) simply leave their page traffic unattributed.
-
-   note_page sits on the pool's per-page hot path, so it must never
-   take a shard mutex: counts accumulate in plain ints inside the
-   domain-local context and are flushed in one locked update when the
-   context is uninstalled. *)
-
-type context = {
-  cx_table : string;
-  cx_branch : string;
-  mutable cx_hits : int;
-  mutable cx_missed : int;
-}
-
-let context_key : context option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let flush_context cx =
-  if cx.cx_hits <> 0 || cx.cx_missed <> 0 then begin
-    let s = shard_of (cx.cx_table, cx.cx_branch) in
-    with_shard s (fun () ->
-        let e = entry_for s cx.cx_table cx.cx_branch in
-        e.e_pages_hit <- e.e_pages_hit + cx.cx_hits;
-        e.e_pages_missed <- e.e_pages_missed + cx.cx_missed)
-  end
-
-let with_context ~table ~branch f =
-  let cell = Domain.DLS.get context_key in
-  let saved = !cell in
-  let cx = { cx_table = table; cx_branch = branch; cx_hits = 0; cx_missed = 0 } in
-  cell := Some cx;
-  Fun.protect
-    ~finally:(fun () ->
-      cell := saved;
-      flush_context cx)
-    f
-
-let note_page ~hit =
-  match !(Domain.DLS.get context_key) with
-  | None -> ()
-  | Some cx ->
-      if hit then cx.cx_hits <- cx.cx_hits + 1
-      else cx.cx_missed <- cx.cx_missed + 1
 
 (* ------------------------------------------------------------------ *)
 (* Decay and snapshots *)
@@ -303,9 +264,11 @@ let prometheus_samples ?now () =
 (* JSONL checkpoint.
 
    One flat JSON object per line, written via temp+rename so a crash
-   mid-save leaves the previous checkpoint intact.  Loading merges by
-   summing totals and keeping the larger rate / newer timestamp, so a
-   checkpoint restored on top of a live table never loses activity. *)
+   mid-save leaves the previous checkpoint intact.  Loading keeps, per
+   total, the larger of the live and checkpointed value (and the larger
+   rate / newer timestamp): totals only grow, so a checkpoint saved by
+   this process is already contained in its live table, and reopening
+   a repository in the same process must not count it twice. *)
 
 let save ?now ?table ~path () =
   let lines =
@@ -438,14 +401,14 @@ let load ~path () =
                     let s = shard_of (table, branch) in
                     with_shard s (fun () ->
                         let e = entry_for s table branch in
-                        e.e_reads <- e.e_reads + int "reads";
-                        e.e_writes <- e.e_writes + int "writes";
-                        e.e_scanned <- e.e_scanned + int "scanned";
-                        e.e_emitted <- e.e_emitted + int "emitted";
-                        e.e_fragments <- e.e_fragments + int "fragments";
-                        e.e_pages_hit <- e.e_pages_hit + int "pages_hit";
+                        e.e_reads <- max e.e_reads (int "reads");
+                        e.e_writes <- max e.e_writes (int "writes");
+                        e.e_scanned <- max e.e_scanned (int "scanned");
+                        e.e_emitted <- max e.e_emitted (int "emitted");
+                        e.e_fragments <- max e.e_fragments (int "fragments");
+                        e.e_pages_hit <- max e.e_pages_hit (int "pages_hit");
                         e.e_pages_missed <-
-                          e.e_pages_missed + int "pages_missed";
+                          max e.e_pages_missed (int "pages_missed");
                         (* the checkpointed rate was current at
                            last_read/last_write; resume from there so it
                            keeps decaying across the restart *)

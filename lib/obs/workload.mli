@@ -5,10 +5,15 @@
     written, how often, and at what replay cost over time — the access
     frequencies the recreation/storage tradeoff ("Principles of Dataset
     Versioning") needs.  This module is that record: a process-wide,
-    lock-striped table keyed by [(table, branch)], fed from cheap hooks
-    at the engines' existing batch-granularity instrumentation sites
-    (one update per scan / write op, never per tuple) and from the
-    buffer pool via an ambient attribution context.
+    lock-striped table keyed by [(table, branch)], fed once per
+    operation (never per tuple) by the database's operation boundary.
+    A single-branch operation's row receives that operation's
+    trace-bag delta ({!Obs.Prof.metered}): the same charges that moved
+    the global counters and the request's bag, including page traffic
+    from worker domains, which inherit the operation's trace.
+    Multi-branch reads ([multi_scan], [diff]) leave a zero-cost touch
+    on each branch they name; version reads ([scan_version]) name
+    none.
 
     Rates are exponentially-weighted: each event adds an impulse of
     [1/tau] and the rate decays as [exp (-dt/tau)] between events
@@ -18,19 +23,19 @@
     is testable over simulated time.
 
     The table is domain-safe: entries are guarded by striped mutexes,
-    and hooks from parallel scan workers serialize only against
-    same-shard updates. *)
+    and concurrent operations serialize only against same-shard
+    updates. *)
 
 type stats = {
   w_table : string;
   w_branch : string;
-  w_reads : int;  (** scan batches (scan / multi_scan / diff touches) *)
+  w_reads : int;  (** reads (scan / scan_filtered, multi_scan / diff touches) *)
   w_writes : int;  (** write operations (insert/update/delete/commit) *)
-  w_scanned : int;  (** tuples examined by single-branch scans *)
-  w_emitted : int;  (** tuples emitted by single-branch scans *)
-  w_fragments : int;  (** delta fragments replayed across scans *)
-  w_pages_hit : int;  (** pool hits attributed via the ambient context *)
-  w_pages_missed : int;
+  w_scanned : int;  (** [Tuples_scanned] of single-branch operations *)
+  w_emitted : int;  (** [Tuples_emitted] of single-branch operations *)
+  w_fragments : int;  (** [Delta_fragments] of single-branch operations *)
+  w_pages_hit : int;  (** [Pages_hit] of single-branch operations *)
+  w_pages_missed : int;  (** [Pages_missed] of single-branch operations *)
   w_read_rate : float;  (** EWMA reads/s, decayed to snapshot time *)
   w_write_rate : float;  (** EWMA writes/s *)
   w_last_read : float;  (** unix epoch seconds; [0.] = never *)
@@ -46,31 +51,17 @@ val fragments_per_read : stats -> float
 (** {1 Hooks} *)
 
 val note_read :
-  ?now:float ->
-  table:string ->
-  branch:string ->
-  scanned:int ->
-  emitted:int ->
-  fragments:int ->
-  unit ->
-  unit
-(** Record one read batch.  A multi-branch touch that cannot cheaply
-    attribute per-branch tuple counts passes zeros — the read count and
-    rate still move. *)
+  ?now:float -> ?costs:Obs.Prof.costs -> table:string -> branch:string ->
+  unit -> unit
+(** Record one read.  [costs] is the operation's trace-bag delta; its
+    scanned, emitted, fragment and page kinds are added to the row.
+    Omitted, the read is a zero-cost touch: the read count and rate
+    still move. *)
 
-val note_write : ?now:float -> table:string -> branch:string -> unit -> unit
-
-val with_context : table:string -> branch:string -> (unit -> 'a) -> 'a
-(** Install [(table, branch)] as the calling domain's ambient
-    attribution target for the extent of [f] (restored afterwards);
-    {!note_page} calls inside attribute to it.  Worker domains do not
-    inherit the context — their page traffic stays unattributed. *)
-
-val note_page : hit:bool -> unit
-(** Attribute one buffer-pool page hit/miss to the ambient context;
-    no-op (one domain-local read) when none is installed.  Counts
-    buffer lock-free inside the context and land in the table when
-    {!with_context} returns, keeping the pool's per-page path cheap. *)
+val note_write :
+  ?now:float -> ?costs:Obs.Prof.costs -> table:string -> branch:string ->
+  unit -> unit
+(** Record one write operation, with its costs as for {!note_read}. *)
 
 (** {1 Decay, snapshots and reset} *)
 
@@ -106,8 +97,10 @@ val prometheus_samples :
 
     One flat JSON object per line.  [save] writes temp+rename so a
     crash mid-save keeps the previous checkpoint; [load] merges into
-    the live table (totals sum, rates resume from their checkpointed
-    value and timestamp), so stats survive restarts. *)
+    the live table (each total keeps the larger of the live and
+    checkpointed value, rates resume from their checkpointed value and
+    timestamp), so stats survive restarts, and a repository closed and
+    reopened within one process is not counted twice. *)
 
 val save : ?now:float -> ?table:string -> path:string -> unit -> unit
 (** Persist the table (optionally only entries of [table]), rates

@@ -220,7 +220,10 @@ let with_ctx ctx f =
    submitting domain's ambient trace and re-installs it around every
    worker task, so cost counters hit on worker domains attribute to
    the requesting trace.  Serial paths stay on the submitting domain,
-   where the trace is already ambient. *)
+   where the trace is already ambient.  The captured trace is installed
+   inside the context, so it wins over a trace the context carries: it
+   is the operation's own meter, whose chain reaches that trace
+   anyway. *)
 let with_trace tr f =
   match tr with None -> f () | Some t -> Prof.with_attribution t f
 
@@ -260,8 +263,8 @@ let parallel_for ?ctx ?chunk n f =
             (Array.map
                (fun (lo, hi) () ->
                  ctx_check ctx;
-                 with_trace tr (fun () ->
-                     with_ctx ctx (fun () ->
+                 with_ctx ctx (fun () ->
+                     with_trace tr (fun () ->
                          for i = lo to hi - 1 do
                            f i
                          done)))
@@ -291,8 +294,8 @@ let parallel_fold ?ctx ?chunk ~n ~init ~body ~merge z =
           run_tasks p
             (Array.init nchunks (fun k () ->
                  ctx_check ctx;
-                 with_trace tr (fun () ->
-                     with_ctx ctx (fun () ->
+                 with_ctx ctx (fun () ->
+                     with_trace tr (fun () ->
                          let lo, hi = ranges.(k) in
                          let acc = ref (init ()) in
                          for i = lo to hi - 1 do
@@ -320,8 +323,8 @@ let parallel_iter_buffered ?ctx ~n ~produce ~consume () =
         run_tasks p
           (Array.init n (fun i () ->
                ctx_check ctx;
-               with_trace tr (fun () ->
-                   with_ctx ctx (fun () -> results.(i) <- Some (produce i)))));
+               with_ctx ctx (fun () ->
+                   with_trace tr (fun () -> results.(i) <- Some (produce i)))));
         (* the consumer may cancel its own context mid-drain, so the
            drain loop polls between buffers, not just once up front *)
         let poll = Ctx.poller ~stride:1 ctx in

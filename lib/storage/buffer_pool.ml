@@ -34,9 +34,9 @@ type t = {
 
 (* Process-wide registry mirrors of the per-pool statistics: every pool
    feeds the same named counters (metric naming: layer.operation.unit),
-   so benchmark reports see I/O totals without holding pool handles. *)
-let c_hits = Obs.counter "buffer_pool.hits"
-let c_misses = Obs.counter "buffer_pool.misses"
+   so benchmark reports see I/O totals without holding pool handles.
+   Hits and misses are the [Pages_hit]/[Pages_missed] cost kinds, whose
+   counters [Obs.charge] bumps. *)
 let c_evictions = Obs.counter "buffer_pool.evictions"
 let c_reads = Obs.counter "buffer_pool.reads"
 let c_writes = Obs.counter "buffer_pool.writes"
@@ -100,15 +100,11 @@ let find t ~file ~page =
       | Some e ->
           e.referenced <- true;
           s.hits <- s.hits + 1;
-          Obs.incr c_hits;
-          Obs.Prof.incr Obs.Prof.Pages_hit;
-          Decibel_obs.Workload.note_page ~hit:true;
+          Obs.charge Obs.Prof.Pages_hit 1;
           Some e.data
       | None ->
           s.misses <- s.misses + 1;
-          Obs.incr c_misses;
-          Obs.Prof.incr Obs.Prof.Pages_missed;
-          Decibel_obs.Workload.note_page ~hit:false;
+          Obs.charge Obs.Prof.Pages_missed 1;
           None)
 
 (* Advance the clock hand until a victim with referenced=false is found,
@@ -155,7 +151,7 @@ let add t ~file ~page data =
   Gctx.charge_current (Bytes.length data);
   (* profile-attributed decode volume: every page materialized into
      the pool was read+decoded on behalf of the ambient request *)
-  Obs.Prof.add Obs.Prof.Bytes_decoded (Bytes.length data);
+  Obs.charge Obs.Prof.Bytes_decoded (Bytes.length data);
   Obs.incr c_writes;
   let s = shard_of t k in
   with_shard s (fun () ->

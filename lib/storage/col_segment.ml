@@ -369,7 +369,7 @@ let corrupt fmt = Printf.ksprintf (fun m -> raise (Binio.Corrupt m)) fmt
    column arrays are the per-domain scratch (valid until the next
    decode on this domain); without, fresh arrays are allocated. *)
 let decode_payload t ?scratch payload =
-  Obs.Prof.add Obs.Prof.Bytes_decoded (String.length payload);
+  Obs.charge Obs.Prof.Bytes_decoded (String.length payload);
   Obs.incr c_blocks_decoded;
   let pos = ref 0 in
   let body =

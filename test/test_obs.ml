@@ -561,7 +561,8 @@ let test_hybrid_scan_accounting () =
         List.assoc name (Obs.counters_diff before after)
       in
       Alcotest.(check int) "tuples scanned" n !seen;
-      Alcotest.(check int) "engine.scan.tuples" n (delta "engine.scan.tuples");
+      Alcotest.(check int) "tuples_scanned counter" n
+        (delta (Obs.Prof.counter_name Obs.Prof.Tuples_scanned));
       Alcotest.(check int) "engine.scan.pages = dataset extent"
         expected_pages (delta "engine.scan.pages");
       Alcotest.(check int) "cold scan misses once per page"

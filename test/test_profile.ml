@@ -130,7 +130,7 @@ let test_parallel_attribution () =
          land in the submitting request's bag *)
       let (), p =
         Prof.profiled ~label:"par" (fun () ->
-            Par.parallel_for 1000 (fun _ -> Prof.incr Prof.Tuples_scanned))
+            Par.parallel_for 1000 (fun _ -> Obs.charge Prof.Tuples_scanned 1))
       in
       Alcotest.(check int) "all worker increments attributed" 1000
         (Prof.total p Prof.Tuples_scanned);
@@ -161,12 +161,12 @@ let test_iter_buffered_propagation () =
             Par.parallel_iter_buffered ~n:500
               ~produce:(fun i ->
                 (* runs on a pool worker *)
-                Prof.incr Prof.Tuples_scanned;
+                Obs.charge Prof.Tuples_scanned 1;
                 i)
               ~consume:(fun i ->
                 (* runs back on the calling domain, interleaved with
                    in-flight producers *)
-                Prof.incr Prof.Tuples_emitted;
+                Obs.charge Prof.Tuples_emitted 1;
                 Alcotest.(check int) "in-order drain" !drained i;
                 incr drained)
               ())

@@ -1,14 +1,17 @@
 (* Workload telemetry, storage advisor and health watchdog tests:
    EWMA rates over simulated time, domain-parallel hammering, the JSONL
    checkpoint round-trip (module-level and through Database
-   flush/reopen), per-branch totals reconciling with the global Obs
-   counters, advisor threshold flips per recommendation kind, JSON
-   shape stability, and the watchdog rules engine with its sticky
-   status and transition events. *)
+   flush/reopen), a property that the global counters, trace bags and
+   per-branch rows count every operation's costs identically, advisor
+   threshold flips per recommendation kind, JSON shape stability, and
+   the watchdog rules engine with its sticky status and transition
+   events. *)
 
 open Decibel
 open Decibel_storage
 module Obs = Decibel_obs.Obs
+module Prof = Obs.Prof
+module Par = Decibel_par.Par
 module Workload = Decibel_obs.Workload
 module Advisor = Decibel_obs.Advisor
 module Watchdog = Decibel_obs.Watchdog
@@ -22,10 +25,26 @@ let fresh () =
   Workload.reset ();
   Workload.set_tau 60.0
 
+(* an operation's trace-bag delta: the kinds a row keeps as given, the
+   others set to a marker the row must ignore *)
+let costs ?(scanned = 0) ?(emitted = 0) ?(fragments = 0) ?(hit = 0)
+    ?(missed = 0) () =
+  Array.of_list
+    (List.map
+       (function
+         | Prof.Tuples_scanned -> scanned
+         | Prof.Tuples_emitted -> emitted
+         | Prof.Delta_fragments -> fragments
+         | Prof.Pages_hit -> hit
+         | Prof.Pages_missed -> missed
+         | Prof.Bitmap_words | Prof.Wal_bytes | Prof.Bytes_decoded -> 7)
+       Prof.all_kinds)
+
 let note_reads ?(table = "t") ?(branch = "b") ?(scanned = 0) ?(emitted = 0)
     ?(fragments = 0) ~now n =
+  let costs = costs ~scanned ~emitted ~fragments () in
   for _ = 1 to n do
-    Workload.note_read ~now ~table ~branch ~scanned ~emitted ~fragments ()
+    Workload.note_read ~now ~costs ~table ~branch ()
   done
 
 let get ?now ~table ~branch () =
@@ -41,8 +60,9 @@ let test_ewma_decay () =
   (* a steady stream of r events/s converges to ~r: send 1/s for many
      tau and read the rate at the time of the last event *)
   for i = 0 to 99 do
-    Workload.note_read ~now:(t0 +. float_of_int i) ~table:"t" ~branch:"hot"
-      ~scanned:10 ~emitted:5 ~fragments:2 ()
+    Workload.note_read ~now:(t0 +. float_of_int i)
+      ~costs:(costs ~scanned:10 ~emitted:5 ~fragments:2 ())
+      ~table:"t" ~branch:"hot" ()
   done;
   let last = t0 +. 99.0 in
   let s = get ~now:last ~table:"t" ~branch:"hot" () in
@@ -96,14 +116,17 @@ let test_counts_and_ratios () =
     "fragments/read" 7.0
     (Workload.fragments_per_read s);
   Alcotest.(check (float 1e-9)) "last read stamp" t0 s.Workload.w_last_read;
-  (* page attribution flows through the ambient context only *)
-  Workload.note_page ~hit:true;
-  Workload.with_context ~table:"t" ~branch:"b" (fun () ->
-      Workload.note_page ~hit:true;
-      Workload.note_page ~hit:false);
+  (* page traffic arrives in an operation's costs, a write's too; the
+     kinds a row does not keep are dropped *)
+  Workload.note_write ~now:t0
+    ~costs:(costs ~hit:2 ~missed:1 ())
+    ~table:"t" ~branch:"b" ();
+  Workload.note_read ~now:t0 ~table:"t" ~branch:"b" ();
   let s = get ~now:t0 ~table:"t" ~branch:"b" () in
-  Alcotest.(check int) "pages hit (ambient only)" 1 s.Workload.w_pages_hit;
-  Alcotest.(check int) "pages missed" 1 s.Workload.w_pages_missed
+  Alcotest.(check int) "pages hit" 2 s.Workload.w_pages_hit;
+  Alcotest.(check int) "pages missed" 1 s.Workload.w_pages_missed;
+  Alcotest.(check int) "zero-cost touch still reads" 3 s.Workload.w_reads;
+  Alcotest.(check int) "touch adds no scanned" 200 s.Workload.w_scanned
 
 (* ---------- domain-parallel hammer ---------- *)
 
@@ -114,8 +137,9 @@ let test_parallel_hammer () =
     for i = 1 to per_domain do
       (* every domain hits the shared branch and one private branch,
          exercising both same-shard contention and disjoint shards *)
-      Workload.note_read ~now:(t0 +. float_of_int i) ~table:"t"
-        ~branch:"shared" ~scanned:3 ~emitted:1 ~fragments:2 ();
+      Workload.note_read ~now:(t0 +. float_of_int i)
+        ~costs:(costs ~scanned:3 ~emitted:1 ~fragments:2 ())
+        ~table:"t" ~branch:"shared" ();
       Workload.note_write ~now:(t0 +. float_of_int i) ~table:"t"
         ~branch:(Printf.sprintf "own-%d" d) ()
     done
@@ -171,12 +195,14 @@ let test_checkpoint_roundtrip () =
       Alcotest.(check bool)
         "other table came back too" true
         (Workload.find ~table:"other" ~branch:"beta" () <> None);
-      (* merge semantics: loading on top of live entries sums totals *)
+      (* merge semantics: the live table already holds what it saved,
+         so loading the same checkpoint again counts nothing twice *)
       Workload.load ~path ();
       let merged = get ~now:t0 ~table:"t" ~branch:"alpha" () in
-      Alcotest.(check int) "second load sums totals"
-        (2 * before.Workload.w_reads)
-        merged.Workload.w_reads;
+      Alcotest.(check int) "second load keeps totals"
+        before.Workload.w_reads merged.Workload.w_reads;
+      Alcotest.(check int) "second load keeps scanned"
+        before.Workload.w_scanned merged.Workload.w_scanned;
       (* ~table filter writes only that table's entries *)
       Workload.save ~now:t0 ~table:"other" ~path ();
       Workload.reset ();
@@ -227,51 +253,218 @@ let test_db_checkpoint () =
         (List.exists
            (fun s -> s.Workload.w_branch = "master")
            (Database.workload db));
-      Database.close db)
+      (* close and reopen within one process: the checkpoint the close
+         wrote is what the live table already holds *)
+      let db = ref db in
+      for round = 1 to 2 do
+        Database.close !db;
+        db := Database.reopen ~dir ();
+        let again = get ~table:"wl" ~branch:"master" () in
+        let same what f =
+          Alcotest.(check int)
+            (Printf.sprintf "reopen %d keeps %s" round what)
+            (f s) (f again)
+        in
+        same "reads" (fun s -> s.Workload.w_reads);
+        same "writes" (fun s -> s.Workload.w_writes);
+        same "scanned" (fun s -> s.Workload.w_scanned);
+        same "emitted" (fun s -> s.Workload.w_emitted)
+      done;
+      Database.close !db)
 
-(* ---------- per-branch totals reconcile with global counters ---------- *)
+(* ---------- the three views reconcile, per operation ---------- *)
 
-let test_reconcile_with_globals scheme () =
-  fresh ();
-  Obs.reset ();
-  Obs.set_enabled true;
+(* A random history of single database operations.  Choices (branch,
+   insert vs update) are resolved before an operation is measured, so
+   each measured extent is exactly one [Database] call. *)
+type op =
+  | Put of int * int * int  (** branch seed, key, value *)
+  | Del of int * int  (** branch seed, key *)
+  | Commit of int
+  | Branch of int  (** version seed *)
+  | Merge of int * int
+  | Scan of int
+  | Filtered of int * int  (** branch seed, threshold on column 1 *)
+  | Version of int
+  | Multi
+  | Diff of int * int
+
+let op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (5, map3 (fun b k v -> Put (b, k, v)) nat (int_bound 1599) nat);
+        (2, map2 (fun b k -> Del (b, k)) nat (int_bound 1599));
+        (2, map (fun b -> Commit b) nat);
+        (2, map (fun v -> Branch v) nat);
+        (1, map2 (fun a b -> Merge (a, b)) nat nat);
+        (3, map (fun b -> Scan b) nat);
+        (3, map2 (fun b v -> Filtered (b, v)) nat (int_bound 1600));
+        (2, map (fun v -> Version v) nat);
+        (2, return Multi);
+        (2, map2 (fun a b -> Diff (a, b)) nat nat);
+      ])
+
+let print_op = function
+  | Put (b, k, v) -> Printf.sprintf "Put(%d,%d,%d)" b k v
+  | Del (b, k) -> Printf.sprintf "Del(%d,%d)" b k
+  | Commit b -> Printf.sprintf "Commit(%d)" b
+  | Branch v -> Printf.sprintf "Branch(%d)" v
+  | Merge (a, b) -> Printf.sprintf "Merge(%d,%d)" a b
+  | Scan b -> Printf.sprintf "Scan(%d)" b
+  | Filtered (b, v) -> Printf.sprintf "Filtered(%d,%d)" b v
+  | Version v -> Printf.sprintf "Version(%d)" v
+  | Multi -> "Multi"
+  | Diff (a, b) -> Printf.sprintf "Diff(%d,%d)" a b
+
+let row_kinds =
+  [
+    (Prof.Tuples_scanned, fun s -> s.Workload.w_scanned);
+    (Prof.Tuples_emitted, fun s -> s.Workload.w_emitted);
+    (Prof.Delta_fragments, fun s -> s.Workload.w_fragments);
+    (Prof.Pages_hit, fun s -> s.Workload.w_pages_hit);
+    (Prof.Pages_missed, fun s -> s.Workload.w_pages_missed);
+  ]
+
+(* Apply one op and check, for every cost kind: the global counter
+   moved by the op's trace-bag total; the branch row of a
+   single-branch op moved by its bag and no other row moved; the
+   emitted count is the rows delivered.  Each row's read and write
+   counts move once per time the op names its branch. *)
+let check_op db op =
+  let g = Database.graph db in
+  let nb = Vg.branch_count g and nv = Vg.version_count g in
+  let fail fmt = QCheck2.Test.fail_reportf ("%s: " ^^ fmt) (print_op op) in
+  let delivered = ref 0 in
+  let count _ = incr delivered in
+  (* run, the branch whose row takes the costs, reads, writes *)
+  let nothing = ((fun () -> ()), None, [], []) in
+  let run, single, reads, writes =
+    match op with
+    | Put (b, k, v) ->
+        let b = b mod nb in
+        let tuple = row k v in
+        if Database.lookup db b (Value.int k) = None then
+          ((fun () -> Database.insert db b tuple), Some b, [], [ b ])
+        else ((fun () -> Database.update db b tuple), Some b, [], [ b ])
+    | Del (b, k) ->
+        let b = b mod nb in
+        if Database.lookup db b (Value.int k) = None then nothing
+        else ((fun () -> Database.delete db b (Value.int k)), Some b, [], [ b ])
+    | Commit b ->
+        let b = b mod nb in
+        ((fun () -> ignore (Database.commit db b ~message:"c")), Some b, [], [ b ])
+    | Branch v ->
+        ( (fun () ->
+            ignore
+              (Database.create_branch db
+                 ~name:(Printf.sprintf "b%d" nb)
+                 ~from:(v mod nv))),
+          None, [], [] )
+    | Merge (a, b) ->
+        let into = a mod nb and from = b mod nb in
+        if into = from then nothing
+        else
+          ( (fun () ->
+              ignore
+                (Database.merge db ~into ~from ~policy:Types.Three_way
+                   ~message:"m")),
+            None, [], [] )
+    | Scan b ->
+        let b = b mod nb in
+        ((fun () -> Database.scan db b count), Some b, [ b ], [])
+    | Filtered (b, v) ->
+        let b = b mod nb in
+        let preds = [ Col_pred.of_index 1 Col_pred.Lt (Value.int v) ] in
+        ((fun () -> Database.scan_filtered db b ~preds count), Some b, [ b ], [])
+    | Version v ->
+        ((fun () -> Database.scan_version db (v mod nv) count), None, [], [])
+    | Multi ->
+        let heads = Database.heads db in
+        ((fun () -> Database.multi_scan db heads count), None, heads, [])
+    | Diff (a, b) ->
+        let a = a mod nb and b = b mod nb in
+        ( (fun () -> Database.diff db a b ~pos:count ~neg:count),
+          None, [ a; b ], [] )
+  in
+  let globals () =
+    List.map (fun k -> Obs.value_of (Prof.counter_name k)) Prof.all_kinds
+  in
+  let rows () =
+    List.map (fun s -> (s.Workload.w_branch, s)) (Database.workload db)
+  in
+  let g0 = globals () and r0 = rows () in
+  let (), p = Database.profile db run in
+  let g1 = globals () and r1 = rows () in
+  List.iteri
+    (fun i k ->
+      let moved = List.nth g1 i - List.nth g0 i in
+      if moved <> Prof.total p k then
+        fail "%s: counter moved %d, bag %d" (Prof.kind_name k) moved
+          (Prof.total p k))
+    Prof.all_kinds;
+  let named name bs =
+    List.length (List.filter (fun b -> Database.branch_name db b = name) bs)
+  in
+  let owner = Option.map (Database.branch_name db) single in
+  List.iter
+    (fun (name, after) ->
+      let moved field =
+        field after
+        - match List.assoc_opt name r0 with Some s -> field s | None -> 0
+      in
+      List.iter
+        (fun (k, field) ->
+          let expect = if owner = Some name then Prof.total p k else 0 in
+          if moved field <> expect then
+            fail "row %s %s moved %d, expected %d" name (Prof.kind_name k)
+              (moved field) expect)
+        row_kinds;
+      let r = moved (fun s -> s.Workload.w_reads)
+      and w = moved (fun s -> s.Workload.w_writes) in
+      if r <> named name reads || w <> named name writes then
+        fail "row %s reads/writes moved %d/%d, expected %d/%d" name r w
+          (named name reads) (named name writes))
+    r1;
+  if Prof.total p Prof.Tuples_emitted <> !delivered then
+    fail "tuples_emitted %d, rows delivered %d"
+      (Prof.total p Prof.Tuples_emitted)
+      !delivered
+
+let reconcile_run scheme ops =
   let dir = Decibel_util.Fsutil.fresh_dir "decibel-wl-recon" in
+  (* a small pool, so histories see misses and evictions as well as
+     hits *)
+  let pool = Buffer_pool.create ~page_size:4096 ~capacity_pages:16 () in
+  let db = Database.open_ ~pool ~scheme ~dir ~schema () in
   Fun.protect
-    ~finally:(fun () -> Decibel_util.Fsutil.rm_rf dir)
+    ~finally:(fun () ->
+      Database.close db;
+      Decibel_util.Fsutil.rm_rf dir)
     (fun () ->
-      let db = Database.open_ ~scheme ~dir ~schema () in
-      for k = 1 to 50 do
+      (* past one parallel chunk, so 4-domain scans fan out *)
+      for k = 0 to 1199 do
         Database.insert db Vg.master (row k k)
       done;
-      let v1 = Database.commit db Vg.master ~message:"v1" in
-      let hot = Database.create_branch db ~name:"hot" ~from:v1 in
-      let cold = Database.create_branch db ~name:"cold" ~from:v1 in
-      for k = 51 to 60 do
-        Database.insert db hot (row k k)
-      done;
-      let _ = Database.commit db hot ~message:"hot1" in
-      (* skew: hot gets 8 scans, master 2, cold 1 *)
-      for _ = 1 to 8 do
-        Database.scan db hot (fun _ -> ())
-      done;
-      for _ = 1 to 2 do
-        Database.scan db Vg.master (fun _ -> ())
-      done;
-      Database.scan db cold (fun _ -> ());
-      let stats = Database.workload db in
-      let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
-      Alcotest.(check int)
-        "per-branch scanned sums to engine.scan.tuples"
-        (Obs.value_of "engine.scan.tuples")
-        (sum (fun s -> s.Workload.w_scanned));
-      let hot_s = get ~table:"wl" ~branch:"hot" () in
-      let cold_s = get ~table:"wl" ~branch:"cold" () in
-      Alcotest.(check int) "hot saw 8 reads" 8 hot_s.Workload.w_reads;
-      Alcotest.(check int) "cold saw 1 read" 1 cold_s.Workload.w_reads;
-      Alcotest.(check bool)
-        "skew shows in the rates" true
-        (hot_s.Workload.w_read_rate > cold_s.Workload.w_read_rate);
-      Database.close db)
+      ignore (Database.commit db Vg.master ~message:"seed");
+      List.iter (check_op db) ops)
+
+let reconcile_test scheme =
+  QCheck2.Test.make
+    ~name:(Database.scheme_name scheme ^ " vs globals")
+    ~count:30 ~print:QCheck2.Print.(list print_op)
+    QCheck2.Gen.(list_size (int_range 1 25) op_gen)
+    (fun ops ->
+      fresh ();
+      List.iter
+        (fun domains ->
+          let saved = Par.domain_count () in
+          Par.set_domain_count domains;
+          Fun.protect
+            ~finally:(fun () -> Par.set_domain_count saved)
+            (fun () -> reconcile_run scheme ops))
+        [ 0; 4 ];
+      true)
 
 (* ---------- synthetic report builders ---------- *)
 
@@ -706,14 +899,9 @@ let () =
             test_db_checkpoint;
         ] );
       ( "reconcile",
-        [
-          Alcotest.test_case "tuple-first vs globals" `Quick
-            (test_reconcile_with_globals Database.Tuple_first);
-          Alcotest.test_case "version-first vs globals" `Quick
-            (test_reconcile_with_globals Database.Version_first);
-          Alcotest.test_case "hybrid vs globals" `Quick
-            (test_reconcile_with_globals Database.Hybrid);
-        ] );
+        List.map
+          (fun s -> QCheck_alcotest.to_alcotest (reconcile_test s))
+          (Database.all_schemes @ [ Database.Model ]) );
       ( "advisor",
         [
           Alcotest.test_case "materialize threshold flips" `Quick
