@@ -1,6 +1,8 @@
 (* Benchmark harness regenerating every table and figure of the
-   paper's evaluation (§5).  One section per artifact; run all with
-   `dune exec bench/main.exe`, or a subset with `--only fig7,tab2`.
+   paper's evaluation (§5), the DESIGN.md §5 ablations, Bechamel
+   micro-benchmarks and the profiler-overhead gate.  One section per
+   artifact; run all with `dune exec bench/main.exe`, or a subset with
+   `--only fig7,tab2`.  Correctness gates live in `dune runtest`.
    DECIBEL_BENCH_SCALE=<n> scales the data volume (default 1: a small,
    minutes-long run; the paper's absolute numbers used 100 GB on a
    dedicated server, so only relative comparisons are meaningful —
@@ -11,6 +13,7 @@ open Decibel_bench
 open Decibel_util
 module Vg = Decibel_graph.Version_graph
 module Git_engine = Decibel_gitlike.Git_engine
+module Par = Decibel_par.Par
 
 let engines =
   [
@@ -29,7 +32,7 @@ let load_counter = ref 0
 let load_log : (string * string * int * float) list ref = ref []
 (* (strategy, engine, branches, seconds) *)
 
-let load ?(clustered = false) ?(durable = false) ~scheme_name ~scheme kind cfg =
+let load ?(clustered = false) ~scheme_name ~scheme kind cfg =
   incr load_counter;
   let wl = Strategy.generate kind cfg in
   let dir =
@@ -37,7 +40,7 @@ let load ?(clustered = false) ?(durable = false) ~scheme_name ~scheme kind cfg =
       (Printf.sprintf "%s-%s-%d" (Strategy.kind_name kind) scheme_name
          !load_counter)
   in
-  let l = Driver.load ~clustered ~durable ~scheme ~dir cfg wl in
+  let l = Driver.load ~clustered ~scheme ~dir cfg wl in
   load_log :=
     (Strategy.kind_name kind, scheme_name, cfg.Config.branches,
      l.Driver.load_seconds)
@@ -753,7 +756,53 @@ let ablations () =
         [ Report.fmt_bytes page_size; Report.fmt_ms samples ])
       [ 16 * 1024; 64 * 1024; 256 * 1024 ]
   in
-  Report.table ~headers:[ "page size"; "Q1 flat child" ] ~rows
+  Report.table ~headers:[ "page size"; "Q1 flat child" ] ~rows;
+
+  (* informational only: that parallel output equals serial output is
+     test_par's engine-identity check, not a timing *)
+  Report.section "Ablation — domain pool size (flat; p50, 0 = pool off)";
+  let domain_counts =
+    List.sort_uniq compare [ 0; 1; 2; 4; Domain.recommended_domain_count () ]
+  in
+  let saved_domains = Par.domain_count () in
+  let rows =
+    List.concat_map
+      (fun (ename, scheme) ->
+        let l = load ~scheme_name:ename ~scheme Strategy.Flat cfg in
+        let db = l.Driver.db in
+        let role r =
+          Driver.branch_id db (Workload.role_exn l.Driver.workload r)
+        in
+        let child = role "child" and parent = role "parent" in
+        let heads = Database.heads db in
+        let queries =
+          [
+            ("scan", fun () -> Database.scan db child ignore);
+            ("multi_scan", fun () -> Database.multi_scan db heads ignore);
+            ( "diff",
+              fun () -> Database.diff db child parent ~pos:ignore ~neg:ignore );
+          ]
+        in
+        let rows =
+          List.map
+            (fun (qname, run) ->
+              Printf.sprintf "%s %s" ename qname
+              :: List.map
+                   (fun dc ->
+                     Par.set_domain_count dc;
+                     Report.fmt_ms
+                       [ Report.percentile (Driver.measure l run) 0.50 ])
+                   domain_counts)
+            queries
+        in
+        Driver.close l;
+        rows)
+      engines
+  in
+  Par.set_domain_count saved_domains;
+  Report.table
+    ~headers:("scheme query" :: List.map string_of_int domain_counts)
+    ~rows
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of core primitives. *)
@@ -813,729 +862,30 @@ let micro () =
   Report.table ~headers:[ "primitive"; "time" ] ~rows
 
 (* ------------------------------------------------------------------ *)
-(* Observability report: per scheme x query latency distributions plus
-   internal counter deltas, written to BENCH_<timestamp>.json.  Loads
-   run durable so wal.* counters are exercised too. *)
+(* Profiler overhead, the one timing gate: Q1 latency with and without
+   the request profiler (Database.profile) per scheme.  A round takes
+   [repeat] samples of every arm, interleaved sample by sample and
+   starting at a different arm each round, so clock drift, GC debt and
+   page-cache state hit all arms equally; it yields one overhead ratio
+   from the arms' medians.  The gate is the median of the per-round
+   ratios, which a few noisy rounds cannot move.  The budget is < 5%.
+   A third arm, Q1 with the metrics registry off (Obs.set_enabled
+   false), reports what the registry itself costs; it is not gated. *)
 
 module Obs = Decibel_obs.Obs
-
-let obs_report () =
-  Report.section "Observability: latency distributions + counter deltas";
-  let cfg = Config.default in
-  let repeat = 5 in
-  let scheme_entries =
-    List.map
-      (fun (ename, scheme) ->
-        let before_load = Obs.snapshot () in
-        let l =
-          load ~durable:true ~scheme_name:ename ~scheme Strategy.Flat cfg
-        in
-        let load_counters =
-          List.filter_map
-            (fun (k, v) -> if v <> 0 then Some (k, Report.J_int v) else None)
-            (Obs.counters_diff before_load (Obs.snapshot ()))
-        in
-        let run_query qname f =
-          let before = Obs.snapshot () in
-          let samples = f () in
-          let after = Obs.snapshot () in
-          let counters =
-            List.filter_map
-              (fun (k, v) -> if v <> 0 then Some (k, Report.J_int v) else None)
-              (Obs.counters_diff before after)
-          in
-          (* the four headline counters must always be present, zero or
-             not, so downstream tooling can rely on the keys *)
-          let counters =
-            List.fold_left
-              (fun acc k ->
-                if List.mem_assoc k acc then acc else (k, Report.J_int 0) :: acc)
-              counters
-              [
-                "buffer_pool.misses"; "wal.bytes"; "engine.scan.pages";
-                "commit_history.delta_bytes";
-              ]
-          in
-          Report.note "%s %s: p50 %s  p95 %s" ename qname
-            (Report.fmt_ms [ Report.percentile samples 0.50 ])
-            (Report.fmt_ms [ Report.percentile samples 0.95 ]);
-          ( qname,
-            Report.J_obj
-              [
-                ("p50_ms", Report.J_float (Report.percentile samples 0.50 *. 1e3));
-                ("p95_ms", Report.J_float (Report.percentile samples 0.95 *. 1e3));
-                ("p99_ms", Report.J_float (Report.percentile samples 0.99 *. 1e3));
-                ( "samples_ms",
-                  Report.J_list
-                    (List.map (fun s -> Report.J_float (s *. 1e3)) samples) );
-                ("counters", Report.J_obj counters);
-              ] )
-        in
-        let role r = Workload.role_exn l.Driver.workload r in
-        let b1, b2 = pair_roles Strategy.Flat in
-        (* bind in sequence: list literals evaluate right-to-left *)
-        let q1 = run_query "q1" (fun () -> Driver.q1 ~repeat l ~branch:(role "child")) in
-        let q2 = run_query "q2" (fun () -> Driver.q2 ~repeat l ~b1:(role b1) ~b2:(role b2)) in
-        let q3 = run_query "q3" (fun () -> Driver.q3 ~repeat l ~b1:(role b1) ~b2:(role b2)) in
-        let q4 = run_query "q4" (fun () -> Driver.q4 ~repeat l) in
-        let queries = [ q1; q2; q3; q4 ] in
-        let storage =
-          Decibel_obs.Report.to_json (Database.storage_report l.Driver.db)
-        in
-        let entry =
-          Report.J_obj
-            [
-              ("load_seconds", Report.J_float l.Driver.load_seconds);
-              ("dataset_bytes", Report.J_int (Driver.dataset_bytes l));
-              ("load_counters", Report.J_obj load_counters);
-              ("queries", Report.J_obj queries);
-              ("storage_report", Report.J_raw storage);
-            ]
-        in
-        Driver.close l;
-        (ename, entry))
-      engines
-  in
-  let stamp =
-    let tm = Unix.localtime (Unix.time ()) in
-    Printf.sprintf "%04d%02d%02d_%02d%02d%02d" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-      tm.Unix.tm_sec
-  in
-  let doc =
-    Report.J_obj
-      [
-        ("schema", Report.J_str "decibel-bench-v1");
-        ("timestamp", Report.J_str stamp);
-        ("scale", Report.J_int Config.scale);
-        ("config", Report.J_str (Format.asprintf "%a" Config.pp cfg));
-        ("repeat", Report.J_int repeat);
-        ("schemes", Report.J_obj scheme_entries);
-      ]
-  in
-  let path = Printf.sprintf "BENCH_%s.json" stamp in
-  let oc = open_out path in
-  output_string oc (Report.json_to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Report.note "wrote %s" path;
-  (* the spans recorded during the run, as a Chrome-trace artifact *)
-  let trace_path = Printf.sprintf "BENCH_%s.trace.json" stamp in
-  Obs.write_trace ~path:trace_path;
-  Report.note "wrote %s (%d spans, %d events)" trace_path (Obs.span_count ())
-    (Obs.events_emitted ())
-
-(* ------------------------------------------------------------------ *)
-(* Scalability: scan / multi-scan / diff throughput per scheme as the
-   domain pool grows — not a paper figure; the repo's first multicore
-   trajectory datapoint.  Emits BENCH_<stamp>.scale.json with speedup
-   curves, and fails the process if any parallel run's result
-   fingerprint diverges from the serial reference (the executor's
-   determinism guarantee, checked end-to-end). *)
-
-module Par = Decibel_par.Par
-
-let scale_bench () =
-  Report.section "Scalability — domain pool sweep (scan / multi-scan / diff)";
-  let saved_domains = Par.domain_count () in
-  let hw = Domain.recommended_domain_count () in
-  (* 0 = pool off (serial reference); speedups are reported vs 1 *)
-  let domain_counts = List.sort_uniq compare [ 0; 1; 2; 4; max 4 hw ] in
-  (* fewer, fatter branches than Config.default so the scans are
-     decode-bound (the part that parallelizes) rather than setup-bound *)
-  let cfg =
-    {
-      Config.default with
-      branches = 8;
-      records_per_branch = 3000 * Config.scale;
-      commit_every = 1500 * Config.scale;
-    }
-  in
-  let repeat = 3 in
-  let mismatches = ref 0 in
-  let scheme_entries =
-    List.map
-      (fun (ename, scheme) ->
-        let l =
-          load ~durable:true ~scheme_name:ename ~scheme Strategy.Flat cfg
-        in
-        let role r = Workload.role_exn l.Driver.workload r in
-        let child = role "child" and parent = role "parent" in
-        Par.set_domain_count 0;
-        let queries =
-          [
-            ( "scan",
-              fun () -> Driver.scan_fingerprint l ~branch:child );
-            ("multi_scan", fun () -> Driver.multi_scan_fingerprint l);
-            ( "diff",
-              fun () -> Driver.diff_fingerprint l ~b1:child ~b2:parent );
-          ]
-        in
-        (* serial reference fingerprints, computed with the pool off *)
-        let refs = List.map (fun (qname, run) -> (qname, run ())) queries in
-        let query_entries =
-          List.map
-            (fun (qname, run) ->
-              let ref_h, ref_n = List.assoc qname refs in
-              let sweep =
-                List.map
-                  (fun dc ->
-                    Par.set_domain_count dc;
-                    let result = ref (0L, 0) in
-                    let samples =
-                      Driver.measure ~repeat l (fun () -> result := run ())
-                    in
-                    let h, n = !result in
-                    let ok = h = ref_h && n = ref_n in
-                    if not ok then begin
-                      incr mismatches;
-                      Report.note
-                        "MISMATCH: %s %s with %d domain(s) diverges from serial"
-                        ename qname dc
-                    end;
-                    (dc, Report.percentile samples 0.50, n, ok))
-                  domain_counts
-              in
-              let t1 =
-                match List.find_opt (fun (dc, _, _, _) -> dc = 1) sweep with
-                | Some (_, m, _, _) -> m
-                | None -> nan
-              in
-              let t4 =
-                List.find_opt (fun (dc, _, _, _) -> dc = 4) sweep
-                |> Option.map (fun (_, m, _, _) -> m)
-              in
-              (match t4 with
-              | Some m ->
-                  Report.note "%s %s: 1 domain %s, 4 domains %s (%.2fx)" ename
-                    qname
-                    (Report.fmt_ms [ t1 ])
-                    (Report.fmt_ms [ m ])
-                    (t1 /. m)
-              | None -> ());
-              ( qname,
-                Report.J_obj
-                  [
-                    ( "serial_fingerprint",
-                      Report.J_str (Printf.sprintf "%016Lx" ref_h) );
-                    ("tuples", Report.J_int ref_n);
-                    ( "sweep",
-                      Report.J_list
-                        (List.map
-                           (fun (dc, med, n, ok) ->
-                             Report.J_obj
-                               [
-                                 ("domains", Report.J_int dc);
-                                 ("p50_ms", Report.J_float (med *. 1e3));
-                                 ( "tuples_per_sec",
-                                   Report.J_float (float_of_int n /. med) );
-                                 ("speedup_vs_1", Report.J_float (t1 /. med));
-                                 ( "identical_to_serial",
-                                   Report.J_raw (if ok then "true" else "false")
-                                 );
-                               ])
-                           sweep) );
-                  ] ))
-            queries
-        in
-        let entry =
-          Report.J_obj
-            [
-              ("dataset_bytes", Report.J_int (Driver.dataset_bytes l));
-              ("queries", Report.J_obj query_entries);
-            ]
-        in
-        Driver.close l;
-        (ename, entry))
-      engines
-  in
-  Par.set_domain_count saved_domains;
-  let stamp =
-    let tm = Unix.localtime (Unix.time ()) in
-    Printf.sprintf "%04d%02d%02d_%02d%02d%02d" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-      tm.Unix.tm_sec
-  in
-  let doc =
-    Report.J_obj
-      [
-        ("schema", Report.J_str "decibel-scale-v1");
-        ("timestamp", Report.J_str stamp);
-        ("scale", Report.J_int Config.scale);
-        ("hardware_domains", Report.J_int hw);
-        ("config", Report.J_str (Format.asprintf "%a" Config.pp cfg));
-        ("repeat", Report.J_int repeat);
-        ("schemes", Report.J_obj scheme_entries);
-      ]
-  in
-  let path = Printf.sprintf "BENCH_%s.scale.json" stamp in
-  let oc = open_out path in
-  output_string oc (Report.json_to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Report.note "wrote %s" path;
-  if !mismatches > 0 then begin
-    Printf.eprintf "scale bench: %d parallel/serial mismatch(es)\n%!"
-      !mismatches;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Load shedding: not a paper artifact — the resource-governor
-   walkthrough in EXPERIMENTS.md.  A fixed op mix (cheap branch scans
-   with an occasional heavy multi-scan, plus a slice of tightly
-   deadlined scans) hammers one governed database from a rising number
-   of client threads.  The governor is provisioned well below the peak
-   thread count, so higher levels must shed; the artifact is the
-   latency/shed-rate curve in BENCH_<stamp>.shed.json.  After every
-   level the full multi-scan fingerprint is compared against the
-   pre-storm serial reference — shedding and deadline aborts must be
-   invisible to the data — and any divergence fails the process. *)
-
-module Governor = Decibel_governor.Governor
-
-let shed_bench () =
-  Report.section
-    "Shed — governed op mix under rising concurrency (p99 + shed rate)";
-  let cfg =
-    {
-      Config.default with
-      Config.branches = 8;
-      records_per_branch = 1200 * Config.scale;
-      commit_every = 600 * Config.scale;
-    }
-  in
-  incr load_counter;
-  let dir = fresh_dir (Printf.sprintf "shed-%d" !load_counter) in
-  let wl = Strategy.generate Strategy.Flat cfg in
-  let l = Driver.load ~scheme:Database.Hybrid ~dir cfg wl in
-  (* deliberately under-provisioned: 4 weighted slots and a 2-deep
-     queue against up to 16 clients, so overload actually sheds *)
-  let gov =
-    Governor.Admission.create ~capacity:4 ~heavy_weight:4 ~max_queue:2 ()
-  in
-  Database.close l.Driver.db;
-  let l = { l with Driver.db = Database.reopen ~governor:gov ~dir () } in
-  let db = l.Driver.db in
-  let heads = Database.heads db in
-  let harr = Array.of_list heads in
-  let reference = Driver.multi_scan_fingerprint l in
-  let ops_per_thread = 40 in
-  let levels = [ 1; 2; 4; 8; 16 ] in
-  let mismatches = ref 0 in
-  let level_entries =
-    List.map
-      (fun conc ->
-        let lats = Array.make (conc * ops_per_thread) 0.0 in
-        let ok = Atomic.make 0
-        and shed = Atomic.make 0
-        and deadlined = Atomic.make 0 in
-        let worker tid =
-          let rng =
-            Prng.create (Int64.of_int (0x5EDD + (conc * 1000) + tid))
-          in
-          for k = 0 to ops_per_thread - 1 do
-            let t0 = Unix.gettimeofday () in
-            (try
-               (match Prng.int rng 10 with
-               | 0 ->
-                   (* heavy: all-branch scan, weight 4 of 4 slots *)
-                   Database.multi_scan db heads (fun _ -> ())
-               | 1 ->
-                   (* tightly deadlined cheap scan: exercises
-                      cancellation while the pool is contended *)
-                   let ctx = Governor.Ctx.create ~deadline_ms:1 () in
-                   Database.scan ~ctx db
-                     harr.(Prng.int rng (Array.length harr))
-                     (fun _ -> ())
-               | _ ->
-                   Database.scan db
-                     harr.(Prng.int rng (Array.length harr))
-                     (fun _ -> ()));
-               Atomic.incr ok
-             with
-            | Governor.Overloaded _ -> Atomic.incr shed
-            | Governor.Deadline_exceeded -> Atomic.incr deadlined);
-            lats.((tid * ops_per_thread) + k) <- Unix.gettimeofday () -. t0
-          done
-        in
-        let threads =
-          List.init conc (fun tid -> Thread.create worker tid)
-        in
-        List.iter Thread.join threads;
-        let samples = Array.to_list lats in
-        let total = conc * ops_per_thread in
-        let shed_rate =
-          float_of_int (Atomic.get shed) /. float_of_int total
-        in
-        let p50 = Report.percentile samples 0.50
-        and p99 = Report.percentile samples 0.99 in
-        (* a storm must never change what a later reader sees *)
-        let ok_after = Driver.multi_scan_fingerprint l = reference in
-        if not ok_after then begin
-          incr mismatches;
-          Report.note
-            "MISMATCH: fingerprint diverged after %d-thread level" conc
-        end;
-        Report.note
-          "%2d threads: p50 %s  p99 %s  ok %d  shed %d (%.0f%%)  deadline %d"
-          conc
-          (Report.fmt_ms [ p50 ])
-          (Report.fmt_ms [ p99 ])
-          (Atomic.get ok) (Atomic.get shed) (shed_rate *. 100.)
-          (Atomic.get deadlined);
-        Report.J_obj
-          [
-            ("threads", Report.J_int conc);
-            ("ops", Report.J_int total);
-            ("ok", Report.J_int (Atomic.get ok));
-            ("shed", Report.J_int (Atomic.get shed));
-            ("deadline_exceeded", Report.J_int (Atomic.get deadlined));
-            ("shed_rate", Report.J_float shed_rate);
-            ("p50_ms", Report.J_float (p50 *. 1e3));
-            ("p99_ms", Report.J_float (p99 *. 1e3));
-            ( "fingerprint_identical",
-              Report.J_raw (if ok_after then "true" else "false") );
-          ])
-      levels
-  in
-  let st = Governor.Admission.stats gov in
-  let stamp =
-    let tm = Unix.localtime (Unix.time ()) in
-    Printf.sprintf "%04d%02d%02d_%02d%02d%02d" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-      tm.Unix.tm_sec
-  in
-  let ref_h, ref_n = reference in
-  let doc =
-    Report.J_obj
-      [
-        ("schema", Report.J_str "decibel-shed-v1");
-        ("timestamp", Report.J_str stamp);
-        ("scale", Report.J_int Config.scale);
-        ("config", Report.J_str (Format.asprintf "%a" Config.pp cfg));
-        ( "governor",
-          Report.J_obj
-            [
-              ("capacity", Report.J_int st.Governor.Admission.capacity);
-              ("heavy_weight", Report.J_int 4);
-              ("max_queue", Report.J_int 2);
-              ("admitted", Report.J_int st.Governor.Admission.admitted);
-              ("shed", Report.J_int st.Governor.Admission.shed);
-              ( "avg_hold_ms",
-                Report.J_float st.Governor.Admission.avg_hold_ms );
-            ] );
-        ( "reference_fingerprint",
-          Report.J_str (Printf.sprintf "%016Lx" ref_h) );
-        ("reference_tuples", Report.J_int ref_n);
-        ("levels", Report.J_list level_entries);
-      ]
-  in
-  let path = Printf.sprintf "BENCH_%s.shed.json" stamp in
-  let oc = open_out path in
-  output_string oc (Report.json_to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Report.note "wrote %s" path;
-  Driver.close l;
-  if !mismatches > 0 then begin
-    Printf.eprintf "shed bench: %d fingerprint divergence(s)\n%!" !mismatches;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Crash torture: not a paper artifact — the robustness walkthrough in
-   EXPERIMENTS.md.  Kills a scripted branch/insert/commit/merge
-   workload at every failpoint site it crosses, recovers, checks
-   against the model oracle, and writes the per-case results to
-   FSCK_REPORT.json (the CI artifact). *)
-
-let crash () =
-  Report.section
-    "Crash torture — induced crash at every failpoint site, then recover";
-  (* deterministic fault schedule; DECIBEL_SEED overrides *)
-  (match Sys.getenv_opt "DECIBEL_SEED" with
-  | Some s -> ( try Decibel_fault.Failpoint.set_seed (Int64.of_string s) with _ -> ())
-  | None -> Decibel_fault.Failpoint.set_seed 0x5EEDL);
-  let root = fresh_dir "crash" in
-  let summaries =
-    List.map
-      (fun (ename, scheme) -> (ename, Torture.torture ~root scheme))
-      engines
-  in
-  let rows =
-    List.map
-      (fun (ename, (s : Torture.summary)) ->
-        let fired =
-          List.length (List.filter (fun c -> c.Torture.c_fired) s.Torture.s_cases)
-        in
-        let repairs =
-          List.fold_left
-            (fun acc c -> acc + c.Torture.c_fsck_findings)
-            0 s.Torture.s_cases
-        in
-        [
-          ename;
-          string_of_int (List.length s.Torture.s_sites);
-          string_of_int (List.length s.Torture.s_cases);
-          string_of_int fired;
-          string_of_int repairs;
-          string_of_int s.Torture.s_failures;
-        ])
-      summaries
-  in
-  Report.table
-    ~headers:[ "scheme"; "sites"; "cases"; "fired"; "fsck repairs"; "failures" ]
-    ~rows;
-  (* same deal inside maintenance: the journaled executor killed at
-     every maint.* site mid-compaction/materialization/GC must recover
-     fingerprint-identical *)
-  let maint_summaries =
-    List.map
-      (fun (ename, scheme) -> (ename, Torture.maint_torture ~root scheme))
-      engines
-  in
-  Report.section
-    "Maintenance torture — crash at every maint.* site mid-rewrite";
-  let maint_rows =
-    List.map
-      (fun (ename, (s : Torture.summary)) ->
-        let fired =
-          List.length (List.filter (fun c -> c.Torture.c_fired) s.Torture.s_cases)
-        in
-        [
-          ename;
-          string_of_int (List.length s.Torture.s_cases);
-          string_of_int fired;
-          string_of_int s.Torture.s_failures;
-        ])
-      maint_summaries
-  in
-  Report.table
-    ~headers:[ "scheme"; "cases"; "fired"; "failures" ]
-    ~rows:maint_rows;
-  let transient_rows =
-    List.map
-      (fun (ename, scheme) ->
-        let outcomes = Torture.transient_check ~root scheme in
-        ename
-        :: List.map
-             (fun (_, outcome) -> if outcome = "" then "absorbed" else outcome)
-             outcomes)
-      engines
-  in
-  Report.section "Transient faults — one per retryable site, bounded retry";
-  Report.table
-    ~headers:[ "scheme"; "wal.sync"; "heap.flush"; "manifest.write_tmp" ]
-    ~rows:transient_rows;
-  let oc = open_out "FSCK_REPORT.json" in
-  output_string oc "[";
-  List.iteri
-    (fun i (_, s) ->
-      if i > 0 then output_char oc ',';
-      output_string oc (Torture.summary_json s))
-    (summaries @ maint_summaries);
-  output_string oc "]\n";
-  close_out oc;
-  Report.note "wrote FSCK_REPORT.json";
-  let total_failures =
-    List.fold_left
-      (fun acc (_, s) -> acc + s.Torture.s_failures)
-      0
-      (summaries @ maint_summaries)
-  in
-  if total_failures > 0 then begin
-    Printf.eprintf "crash torture: %d failure(s)\n%!" total_failures;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Maintenance: build a fragmented, chain-heavy store per scheme, run
-   the journaled executor, and report the before/after storage-report
-   deltas (dead records, delta-chain depth, on-disk bytes) plus the
-   hot-branch scan p50.  Maintenance that fails to reclaim dead space
-   (TF/HY) or collapse the hot chain (VF) fails the process.  Writes
-   BENCH_<stamp>.maint.json. *)
-
-let maint_bench () =
-  Report.section
-    "Maint — journaled executor: fragmentation and chains, before/after";
-  Obs.set_enabled true;
-  let module R = Decibel_obs.Report in
-  let dead (r : R.t) =
-    List.fold_left
-      (fun acc (s : R.segment) -> acc + (s.R.sg_records - s.R.sg_live_records))
-      0 r.R.r_segments
-  in
-  let chain name (r : R.t) =
-    match
-      List.find_opt (fun (b : R.branch) -> b.R.br_name = name) r.R.r_branches
-    with
-    | Some b -> b.R.br_delta_chain
-    | None -> 0
-  in
-  let repeat = 15 in
-  let cfg = Config.default in
-  let all_ok = ref true in
-  let scheme_docs = ref [] in
-  let rows =
-    List.map
-      (fun (ename, scheme) ->
-        incr load_counter;
-        let dir = fresh_dir (Printf.sprintf "maint-%s-%d" ename !load_counter) in
-        Fsutil.mkdir_p dir;
-        let db = Database.open_ ~scheme ~dir ~schema:(Config.schema cfg) () in
-        let key = ref 0 in
-        let n = 400 * Config.scale in
-        (* every key is written twice before its first commit, so half
-           the heap is dead the moment master commits: no checkout
-           references the superseded versions *)
-        for _ = 1 to n do
-          incr key;
-          Database.insert db Vg.master (Driver.tuple_of_key cfg !key)
-        done;
-        for k = 1 to n do
-          Database.update db Vg.master (Driver.tuple_of_key cfg k)
-        done;
-        ignore (Database.commit db Vg.master ~message:"base");
-        (* a stack of committing branches builds the delta chain the
-           version-first materializer collapses; branching off the
-           clean master head also freezes hybrid's fragmented segment *)
-        let hot =
-          let rec go parent i =
-            let nm = if i = 6 then "hot" else Printf.sprintf "hot-%d" i in
-            let b = Database.branch_from db ~name:nm ~of_branch:parent in
-            for _ = 1 to 20 * Config.scale do
-              incr key;
-              Database.insert db b (Driver.tuple_of_key cfg !key)
-            done;
-            ignore (Database.commit db b ~message:nm);
-            if i = 6 then b else go b (i + 1)
-          in
-          go Vg.master 1
-        in
-        Database.flush db;
-        let scan_samples () =
-          List.init repeat (fun _ ->
-              let t = Unix.gettimeofday () in
-              Database.scan db hot (fun _ -> ());
-              Unix.gettimeofday () -. t)
-        in
-        let before = Database.storage_report db in
-        let p50_before = Report.percentile (scan_samples ()) 0.50 in
-        (* the executor: engine-chosen GC to a fixpoint, then
-           materialize every active branch *)
-        let reclaimed = ref 0 in
-        let tasks = ref 0 in
-        let note = function
-          | Some (m : Database.maint_result) ->
-              incr tasks;
-              reclaimed := !reclaimed + m.Database.m_reclaimed
-          | None -> ()
-        in
-        let rec gc_fix i =
-          if i < 4 then
-            match Database.run_maintenance db ~kind:Engine_intf.M_gc ~target:"" with
-            | Some m ->
-                note (Some m);
-                gc_fix (i + 1)
-            | None -> ()
-        in
-        gc_fix 0;
-        List.iter
-          (fun (br : Vg.branch) ->
-            if br.Vg.active then
-              note
-                (Database.run_maintenance db ~kind:Engine_intf.M_materialize
-                   ~target:br.Vg.name))
-          (Vg.branches (Database.graph db));
-        let after = Database.storage_report db in
-        let p50_after = Report.percentile (scan_samples ()) 0.50 in
-        Database.close db;
-        let ok =
-          match scheme with
-          | Database.Version_first -> chain "hot" after < chain "hot" before
-          | _ -> dead after < dead before
-        in
-        if not ok then all_ok := false;
-        scheme_docs :=
-          ( ename,
-            Report.J_obj
-              [
-                ("tasks", Report.J_int !tasks);
-                ("bytes_reclaimed", Report.J_int !reclaimed);
-                ("dead_before", Report.J_int (dead before));
-                ("dead_after", Report.J_int (dead after));
-                ("chain_before", Report.J_int (chain "hot" before));
-                ("chain_after", Report.J_int (chain "hot" after));
-                ("bytes_before", Report.J_int before.R.r_dataset_bytes);
-                ("bytes_after", Report.J_int after.R.r_dataset_bytes);
-                ("scan_p50_ms_before", Report.J_float (p50_before *. 1e3));
-                ("scan_p50_ms_after", Report.J_float (p50_after *. 1e3));
-                ("improved", Report.J_raw (if ok then "true" else "false"));
-              ] )
-          :: !scheme_docs;
-        [
-          ename;
-          string_of_int !tasks;
-          Printf.sprintf "%d -> %d" (dead before) (dead after);
-          Printf.sprintf "%d -> %d" (chain "hot" before) (chain "hot" after);
-          Printf.sprintf "%d -> %d" before.R.r_dataset_bytes
-            after.R.r_dataset_bytes;
-          Printf.sprintf "%s -> %s"
-            (Report.fmt_ms [ p50_before ])
-            (Report.fmt_ms [ p50_after ]);
-        ])
-      engines
-  in
-  Report.table
-    ~headers:
-      [ "scheme"; "tasks"; "dead"; "hot chain"; "bytes"; "hot scan p50" ]
-    ~rows;
-  let stamp =
-    let tm = Unix.localtime (Unix.time ()) in
-    Printf.sprintf "%04d%02d%02d_%02d%02d%02d" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-      tm.Unix.tm_sec
-  in
-  let doc =
-    Report.J_obj
-      [
-        ("schema", Report.J_str "decibel-maint-v1");
-        ("timestamp", Report.J_str stamp);
-        ("scale", Report.J_int Config.scale);
-        ("schemes", Report.J_obj (List.rev !scheme_docs));
-      ]
-  in
-  let path = Printf.sprintf "BENCH_%s.maint.json" stamp in
-  let oc = open_out path in
-  output_string oc (Report.json_to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Report.note "wrote %s" path;
-  if not !all_ok then begin
-    Printf.eprintf
-      "maint bench: maintenance failed to improve the storage report\n%!";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Profiler overhead: Q1 latency with and without the request profiler
-   (Database.profile) per scheme.  The tracing layer's budget is < 5%
-   on the median; exceed it and the run fails.  Writes
-   BENCH_<stamp>.prof.json with per-scheme medians plus one captured
-   profile tree each, so the overhead claim ships with the evidence. *)
 
 let prof_overhead () =
   Report.section
     "Profiler overhead — Q1 profiled vs unprofiled (< 5% median budget)";
   Obs.set_enabled true;
   let cfg = Config.default in
-  let repeat = 7 in
+  let rounds = 16 and repeat = 7 in
   let budget_pct = 5.0 in
   (* sub-millisecond medians put 5% well inside clock jitter at small
      scales, so a breach must also clear an absolute 20 us delta *)
   let noise_floor_s = 20e-6 in
+  let median xs = Report.percentile xs 0.50 in
+  let pct ~base x = if base <= 0. then 0. else (x -. base) /. base *. 100. in
   let results =
     List.map
       (fun (ename, scheme) ->
@@ -1544,187 +894,63 @@ let prof_overhead () =
         let bid =
           Driver.branch_id db (Workload.role_exn l.Driver.workload "child")
         in
-        let run () = ignore (Query.q1_scan db bid) in
-        let run_profiled () =
-          ignore (Database.profile ~label:("q1-" ^ ename) db run)
+        let q1 () = ignore (Query.q1_scan db bid) in
+        let profiled () =
+          ignore (Database.profile ~label:("q1-" ^ ename) db q1)
         in
-        (* interleave the two measurements in two blocks each, so clock
-           drift and buffer-pool state hit both sides equally *)
-        let plain1 = Driver.measure ~repeat l run in
-        let prof1 = Driver.measure ~repeat l run_profiled in
-        let plain2 = Driver.measure ~repeat l run in
-        let prof2 = Driver.measure ~repeat l run_profiled in
-        let plain = plain1 @ plain2 and prof = prof1 @ prof2 in
-        let p50_plain = Report.percentile plain 0.50 in
-        let p50_prof = Report.percentile prof 0.50 in
-        let overhead_pct =
-          if p50_plain <= 0. then 0.
-          else (p50_prof -. p50_plain) /. p50_plain *. 100.
+        let obs_off () =
+          Obs.set_enabled false;
+          Fun.protect ~finally:(fun () -> Obs.set_enabled true) q1
         in
-        let over_budget =
-          overhead_pct > budget_pct && p50_prof -. p50_plain > noise_floor_s
+        let arms = [| q1; profiled; obs_off |] in
+        let sample f =
+          Database.drop_caches db;
+          fst (Driver.time f)
         in
-        let sample_profile =
-          match Database.last_profile db with
-          | Some p -> Obs.Prof.profile_json p
-          | None -> "null"
+        (* unmeasured warm-up of every arm *)
+        Array.iter (fun f -> ignore (sample f)) arms;
+        let round i =
+          Gc.full_major ();
+          let times = Array.make_matrix 3 repeat 0. in
+          for s = 0 to repeat - 1 do
+            for j = 0 to 2 do
+              let k = (i + j) mod 3 in
+              times.(k).(s) <- sample arms.(k)
+            done
+          done;
+          let arm k = median (Array.to_list times.(k)) in
+          (arm 0, arm 1, arm 2)
         in
-        Report.note "%s: plain p50 %s  profiled p50 %s  overhead %+.2f%%%s"
-          ename
-          (Report.fmt_ms [ p50_plain ])
-          (Report.fmt_ms [ p50_prof ])
-          overhead_pct
-          (if over_budget then "  OVER BUDGET" else "");
+        let rs = List.init rounds round in
         Driver.close l;
-        let entry =
-          Report.J_obj
-            [
-              ("plain_p50_ms", Report.J_float (p50_plain *. 1e3));
-              ("profiled_p50_ms", Report.J_float (p50_prof *. 1e3));
-              ("overhead_pct", Report.J_float overhead_pct);
-              ("over_budget", Report.J_raw (if over_budget then "true" else "false"));
-              ("sample_profile", Report.J_raw sample_profile);
-            ]
+        let med f = median (List.map f rs) in
+        let prof_pct = med (fun (p, q, _) -> pct ~base:p q) in
+        let over_budget =
+          prof_pct > budget_pct
+          && med (fun (p, q, _) -> q -. p) > noise_floor_s
         in
-        (ename, entry, over_budget))
+        ( ename,
+          [
+            Report.fmt_ms [ med (fun (p, _, _) -> p) ];
+            Report.fmt_ms [ med (fun (_, q, _) -> q) ];
+            Printf.sprintf "%+.2f%%" prof_pct;
+            Report.fmt_ms [ med (fun (_, _, o) -> o) ];
+            Printf.sprintf "%+.2f%%" (med (fun (p, _, o) -> pct ~base:o p));
+            (if over_budget then "OVER BUDGET" else "ok");
+          ],
+          over_budget ))
       engines
   in
-  let stamp =
-    let tm = Unix.localtime (Unix.time ()) in
-    Printf.sprintf "%04d%02d%02d_%02d%02d%02d" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-      tm.Unix.tm_sec
-  in
-  let doc =
-    Report.J_obj
-      [
-        ("schema", Report.J_str "decibel-prof-overhead-v1");
-        ("timestamp", Report.J_str stamp);
-        ("scale", Report.J_int Config.scale);
-        ("repeat", Report.J_int (2 * repeat));
-        ("budget_pct", Report.J_float budget_pct);
-        ( "schemes",
-          Report.J_obj (List.map (fun (e, j, _) -> (e, j)) results) );
-      ]
-  in
-  let path = Printf.sprintf "BENCH_%s.prof.json" stamp in
-  let oc = open_out path in
-  output_string oc (Report.json_to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Report.note "wrote %s" path;
+  Report.note "medians over %d rounds of %d samples per arm" rounds repeat;
+  Report.table
+    ~headers:
+      [ "scheme"; "plain p50"; "profiled p50"; "profiler"; "Obs-off p50";
+        "registry"; "budget" ]
+    ~rows:(List.map (fun (e, cells, _) -> e :: cells) results);
   let breaches = List.filter (fun (_, _, over) -> over) results in
   if breaches <> [] then begin
     Printf.eprintf "profiler overhead over %.1f%% budget: %s\n%!" budget_pct
       (String.concat ", " (List.map (fun (e, _, _) -> e) breaches));
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Storage advisor: not a paper artifact — the workload-vs-storage
-   walkthrough in EXPERIMENTS.md.  A skewed scan mix over three
-   branches of a version-first store (hot and cold both sitting on
-   long delta chains, plus a quiet mainline) must drive the advisor to
-   recommend materializing the hot branch while leaving the cold one
-   on deltas — the measured form of the recreation/storage tradeoff.
-   Writes BENCH_<stamp>.advise.json; a wrong or missing recommendation
-   fails the process. *)
-
-module ObsWl = Decibel_obs.Workload
-module Advisor = Decibel_obs.Advisor
-
-let advise_bench () =
-  Report.section
-    "Advise — storage advisor on a skewed branch workload (VF, long chains)";
-  Obs.set_enabled true;
-  ObsWl.reset ();
-  incr load_counter;
-  let dir = fresh_dir (Printf.sprintf "advise-%d" !load_counter) in
-  Fsutil.mkdir_p dir;
-  let cfg = Config.default in
-  let db =
-    Database.open_ ~scheme:Database.Version_first ~dir
-      ~schema:(Config.schema cfg) ()
-  in
-  let key = ref 0 in
-  let insert_batch b n =
-    for _ = 1 to n do
-      incr key;
-      Database.insert db b (Driver.tuple_of_key cfg !key)
-    done
-  in
-  insert_batch Vg.master (50 * Config.scale);
-  let _base = Database.commit db Vg.master ~message:"base" in
-  (* version-first opens one segment per branch and a scan replays the
-     whole branch lineage, so a stack of branches is what builds a long
-     delta chain (depth fragments per read) *)
-  let grow name depth =
-    let rec go parent i =
-      let nm = if i = depth then name else Printf.sprintf "%s-%d" name i in
-      let b = Database.branch_from db ~name:nm ~of_branch:parent in
-      insert_batch b (20 * Config.scale);
-      ignore (Database.commit db b ~message:nm);
-      if i = depth then b else go b (i + 1)
-    in
-    go Vg.master 1
-  in
-  let hot = grow "hot" 6 and cold = grow "cold" 6 in
-  (* skew: hot absorbs almost all the reads, cold sees one *)
-  for _ = 1 to 40 do
-    Database.scan db hot (fun _ -> ())
-  done;
-  Database.scan db cold (fun _ -> ());
-  Database.scan db Vg.master (fun _ -> ());
-  let recs = Database.advise db in
-  List.iter
-    (fun r ->
-      Report.note "%s %s: %s"
-        (Advisor.kind_name r.Advisor.rc_kind)
-        r.Advisor.rc_target r.Advisor.rc_reason)
-    recs;
-  let is_materialize target r =
-    r.Advisor.rc_kind = Advisor.Materialize && r.Advisor.rc_target = target
-  in
-  let hot_flagged = List.exists (is_materialize "hot") recs in
-  let cold_on_deltas = not (List.exists (is_materialize "cold") recs) in
-  let workload_json = ObsWl.to_json (Database.workload db) in
-  Database.close db;
-  let stamp =
-    let tm = Unix.localtime (Unix.time ()) in
-    Printf.sprintf "%04d%02d%02d_%02d%02d%02d" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-      tm.Unix.tm_sec
-  in
-  let doc =
-    Report.J_obj
-      [
-        ("schema", Report.J_str "decibel-advise-v1");
-        ("timestamp", Report.J_str stamp);
-        ("scale", Report.J_int Config.scale);
-        ("config", Report.J_str (Format.asprintf "%a" Config.pp cfg));
-        ("workload", Report.J_raw workload_json);
-        ("recommendations", Report.J_raw (Advisor.to_json recs));
-        ( "assertions",
-          Report.J_obj
-            [
-              ( "hot_materialize",
-                Report.J_raw (if hot_flagged then "true" else "false") );
-              ( "cold_on_deltas",
-                Report.J_raw (if cold_on_deltas then "true" else "false") );
-            ] );
-      ]
-  in
-  let path = Printf.sprintf "BENCH_%s.advise.json" stamp in
-  let oc = open_out path in
-  output_string oc (Report.json_to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Report.note "wrote %s" path;
-  if not (hot_flagged && cold_on_deltas) then begin
-    Printf.eprintf
-      "advise bench: expected materialize(hot) and cold on deltas \
-       (hot_materialize=%b cold_on_deltas=%b)\n%!"
-      hot_flagged cold_on_deltas;
     exit 1
   end
 
@@ -1741,13 +967,7 @@ let experiments =
     ("tab7", tab7);
     ("ablations", ablations);
     ("micro", micro);
-    ("obs", obs_report);
-    ("scale", scale_bench);
-    ("shed", shed_bench);
     ("profoverhead", prof_overhead);
-    ("advise", advise_bench);
-    ("crash", crash);
-    ("maint", maint_bench);
     ("tab5", tab5); (* printed last: aggregates all loads this run *)
   ]
 
@@ -1766,17 +986,24 @@ let () =
     in
     find (Array.to_list Sys.argv)
   in
+  let resolve n = Option.value ~default:n (List.assoc_opt n aliases) in
+  (match only with
+  | Some names -> (
+      match
+        List.filter
+          (fun n -> not (List.mem_assoc (resolve n) experiments))
+          names
+      with
+      | [] -> ()
+      | unknown ->
+          Printf.eprintf "unknown experiment(s): %s\n%!"
+            (String.concat ", " unknown);
+          exit 2)
+  | None -> ());
   let wanted name =
     match only with
     | None -> true
-    | Some names ->
-        List.exists
-          (fun n ->
-            n = name
-            || (match List.assoc_opt n aliases with
-               | Some target -> target = name
-               | None -> false))
-          names
+    | Some names -> List.exists (fun n -> resolve n = name) names
   in
   Printf.printf "Decibel versioning benchmark (scale %d)\n" Config.scale;
   Printf.printf "config: %s\n"

@@ -68,12 +68,10 @@ let diff_bytes db a b =
     ~neg:(fun t -> bytes := !bytes + Tuple.encoded_size schema t);
   !bytes
 
-let load ?(clustered = false) ?(durable = false) ~scheme ~dir cfg workload =
+let load ?(clustered = false) ~scheme ~dir cfg workload =
   let workload = if clustered then Workload.cluster workload else workload in
   Fsutil.mkdir_p dir;
-  let db =
-    Database.open_ ~durable ~scheme ~dir ~schema:(Config.schema cfg) ()
-  in
+  let db = Database.open_ ~scheme ~dir ~schema:(Config.schema cfg) () in
   let commits : (string, Vg.version_id list) Hashtbl.t = Hashtbl.create 64 in
   let record_commit name vid =
     let prev = Option.value ~default:[] (Hashtbl.find_opt commits name) in
@@ -213,9 +211,9 @@ let commit_samples l ~branch ~count rng =
       fst (time (fun () -> ignore (Database.commit l.db b ~message:"tick"))))
 
 (* ------------------------------------------------------------------ *)
-(* result fingerprints (scalability bench): order-sensitive FNV-1a-64
-   over the encoded result stream, so "parallel output is identical to
-   serial, in the same order" collapses to one integer comparison *)
+(* result fingerprints: order-sensitive FNV-1a-64 over the encoded
+   result stream, so "the data a reader sees is unchanged" collapses to
+   one integer comparison *)
 
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
@@ -244,16 +242,4 @@ let multi_scan_fingerprint l =
       incr n;
       h := fnv_add !h (Tuple.encode schema a.tuple);
       List.iter (fun b -> h := fnv_add !h (string_of_int b)) a.in_branches);
-  (!h, !n)
-
-let diff_fingerprint l ~b1 ~b2 =
-  let schema = Database.schema l.db in
-  let h = ref fnv_offset and n = ref 0 in
-  Database.diff l.db (branch_id l.db b1) (branch_id l.db b2)
-    ~pos:(fun t ->
-      incr n;
-      h := fnv_add (fnv_add !h "+") (Tuple.encode schema t))
-    ~neg:(fun t ->
-      incr n;
-      h := fnv_add (fnv_add !h "-") (Tuple.encode schema t));
   (!h, !n)

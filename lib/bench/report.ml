@@ -50,51 +50,6 @@ let fmt_mbps ~bytes ~seconds =
   if seconds <= 0.0 then "-"
   else Printf.sprintf "%.1f MB/s" (float_of_int bytes /. 1048576. /. seconds)
 
-(* ------------------------------------------------------------------ *)
-(* minimal JSON emitter, for machine-readable benchmark reports *)
-
-type json =
-  | J_int of int
-  | J_float of float
-  | J_str of string
-  | J_list of json list
-  | J_obj of (string * json) list
-  | J_raw of string (* pre-rendered JSON, e.g. a storage report *)
-
-let rec json_to_buf buf = function
-  | J_int n -> Buffer.add_string buf (string_of_int n)
-  | J_raw s -> Buffer.add_string buf s
-  | J_float f ->
-      Buffer.add_string buf
-        (if Float.is_finite f then Printf.sprintf "%.6g" f else "0")
-  | J_str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (Decibel_obs.Obs.json_escape s);
-      Buffer.add_char buf '"'
-  | J_list xs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          json_to_buf buf x)
-        xs;
-      Buffer.add_char buf ']'
-  | J_obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          json_to_buf buf (J_str k);
-          Buffer.add_char buf ':';
-          json_to_buf buf v)
-        fields;
-      Buffer.add_char buf '}'
-
-let json_to_string j =
-  let buf = Buffer.create 1024 in
-  json_to_buf buf j;
-  Buffer.contents buf
-
 let section title =
   Printf.printf "\n================================================================\n";
   Printf.printf "%s\n" title;

@@ -414,28 +414,3 @@ let transient_check ?(workload = default_workload) ~root scheme =
       Decibel_util.Fsutil.rm_rf dir;
       (site, outcome))
     retryable
-
-let summary_json s =
-  let esc = Decibel_obs.Obs.json_escape in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"scheme\":\"%s\",\"cases\":%d,\"failures\":%d,\"sites\":{"
-       (esc s.s_scheme) (List.length s.s_cases) s.s_failures);
-  List.iteri
-    (fun i (name, hits) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (esc name) hits))
-    s.s_sites;
-  Buffer.add_string buf "},\"case_list\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"site\":\"%s\",\"occurrence\":%d,\"action\":\"%s\",\"fired\":%b,\"marker\":%d,\"fsck_findings\":%d,\"ok\":%b,\"detail\":\"%s\"}"
-           (esc c.c_site) c.c_occurrence (esc c.c_action) c.c_fired c.c_marker
-           c.c_fsck_findings c.c_ok (esc c.c_detail)))
-    s.s_cases;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf

@@ -83,5 +83,3 @@ val transient_check :
 (** One transient fault at each retryable site: returns
     [(site, outcome)] where outcome [""] means the retry absorbed it
     and the workload completed with the oracle's final state. *)
-
-val summary_json : summary -> string

@@ -126,16 +126,37 @@ module Ctx = struct
 
   let pinned_bytes () = Atomic.get global_pinned
 
-  (* ambient per-domain context *)
-  let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-  let current () = Domain.DLS.get current_key
+  (* ambient context per thread: systhreads share their domain's DLS,
+     so one per-domain slot would let a thread's restore leave another
+     thread's context (and its expired deadline) behind.  Each domain
+     keeps an immutable map from thread id, swapped atomically because
+     threads of one domain may switch mid-update. *)
+  module Tmap = Map.Make (Int)
+
+  let current_key : t Tmap.t Atomic.t Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> Atomic.make Tmap.empty)
+
+  let current () =
+    let m = Atomic.get (Domain.DLS.get current_key) in
+    if Tmap.is_empty m then None
+    else Tmap.find_opt (Thread.id (Thread.self ())) m
+
+  let set_current ctx =
+    let cell = Domain.DLS.get current_key in
+    let id = Thread.id (Thread.self ()) in
+    let rec go () =
+      let m = Atomic.get cell in
+      let m' =
+        match ctx with Some c -> Tmap.add id c m | None -> Tmap.remove id m
+      in
+      if not (Atomic.compare_and_set cell m m') then go ()
+    in
+    go ()
 
   let with_current ctx f =
-    let saved = Domain.DLS.get current_key in
-    Domain.DLS.set current_key ctx;
-    let body () =
-      Fun.protect ~finally:(fun () -> Domain.DLS.set current_key saved) f
-    in
+    let saved = current () in
+    set_current ctx;
+    let body () = Fun.protect ~finally:(fun () -> set_current saved) f in
     (* a context that carries a trace makes it ambient for its extent;
        a traceless context (or None) never severs an already-ambient
        trace, so Database.profile keeps attributing through the

@@ -98,14 +98,14 @@ module Ctx : sig
 
   (** {2 Ambient context}
 
-      The context travels implicitly (per-domain) so that layers
+      The context travels implicitly (per-thread) so that layers
       without a [?ctx] parameter — the buffer pool charging page
       loads, the lock manager honoring deadlines — can see it. *)
 
   val current : unit -> t option
   val with_current : t option -> (unit -> 'a) -> 'a
   (** Install the context for the dynamic extent of the callback on
-      the calling domain (saved/restored exception-safely).  If the
+      the calling thread (saved/restored exception-safely).  If the
       context carries a {!create}-time [trace], it is also installed
       as the ambient profiling trace; a traceless context (or [None])
       leaves any already-ambient trace in place. *)

@@ -16,6 +16,7 @@ module Par = Decibel_par.Par
 module Lock_manager = Decibel_storage.Lock_manager
 module Retry = Decibel_fault.Retry
 module Failpoint = Decibel_fault.Failpoint
+module Prng = Decibel_util.Prng
 
 let now () = Unix.gettimeofday ()
 
@@ -325,6 +326,64 @@ let test_shed_leaves_readable () =
     (Driver.scan_fingerprint l ~branch:"master" = before)
 
 (* ------------------------------------------------------------------ *)
+(* overload storm: an under-provisioned governor (4 weighted slots, a
+   2-deep queue) against 1, 4 and 16 client threads running cheap
+   scans, heavy multi-scans and 1 ms-deadline scans.  Every op ends in
+   exactly one outcome, nothing leaks, and shedding and deadline aborts
+   stay invisible to the data a later reader sees *)
+
+let test_shed_storm () =
+  let gov = Admission.create ~capacity:4 ~heavy_weight:4 ~max_queue:2 () in
+  let l = load_flat ~governor:gov ~scheme:Database.Hybrid gov_cfg in
+  Fun.protect ~finally:(fun () -> Driver.close l) @@ fun () ->
+  let db = l.Driver.db in
+  let heads = Database.heads db in
+  let harr = Array.of_list heads in
+  let reference = Driver.multi_scan_fingerprint l in
+  let ops_per_thread = 20 in
+  List.iter
+    (fun conc ->
+      let ok = Atomic.make 0
+      and shed = Atomic.make 0
+      and deadlined = Atomic.make 0 in
+      let worker tid =
+        let rng = Prng.create (Int64.of_int (0x5EDD + (conc * 1000) + tid)) in
+        let pick () = harr.(Prng.int rng (Array.length harr)) in
+        for _ = 1 to ops_per_thread do
+          match
+            match Prng.int rng 10 with
+            | 0 -> Database.multi_scan db heads (fun _ -> ())
+            | 1 ->
+                let ctx = Ctx.create ~deadline_ms:1 () in
+                Database.scan ~ctx db (pick ()) (fun _ -> ())
+            | _ -> Database.scan db (pick ()) (fun _ -> ())
+          with
+          | () -> Atomic.incr ok
+          | exception Governor.Overloaded _ -> Atomic.incr shed
+          | exception Governor.Deadline_exceeded -> Atomic.incr deadlined
+        done
+      in
+      List.iter Thread.join (List.init conc (Thread.create worker));
+      let msg what = Printf.sprintf "%d threads: %s" conc what in
+      Alcotest.(check int)
+        (msg "ok + shed + deadline = ops")
+        (conc * ops_per_thread)
+        (Atomic.get ok + Atomic.get shed + Atomic.get deadlined);
+      let st = Option.get (Database.governor_stats db) in
+      Alcotest.(check int) (msg "no slots leaked") 0 st.Admission.in_use;
+      Alcotest.(check int) (msg "queue drained") 0 st.Admission.queue_depth;
+      Alcotest.(check int) (msg "no pins leaked") 0 (Ctx.pinned_bytes ());
+      Alcotest.(check bool)
+        (msg "no ambient context left behind")
+        true
+        (Option.is_none (Ctx.current ()));
+      Alcotest.(check bool)
+        (msg "multi_scan fingerprint unchanged")
+        true
+        (Driver.multi_scan_fingerprint l = reference))
+    [ 1; 4; 16 ]
+
+(* ------------------------------------------------------------------ *)
 (* circuit breaker wired through the facade *)
 
 let test_db_breaker_wiring () =
@@ -551,6 +610,7 @@ let () =
             test_shed_leaves_readable;
           Alcotest.test_case "budget stops page-load blowup" `Quick
             test_budget_on_page_loads;
+          Alcotest.test_case "storm at 1/4/16 threads" `Quick test_shed_storm;
         ] );
       ( "wiring",
         [

@@ -265,8 +265,12 @@ let test_engine_identity ?compress scheme () =
           let serial = run 0 in
           Alcotest.(check bool) "pushed predicates select rows" true
             (serial.filtered <> []);
-          check_snapshots_equal ~msg:"1 domain" serial (run 1);
-          check_snapshots_equal ~msg:"4 domains" serial (run 4)))
+          List.iter
+            (fun n ->
+              check_snapshots_equal
+                ~msg:(Printf.sprintf "%d domain(s)" n)
+                serial (run n))
+            [ 1; 2; 4 ]))
 
 (* ------------------------------------------------------------------ *)
 (* buffer pool under concurrent hammering *)

@@ -855,9 +855,41 @@ let test_database_health_and_advise () =
         (st.Watchdog.st_level = Watchdog.L_ok);
       Alcotest.(check int) "sticky status kept" st.Watchdog.st_ticks
         (Database.watchdog_status db).Watchdog.st_ticks;
-      (* advise on a live db returns a (possibly empty) ranked list and
-         never raises; with a hostile threshold set it must fire *)
-      let _ = Database.advise db in
+      (* the recreation/storage tradeoff under default thresholds: two
+         depth-6 delta chains (a version-first scan replays the whole
+         lineage), one hot and one read once; only the hot one is worth
+         materializing *)
+      let key = ref 100 in
+      let grow name =
+        let rec go parent i =
+          let nm = if i = 6 then name else Printf.sprintf "%s-%d" name i in
+          let b = Database.branch_from db ~name:nm ~of_branch:parent in
+          for _ = 1 to 20 do
+            incr key;
+            Database.insert db b (row !key !key)
+          done;
+          ignore (Database.commit db b ~message:nm);
+          if i = 6 then b else go b (i + 1)
+        in
+        go Vg.master 1
+      in
+      let hot = grow "hot" and cold = grow "cold" in
+      for _ = 1 to 40 do
+        Database.scan db hot (fun _ -> ())
+      done;
+      Database.scan db cold (fun _ -> ());
+      let recs = Database.advise db in
+      let materializes target =
+        List.exists
+          (fun r ->
+            r.Advisor.rc_kind = Advisor.Materialize
+            && r.Advisor.rc_target = target)
+          recs
+      in
+      Alcotest.(check bool) "default thresholds materialize hot" true
+        (materializes "hot");
+      Alcotest.(check bool) "cold stays on deltas" false (materializes "cold");
+      (* with a hostile threshold set it must fire on master too *)
       let th =
         {
           Advisor.default with
