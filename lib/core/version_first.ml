@@ -15,7 +15,9 @@
     Scan order: the paper scans segments so that descendants are read
     before ancestors (reverse topological order, §3.3 “Multi-branch
     Scan”), with ties broken by parent precedence; within one segment,
-    records are read newest-first.  The first copy of a key seen wins.
+    records are read newest-first.  The first copy of a key seen wins,
+    decided from the key column and tombstone bits alone; tuples are
+    built only for live winners (DESIGN.md §15).
 
     Merges create a fresh head segment whose parents are both merged
     heads.  Keys changed only in the destination branch resolve lazily
@@ -59,10 +61,6 @@ type t = {
 }
 
 let scheme = "version-first"
-
-let record_key schema = function
-  | Col_segment.Live tuple -> Tuple.pk schema tuple
-  | Col_segment.Tombstone key -> key
 
 let segment t id = Vec.get t.segments id
 let seg_dummy = { seg_id = -1; seg = Obj.magic `never_dereferenced; parents = [] }
@@ -177,71 +175,51 @@ let plan t seg0 upto0 =
   done;
   List.rev_map (fun s -> (s, Hashtbl.find upto_tbl s)) !order
 
-(* Core lineage scan: emit each key's winning record once, newest copy
-   first within a segment, descendants before ancestors across
-   segments.  [f] receives the segment, row and record of each winner
-   (tombstone winners mean "deleted here").  [items] is the lineage's
-   {!plan}. *)
-let scan_winners ?ctx t items f =
-  let seen : (Value.t, unit) Hashtbl.t = Hashtbl.create 1024 in
-  if Par.available () && List.length items > 1 then
-    (* Branch fragments decode in parallel (the expensive part: block
-       read + CRC + decode); the first-writer-wins [seen] filter runs
-       serially in plan order over the buffered fragments, so winners
-       are exactly the serial ones, in the same order. *)
-    let items = Array.of_list items in
-    Par.parallel_iter_buffered ?ctx ~n:(Array.length items)
-      ~produce:(fun i ->
-        let poll = Gctx.poller ctx in
-        let sid, upto = items.(i) in
-        let s = segment t sid in
-        (* the buffered fragment decode is the scheme's big transient
-           allocation; bill its extent to the operation's budget *)
-        Gctx.charge_current (Col_segment.bytes_upto s.seg upto);
-        let acc = ref [] in
-        Col_segment.iter_rev ~upto s.seg (fun row rv ->
-            poll ();
-            acc := (sid, row, rv, record_key t.schema rv) :: !acc);
-        List.rev !acc)
-      ~consume:
-        (List.iter (fun (sid, row, rv, key) ->
-             if not (Hashtbl.mem seen key) then begin
-               Hashtbl.replace seen key ();
-               f sid row rv
-             end))
-      ()
-  else
-    let poll = Gctx.poller ctx in
-    List.iter
-      (fun (sid, upto) ->
-        let s = segment t sid in
-        Col_segment.iter_rev ~upto s.seg (fun row rv ->
-            poll ();
-            let key = record_key t.schema rv in
-            if not (Hashtbl.mem seen key) then begin
-              Hashtbl.replace seen key ();
-              f sid row rv
-            end))
-      items
+(* First writer wins, over one plan item's [blocks] (newest first):
+   rows [0, upto) are visited newest first and a key's first copy in
+   the walk decides it, from the key column and tombstone bits alone.
+   [f] receives each live winner's segment, row, key and block. *)
+let settle ~seen ~poll (sid, upto) blocks f =
+  List.iter
+    (fun blk ->
+      let lo, hi = Col_segment.extent blk in
+      for row = min hi upto - 1 downto lo do
+        poll ();
+        let key = Col_segment.key blk row in
+        if not (Hashtbl.mem seen key) then begin
+          Hashtbl.replace seen key ();
+          if not (Col_segment.is_tombstone blk row) then f sid row key blk
+        end
+      done)
+    blocks
 
-let live_winners ?ctx t items f =
-  scan_winners ?ctx t items (fun sid row rv ->
-      match rv with
-      | Col_segment.Live tuple -> f sid row tuple
-      | Col_segment.Tombstone _ -> ())
+(* Plan items' blocks, decoded in parallel (each block fetched and
+   decoded once) and handed to [consume] serially, in plan order.  The
+   decoded extent is billed to the operation's budget here, once, on
+   every path. *)
+let decode ?ctx ?keys_only t items consume =
+  Gctx.charge_current
+    (List.fold_left
+       (fun acc (sid, upto) ->
+         acc + Col_segment.bytes_upto (segment t sid).seg upto)
+       0 items);
+  let items = Array.of_list items in
+  Par.parallel_iter_buffered ?ctx ~n:(Array.length items)
+    ~produce:(fun i ->
+      let sid, upto = items.(i) in
+      (items.(i), Col_segment.blocks_rev ?keys_only ~upto (segment t sid).seg))
+    ~consume ()
 
-let scan_live ?ctx t seg0 upto0 f = live_winners ?ctx t (plan t seg0 upto0) f
-
-(* A read's lineage walk, charged by the cost kinds' definitions: one
-   delta fragment per plan extent, one scanned tuple per live
-   winner. *)
-let charged_walk ?ctx t items f =
-  Obs.charge Obs.Prof.Delta_fragments (List.length items);
-  let n = ref 0 in
-  live_winners ?ctx t items (fun sid row tuple ->
-      incr n;
-      f sid row tuple);
-  Obs.charge Obs.Prof.Tuples_scanned !n
+(* The lineage walk behind every read of a branch's contents: each
+   key's winner once, newest copy first within a plan item, items in
+   plan order (descendants before ancestors).  Winners are settled
+   serially over the buffered blocks, so a parallel walk yields
+   exactly the serial winners in the serial order.  [~keys_only]
+   decodes just the key column (index rebuilds). *)
+let walk ?ctx ?keys_only t items f =
+  let seen = Hashtbl.create 1024 and poll = Gctx.poller ctx in
+  decode ?ctx ?keys_only t items (fun (item, blocks) ->
+      settle ~seen ~poll item blocks f)
 
 let head_loc t b =
   let sid = Vec.get t.head_seg b in
@@ -280,8 +258,8 @@ let create_branch t ~name ~from =
        scanning that commit's lineage *)
     let bid = Pk_index.add_branch t.pk ~from:None in
     assert (bid = nb);
-    scan_live t psid prow (fun sid row tuple ->
-        Pk_index.set t.pk ~branch:nb (Tuple.pk t.schema tuple) (sid, row))
+    walk ~keys_only:true t (plan t psid prow) (fun sid row key _ ->
+        Pk_index.set t.pk ~branch:nb key (sid, row))
   end;
   set_dirty t nb false;
   nb
@@ -332,7 +310,9 @@ let lookup t b key =
   Option.map (fetch t) (Pk_index.find t.pk ~branch:b key)
 
 (* A single-lineage read also reports its extent: each planned
-   (segment, upto) pair up to the branch point, in buffer-pool pages. *)
+   (segment, upto) pair up to the branch point, in buffer-pool pages.
+   It is charged by the cost kinds' definitions: one delta fragment
+   per plan item, one scanned tuple per live winner. *)
 let scan_loc ?ctx t (sid, upto) f =
   let items = plan t sid upto in
   let psz = Buffer_pool.page_size t.pool in
@@ -342,7 +322,12 @@ let scan_loc ?ctx t (sid, upto) f =
       Obs.add c_scan_pages ((bytes + psz - 1) / psz))
     items;
   Obs.add c_scan_segments (List.length items);
-  charged_walk ?ctx t items (fun _ _ tuple -> f tuple)
+  Obs.charge Obs.Prof.Delta_fragments (List.length items);
+  let n = ref 0 in
+  walk ?ctx t items (fun _ row _ blk ->
+      incr n;
+      f (Col_segment.tuple blk row));
+  Obs.charge Obs.Prof.Tuples_scanned !n
 
 let scan ?ctx t b f = scan_loc ?ctx t (head_loc t b) f
 
@@ -355,50 +340,71 @@ let scan_filtered ?ctx t b ~preds f =
 
 let scan_version ?ctx t vid f = scan_loc ?ctx t (commit_loc t vid) f
 
-(* Multi-branch scan, per the paper's two-pass scheme (§3.3): pass one
-   records each branch's live (segment, row) pairs in hash tables;
-   pass two walks the union of segments in storage order emitting each
-   live record once with its branch annotations. *)
+(* Multi-branch scan, per the paper's two-pass scheme (§3.3).  Pass
+   one decodes the key column of every segment in the union of the
+   heads' lineages once, over the longest extent any plan reads, and
+   settles each head's live winners into one bitmap per segment.  Pass
+   two scans each segment once, in id order, selecting the union of
+   its bitmaps, and annotates each row with the heads whose bitmap
+   holds it. *)
 let multi_scan ?ctx t branches f =
-  let ann : (int * int, branch_id list) Hashtbl.t = Hashtbl.create 4096 in
-  let segs : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun b ->
-      let sid, upto = head_loc t b in
-      charged_walk ?ctx t (plan t sid upto) (fun s row _tuple ->
-          Hashtbl.replace segs s ();
-          let prev = Option.value ~default:[] (Hashtbl.find_opt ann (s, row)) in
-          Hashtbl.replace ann (s, row) (b :: prev)))
-    branches;
-  let seg_ids =
-    List.sort compare (Hashtbl.fold (fun s () acc -> s :: acc) segs [])
+  let plans =
+    List.map
+      (fun b ->
+        let sid, upto = head_loc t b in
+        (b, plan t sid upto))
+      branches
   in
-  (* pass 2: [ann] is read-only from here on, so segments decode in
-     parallel; buffered fragments are consumed in sorted segment order,
-     matching the serial walk *)
-  let annotated_of_segment sid =
-    let poll = Gctx.poller ctx in
-    let s = segment t sid in
-    let acc = ref [] in
-    Col_segment.iter s.seg (fun row rv ->
-        poll ();
-        match Hashtbl.find_opt ann (sid, row) with
-        | None -> ()
-        | Some bs -> (
-            match rv with
-            | Col_segment.Live tuple ->
-                acc := { tuple; in_branches = List.sort compare bs } :: !acc
-            | Col_segment.Tombstone _ ->
-                errorf "version-first: annotated tombstone"));
+  let extent = Hashtbl.create 16 in
+  List.iter
+    (fun (sid, upto) ->
+      if upto >= Option.value ~default:0 (Hashtbl.find_opt extent sid) then
+        Hashtbl.replace extent sid upto)
+    (List.concat_map snd plans);
+  let union = List.sort compare (List.of_seq (Hashtbl.to_seq extent)) in
+  let keys = Hashtbl.create 16 in
+  decode ?ctx ~keys_only:true t union (fun ((sid, _), blocks) ->
+      Hashtbl.replace keys sid blocks);
+  (* segment -> [(head, its live winners there)], heads ascending;
+     heads are settled in descending order so consing sorts them *)
+  let owners = Hashtbl.create 16 in
+  List.iter
+    (fun (b, items) ->
+      let seen = Hashtbl.create 1024 and poll = Gctx.poller ctx in
+      Obs.charge Obs.Prof.Delta_fragments (List.length items);
+      List.iter
+        (fun ((sid, _) as item) ->
+          let bits = Bitvec.create () in
+          settle ~seen ~poll item (Hashtbl.find keys sid) (fun _ row _ _ ->
+              Bitvec.set bits row);
+          if not (Bitvec.is_empty bits) then
+            Hashtbl.replace owners sid
+              ((b, bits)
+              :: Option.value ~default:[] (Hashtbl.find_opt owners sid));
+          Obs.charge Obs.Prof.Tuples_scanned (Bitvec.pop_count bits))
+        items)
+    (List.rev (List.stable_sort (fun (a, _) (b, _) -> compare a b) plans));
+  (* pass 2: [owners] is read-only from here on, so segments decode in
+     parallel; buffered segments are consumed in id order *)
+  let annotated sid =
+    let owners = Option.value ~default:[] (Hashtbl.find_opt owners sid) in
+    let any = Bitvec.create () and poll = Gctx.poller ctx and acc = ref [] in
+    List.iter (fun (_, bits) -> Bitvec.union_in_place any bits) owners;
+    if owners <> [] then
+      Col_segment.scan ~sel:any (segment t sid).seg (fun row tuple ->
+          poll ();
+          let in_branches =
+            List.filter_map
+              (fun (b, bits) -> if Bitvec.get bits row then Some b else None)
+              owners
+          in
+          acc := { tuple; in_branches } :: !acc);
     List.rev !acc
   in
-  if Par.available () && List.length seg_ids > 1 then
-    let seg_ids = Array.of_list seg_ids in
-    Par.parallel_iter_buffered ?ctx ~n:(Array.length seg_ids)
-      ~produce:(fun i -> annotated_of_segment seg_ids.(i))
-      ~consume:(fun l -> List.iter f l)
-      ()
-  else List.iter (fun sid -> List.iter f (annotated_of_segment sid)) seg_ids
+  let sids = Array.of_list (List.map fst union) in
+  Par.parallel_iter_buffered ?ctx ~n:(Array.length sids)
+    ~produce:(fun i -> annotated sids.(i))
+    ~consume:(List.iter f) ()
 
 (* Content diff needs the active records of both branches, which
    version-first can only obtain with full lineage scans — the
@@ -418,46 +424,45 @@ let diff ?ctx t a b ~pos ~neg =
       | None -> neg tuple);
   Hashtbl.iter (fun _ tuple -> pos tuple) in_a
 
-(* Keys a branch touched since the LCA: scan only the segment ranges of
-   the branch's lineage that lie beyond the LCA's coverage (the records
-   "appearing after the lowest common ancestor", §3.3 Diff/Merge). *)
-let changed_keys_since t b lca_loc =
-  let lca_sid, lca_upto = lca_loc in
-  let lca_cover : (int, int) Hashtbl.t = Hashtbl.create 16 in
+(* A branch's changes since the LCA.  Its keys come from the segment
+   ranges of its lineage beyond the LCA's coverage (the records
+   "appearing after the lowest common ancestor", §3.3 Diff/Merge), read
+   from the key column alone, oldest row first.  Current states are
+   fetched in (segment, row) order, so each block meets the one-block
+   cache once; a key whose state equals the LCA's is dropped. *)
+let changes_since t b (lca_sid, lca_upto) ~lca_state =
+  let lca_cover = Hashtbl.create 16 in
   List.iter
     (fun (s, u) -> Hashtbl.replace lca_cover s u)
     (plan t lca_sid lca_upto);
-  let keys : (Value.t, unit) Hashtbl.t = Hashtbl.create 256 in
+  let keys = Hashtbl.create 256 in
   let sid, upto = head_loc t b in
   List.iter
     (fun (s, u) ->
       let from = Option.value ~default:0 (Hashtbl.find_opt lca_cover s) in
-      if u > from then
-        Col_segment.iter ~from ~upto:u (segment t s).seg (fun _row rv ->
-            Hashtbl.replace keys (record_key t.schema rv) ()))
+      List.iter
+        (fun blk ->
+          let lo, hi = Col_segment.extent blk in
+          for row = lo to hi - 1 do
+            Hashtbl.replace keys (Col_segment.key blk row) ()
+          done)
+        (List.rev
+           (Col_segment.blocks_rev ~keys_only:true ~from ~upto:u
+              (segment t s).seg)))
     (plan t sid upto);
-  keys
-
-let changes_since t b lca_loc ~lca_state =
-  let keys = changed_keys_since t b lca_loc in
-  let tbl : (Value.t, Merge_driver.side_change) Hashtbl.t =
-    Hashtbl.create (Hashtbl.length keys)
-  in
+  let states = Hashtbl.create (Hashtbl.length keys) in
+  Hashtbl.fold
+    (fun key () acc -> (Pk_index.find t.pk ~branch:b key, key) :: acc)
+    keys []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun (loc, key) ->
+         Hashtbl.replace states key (Option.map (fetch t) loc));
+  let tbl = Hashtbl.create (Hashtbl.length keys) in
   Hashtbl.iter
     (fun key () ->
-      let state = lookup t b key in
-      let base =
-        match lca_state with
-        | Some m -> Hashtbl.find_opt m key
-        | None -> None
-      in
-      let unchanged =
-        match state, base with
-        | Some s, Some bse -> Tuple.equal s bse
-        | None, None -> true
-        | _ -> false
-      in
-      if not unchanged then
+      let state = Hashtbl.find states key
+      and base = Hashtbl.find_opt lca_state key in
+      if not (Option.equal Tuple.equal state base) then
         Hashtbl.replace tbl key { Merge_driver.state; base })
     keys;
   tbl
@@ -477,13 +482,9 @@ let merge ?ctx t ~into ~from ~policy ~message =
      win precedence over a real change on the other side).  The paper
      notes the same full-LCA-scan burden for version-first field-level
      merges (§3.3 Merge, §5.4). *)
-  let lca_state =
-    let m : (Value.t, Tuple.t) Hashtbl.t = Hashtbl.create 4096 in
-    let lca_sid, lca_upto = lca_loc in
-    scan_live ?ctx t lca_sid lca_upto (fun _ _ tuple ->
-        Hashtbl.replace m (Tuple.pk t.schema tuple) tuple);
-    Some m
-  in
+  let lca_state = Hashtbl.create 4096 in
+  walk ?ctx t (plan t (fst lca_loc) (snd lca_loc)) (fun _ row key blk ->
+      Hashtbl.replace lca_state key (Col_segment.tuple blk row));
   check ();
   let ours = changes_since t into lca_loc ~lca_state in
   check ();
@@ -739,9 +740,8 @@ let load ~dir ~pool ~read_seg ~row_of data pos =
     let bid = Pk_index.add_branch t.pk ~from:None in
     assert (bid = b);
     let sid = Vec.get t.head_seg b in
-    scan_live t sid (Col_segment.rows (segment t sid).seg)
-      (fun s row tuple ->
-        Pk_index.set t.pk ~branch:b (Tuple.pk t.schema tuple) (s, row))
+    walk ~keys_only:true t (plan t sid (Col_segment.rows (segment t sid).seg))
+      (fun s row key _ -> Pk_index.set t.pk ~branch:b key (s, row))
   done;
   t
 
@@ -863,8 +863,8 @@ let plan_maintenance t ~kind ~target =
               (* buffer the winners before creating any file so a
                  failure during the lineage scan leaves no debris *)
               let winners = ref [] in
-              scan_live t sid upto (fun _ _ tuple ->
-                  winners := tuple :: !winners);
+              walk t (plan t sid upto) (fun _ row _ blk ->
+                  winners := Col_segment.tuple blk row :: !winners);
               let winners = List.rev !winners in
               let seg =
                 Col_segment.create_v2 ~pool:t.pool ~schema:t.schema

@@ -24,7 +24,8 @@
    dictionary codes for string comparisons), materializing Tuple.t
    only for emitted rows.  A selection bitmap is tested against a
    block's row range before the block is read, so rows dead in the
-   scanned branch cost neither I/O nor decode. *)
+   scanned branch cost neither I/O nor decode.  Lineage walks
+   ({!blocks_rev}) may decode the key column only. *)
 
 open Decibel_util
 module Obs = Decibel_obs.Obs
@@ -107,7 +108,6 @@ let create_v2 ~pool ~schema ~compress ~path =
 let empty_over ~pool ~schema ~compress ~path =
   make ~pool ~schema ~compress ~path (Heap_file.open_reset ~pool path)
 
-let schema t = t.schema
 let path t = t.path
 let pool t = t.pool
 let rows t = t.sealed_rows + t.open_n
@@ -120,25 +120,6 @@ let byte_size t = Heap_file.size t.file + t.open_bytes
 let page_count t =
   let psz = Buffer_pool.page_size t.pool in
   Heap_file.page_count t.file + ((t.open_bytes + psz - 1) / psz)
-
-(* Approximate on-disk bytes holding rows [0, row): the charge basis
-   for governed scans bounded by a row locator. *)
-let bytes_upto t row =
-  if row >= t.sealed_rows then Heap_file.size t.file
-  else begin
-    (* first block starting at or after [row] *)
-    let n = Vec.length t.blocks in
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        let b = Vec.get t.blocks mid in
-        if b.bk_start + b.bk_rows <= row then search (mid + 1) hi
-        else search lo mid
-    in
-    let i = search 0 n in
-    if i >= n then Heap_file.size t.file else (Vec.get t.blocks i).bk_off
-  end
 
 (* ------------------------------------------------------------------ *)
 (* block encoding *)
@@ -317,7 +298,7 @@ type col_batch =
 
 type batch = {
   b_rows : int;
-  b_cols : col_batch array;
+  b_cols : col_batch array; (* key-projected: the others are empty *)
   b_tombs : Bitvec.t option;
 }
 
@@ -367,8 +348,11 @@ let corrupt fmt = Printf.ksprintf (fun m -> raise (Binio.Corrupt m)) fmt
 
 (* Decode one sealed block payload into a batch.  With [?scratch] the
    column arrays are the per-domain scratch (valid until the next
-   decode on this domain); without, fresh arrays are allocated. *)
-let decode_payload t ?scratch payload =
+   decode on this domain); without, fresh arrays are allocated.  With
+   [~keys_only] only the primary-key column is decoded: every other
+   column's header is read and its bytes skipped by the recorded
+   length, under the same bounds checks. *)
+let decode_payload t ?scratch ?(keys_only = false) payload =
   Obs.charge Obs.Prof.Bytes_decoded (String.length payload);
   Obs.incr c_blocks_decoded;
   let pos = ref 0 in
@@ -397,14 +381,22 @@ let decode_payload t ?scratch payload =
     | b -> corrupt "Col_segment: bad tombstone flag %d in %s" b t.path
   in
   let cols = Schema.columns t.schema in
+  let pk = Schema.pk_index t.schema in
   let b_cols =
     Array.mapi
       (fun c (col : Schema.column) ->
         let enc = Binio.read_u8 body pos in
         let len = Binio.read_varint body pos in
-        if !pos + len > String.length body then
+        if len < 0 || !pos + len > String.length body then
           corrupt "Col_segment: column %d overruns block in %s" c t.path;
         let colend = !pos + len in
+        (match enc, col.Schema.col_type with
+        | (0 | 1), Schema.T_int | (2 | 3), Schema.T_str -> ()
+        | _ ->
+            corrupt "Col_segment: bad encoding %d for column %d in %s" enc c
+              t.path);
+        if keys_only && c <> pk then (pos := colend; C_int [||])
+        else
         let r =
           match enc, col.Schema.col_type with
           | 0, Schema.T_int ->
@@ -459,9 +451,7 @@ let decode_payload t ?scratch payload =
                 codes.(j) <- code
               done;
               C_dict { dict; codes }
-          | enc, _ ->
-              corrupt "Col_segment: bad encoding %d for column %d in %s" enc c
-                t.path
+          | _ -> assert false (* tags checked above *)
         in
         if !pos <> colend then
           corrupt "Col_segment: column %d length mismatch in %s" c t.path;
@@ -480,8 +470,8 @@ let col_value cols c j =
    escapes *)
 let dummy_value = Value.Int 0L
 
-let tuple_of_batch t b j =
-  let n = Schema.arity t.schema in
+let tuple_of_batch b j =
+  let n = Array.length b.b_cols in
   let a = Array.make n dummy_value in
   for c = 0 to n - 1 do
     Array.unsafe_set a c (col_value b.b_cols c j)
@@ -493,7 +483,7 @@ let is_tomb b j =
 
 let row_value_of_batch t b j =
   if is_tomb b j then Tombstone (col_value b.b_cols (Schema.pk_index t.schema) j)
-  else Live (tuple_of_batch t b j)
+  else Live (tuple_of_batch b j)
 
 (* Per-domain cache of the most recently decoded block per segment:
    point lookups cluster (pk probes during merges and diffs), so one
@@ -516,16 +506,29 @@ let block_index_of_row t row =
   if i < 0 then corrupt "Col_segment: row %d before first block in %s" row t.path
   else i
 
+(* Approximate on-disk bytes holding rows [0, row): the heap bytes
+   before the block holding [row] — the charge basis for governed
+   scans bounded by a row locator. *)
+let bytes_upto t row =
+  if row >= t.sealed_rows then Heap_file.size t.file
+  else (Vec.get t.blocks (block_index_of_row t row)).bk_off
+
+(* Fetch (checksum included) and decode sealed block [bi]. *)
+let fetch_batch t ?scratch ?keys_only bi =
+  let blk = Vec.get t.blocks bi in
+  let payload = Heap_file.get t.file blk.bk_off in
+  let b = decode_payload t ?scratch ?keys_only payload in
+  if b.b_rows <> blk.bk_rows then
+    corrupt "Col_segment: block at %d has %d rows, expected %d in %s"
+      blk.bk_off b.b_rows blk.bk_rows t.path;
+  b
+
 let cached_batch t bi =
   let cache = Domain.DLS.get cache_key in
   match Hashtbl.find_opt cache t.id with
   | Some (i, b) when i = bi -> b
   | _ ->
-      let blk = Vec.get t.blocks bi in
-      let b = decode_payload t (Heap_file.get t.file blk.bk_off) in
-      if b.b_rows <> blk.bk_rows then
-        corrupt "Col_segment: block at %d has %d rows, expected %d in %s"
-          blk.bk_off b.b_rows blk.bk_rows t.path;
+      let b = fetch_batch t bi in
       Hashtbl.replace cache t.id (bi, b);
       b
 
@@ -541,16 +544,6 @@ let with_scratch f =
     s.s_busy <- true;
     Fun.protect ~finally:(fun () -> s.s_busy <- false) (fun () -> f (Some s))
   end
-
-(* Decode one sealed block into [scratch] (bulk iteration: each block
-   is visited once, so the DLS batch cache would only churn). *)
-let scratch_batch t scratch bi =
-  let blk = Vec.get t.blocks bi in
-  let b = decode_payload t ?scratch (Heap_file.get t.file blk.bk_off) in
-  if b.b_rows <> blk.bk_rows then
-    corrupt "Col_segment: block at %d has %d rows, expected %d in %s"
-      blk.bk_off b.b_rows blk.bk_rows t.path;
-  b
 
 let get t row =
   check_row t row;
@@ -574,60 +567,86 @@ let clip_bounds t from upto =
   let n = rows t in
   (max 0 (Option.value from ~default:0), min n (Option.value upto ~default:n))
 
+(* [f bi blk lo hi] for each sealed block overlapping [from, upto),
+   ascending, with the overlap [lo, hi) in absolute rows. *)
+let each_block t from upto f =
+  let last = min upto t.sealed_rows - 1 in
+  if from <= last then
+    for bi = block_index_of_row t from to block_index_of_row t last do
+      let blk = Vec.get t.blocks bi in
+      f bi blk (max from blk.bk_start) (min upto (blk.bk_start + blk.bk_rows))
+    done
+
 (* All rows (live and tombstone) in [from, upto), ascending. *)
 let iter ?from ?upto t f =
   let from, upto = clip_bounds t from upto in
-  if from < upto then begin
-    let nb = Vec.length t.blocks in
-    if from < t.sealed_rows then
-      with_scratch (fun scratch ->
-          let bi = ref (block_index_of_row t from) in
-          let continue = ref true in
-          while !continue && !bi < nb do
-            let blk = Vec.get t.blocks !bi in
-            if blk.bk_start >= upto then continue := false
-            else begin
-              let b = scratch_batch t scratch !bi in
-              let lo = max from blk.bk_start
-              and hi = min upto (blk.bk_start + blk.bk_rows) in
-              for row = lo to hi - 1 do
-                f row (row_value_of_batch t b (row - blk.bk_start))
-              done;
-              incr bi
-            end
-          done);
-    let lo = max from t.sealed_rows in
-    for row = lo to upto - 1 do
-      f row t.open_block.(row - t.sealed_rows)
-    done
-  end
+  with_scratch (fun scratch ->
+      each_block t from upto (fun bi blk lo hi ->
+          let b = fetch_batch t ?scratch bi in
+          for row = lo to hi - 1 do
+            f row (row_value_of_batch t b (row - blk.bk_start))
+          done));
+  for row = max from t.sealed_rows to upto - 1 do
+    f row t.open_block.(row - t.sealed_rows)
+  done
 
-(* All rows in [from, upto), descending. *)
-let iter_rev ?from ?upto t f =
+(* ------------------------------------------------------------------ *)
+(* lineage blocks *)
+
+(* One fetched block (or a copy of unsealed rows), answering for the
+   absolute rows [bl_lo, bl_hi); [bl_start] is the row at index 0 of
+   its data. *)
+type block = {
+  bl_lo : int;
+  bl_hi : int;
+  bl_start : int;
+  bl_pk : int;
+  bl_data : block_data;
+}
+
+and block_data = Sealed of batch | Unsealed of row_value array
+
+(* The blocks holding rows [from, upto), newest first.  Each sealed
+   block is fetched and decoded exactly once, into fresh arrays: the
+   list outlives this call (engines buffer it across domains), so the
+   per-domain scratch cannot back it. *)
+let blocks_rev ?(keys_only = false) ?from ?upto t =
   let from, upto = clip_bounds t from upto in
-  if from < upto then begin
-    for row = upto - 1 downto max from t.sealed_rows do
-      f row t.open_block.(row - t.sealed_rows)
-    done;
-    let last = min upto t.sealed_rows - 1 in
-    if last >= from then
-      with_scratch (fun scratch ->
-          let bi = ref (block_index_of_row t last) in
-          let continue = ref true in
-          while !continue && !bi >= 0 do
-            let blk = Vec.get t.blocks !bi in
-            if blk.bk_start + blk.bk_rows <= from then continue := false
-            else begin
-              let b = scratch_batch t scratch !bi in
-              let lo = max from blk.bk_start
-              and bhi = min (last + 1) (blk.bk_start + blk.bk_rows) in
-              for row = bhi - 1 downto lo do
-                f row (row_value_of_batch t b (row - blk.bk_start))
-              done;
-              decr bi
-            end
-          done)
-  end
+  let block bl_lo bl_hi bl_start bl_data =
+    { bl_lo; bl_hi; bl_start; bl_pk = Schema.pk_index t.schema; bl_data }
+  in
+  let acc = ref [] in
+  each_block t from upto (fun bi blk lo hi ->
+      let b = fetch_batch t ~keys_only bi in
+      acc := block lo hi blk.bk_start (Sealed b) :: !acc);
+  let lo = max from t.sealed_rows in
+  if lo < upto then begin
+    let rows = Array.sub t.open_block (lo - t.sealed_rows) (upto - lo) in
+    acc := block lo upto lo (Unsealed rows) :: !acc
+  end;
+  !acc
+
+let extent bl = (bl.bl_lo, bl.bl_hi)
+
+let key bl row =
+  let j = row - bl.bl_start in
+  match bl.bl_data with
+  | Sealed b -> col_value b.b_cols bl.bl_pk j
+  | Unsealed a -> (
+      match a.(j) with Live tuple -> tuple.(bl.bl_pk) | Tombstone key -> key)
+
+let is_tombstone bl row =
+  let j = row - bl.bl_start in
+  match bl.bl_data with
+  | Sealed b -> is_tomb b j
+  | Unsealed a -> ( match a.(j) with Live _ -> false | Tombstone _ -> true)
+
+let tuple bl row =
+  if is_tombstone bl row then invalid_arg "Col_segment.tuple: tombstone row";
+  match bl.bl_data with
+  | Sealed b -> tuple_of_batch b (row - bl.bl_start)
+  | Unsealed a -> (
+      match a.(row - bl.bl_start) with Live t -> t | _ -> assert false)
 
 (* ------------------------------------------------------------------ *)
 (* predicate compilation against a decoded batch *)
@@ -668,69 +687,38 @@ let compile_preds cols preds =
    emitted rows. *)
 let scan ?sel ?(preds = []) ?from ?upto t f =
   let from, upto = clip_bounds t from upto in
-  if from < upto then
-    with_scratch (fun scratch ->
-        let nb = Vec.length t.blocks in
-        if from < t.sealed_rows then begin
-          let bi = ref (block_index_of_row t from) in
-          let continue = ref true in
-          while !continue && !bi < nb do
-            let blk = Vec.get t.blocks !bi in
-            if blk.bk_start >= upto then continue := false
-            else begin
-              let lo = max from blk.bk_start
-              and hi = min upto (blk.bk_start + blk.bk_rows) in
-              let selected =
-                match sel with
-                | None -> true
-                | Some sel -> Bitvec.any_in_range sel ~lo ~hi
-              in
-              if not selected then Obs.incr c_blocks_skipped
-              else begin
-                let b = scratch_batch t scratch !bi in
-                let ok = compile_preds b.b_cols preds in
-                let emit row =
-                  let j = row - blk.bk_start in
-                  if (not (is_tomb b j)) && ok j then
-                    f row (tuple_of_batch t b j)
-                in
-                match sel with
-                | Some sel -> Bitvec.iter_set_range emit sel ~lo ~hi
-                | None ->
-                    for row = lo to hi - 1 do
-                      emit row
-                    done
-              end;
-              incr bi
-            end
-          done
-        end;
-        (* open block: evaluate row-wise on the in-memory rows *)
-        let lo = max from t.sealed_rows in
-        for row = lo to upto - 1 do
+  with_scratch (fun scratch ->
+      each_block t from upto (fun bi blk lo hi ->
           let selected =
-            match sel with None -> true | Some sel -> Bitvec.get sel row
+            match sel with
+            | None -> true
+            | Some sel -> Bitvec.any_in_range sel ~lo ~hi
           in
-          if selected then
-            match t.open_block.(row - t.sealed_rows) with
-            | Live tuple ->
-                if Col_pred.eval_tuple preds tuple then f row tuple
-            | Tombstone _ -> ()
-        done)
-
-(* Row ranges at block granularity, for engines fanning a scan across
-   domains: each range decodes disjoint blocks, so parallel workers
-   never share scratch or cache entries. *)
-let block_ranges t =
-  let n = rows t in
-  let sealed = Vec.length t.blocks in
-  let extra = if t.open_n > 0 then 1 else 0 in
-  Array.init (sealed + extra) (fun i ->
-      if i < sealed then begin
-        let b = Vec.get t.blocks i in
-        (b.bk_start, b.bk_start + b.bk_rows)
-      end
-      else (t.sealed_rows, n))
+          if not selected then Obs.incr c_blocks_skipped
+          else begin
+            let b = fetch_batch t ?scratch bi in
+            let ok = compile_preds b.b_cols preds in
+            let emit row =
+              let j = row - blk.bk_start in
+              if (not (is_tomb b j)) && ok j then f row (tuple_of_batch b j)
+            in
+            match sel with
+            | Some sel -> Bitvec.iter_set_range emit sel ~lo ~hi
+            | None ->
+                for row = lo to hi - 1 do
+                  emit row
+                done
+          end);
+      (* open block: evaluate row-wise on the in-memory rows *)
+      for row = max from t.sealed_rows to upto - 1 do
+        let selected =
+          match sel with None -> true | Some sel -> Bitvec.get sel row
+        in
+        if selected then
+          match t.open_block.(row - t.sealed_rows) with
+          | Live tuple -> if Col_pred.eval_tuple preds tuple then f row tuple
+          | Tombstone _ -> ()
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* manifest metadata *)
@@ -878,8 +866,6 @@ let close t =
   Heap_file.close t.file
 
 let abandon t = Heap_file.abandon t.file
-
-let remove t = Heap_file.remove t.file
 
 (* ------------------------------------------------------------------ *)
 (* manifest format header *)

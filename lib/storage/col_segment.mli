@@ -12,6 +12,10 @@
     decoded batch (on dictionary codes for string equality), and
     materialize [Tuple.t] only for emitted rows.
 
+    Lineage walks read through {!blocks_rev}, which fetches and decodes
+    each block once, and may decode only the primary-key column and
+    tombstone bits; {!tuple} builds a row only when asked.
+
     Pre-columnar (v1) repositories are not readable here; {!Seg_v1}
     upgrades them offline. *)
 
@@ -49,7 +53,6 @@ val open_v2 :
 
 (** {1 Introspection} *)
 
-val schema : t -> Schema.t
 val path : t -> string
 
 val pool : t -> Buffer_pool.t
@@ -84,9 +87,27 @@ val get_tuple : t -> int -> Tuple.t
 val iter : ?from:int -> ?upto:int -> t -> (int -> row_value -> unit) -> unit
 (** Every row (live and tombstone) of [\[from, upto)], ascending. *)
 
-val iter_rev :
-  ?from:int -> ?upto:int -> t -> (int -> row_value -> unit) -> unit
-(** Every row of [\[from, upto)], descending (newest first). *)
+type block
+(** One decoded block of a segment, or a copy of its unsealed rows. *)
+
+val blocks_rev : ?keys_only:bool -> ?from:int -> ?upto:int -> t -> block list
+(** The blocks holding rows [\[from, upto)], newest first, each fetched
+    (checksum included) and decoded once into its own arrays, so the
+    list may cross domains.  [~keys_only:true] decodes the key column
+    and tombstones only, skipping the rest by their recorded lengths.
+    Damage raises [Binio.Corrupt] in either mode. *)
+
+val extent : block -> int * int
+(** The rows [\[lo, hi)] of the walk this block answers for. *)
+
+val key : block -> int -> Value.t
+(** Primary key of a row of {!extent} (a tombstone's deleted key). *)
+
+val is_tombstone : block -> int -> bool
+
+val tuple : block -> int -> Tuple.t
+(** Builds the row's tuple; [Invalid_argument] on a tombstone or a
+    key-projected block. *)
 
 val scan :
   ?sel:Decibel_util.Bitvec.t ->
@@ -101,11 +122,6 @@ val scan :
     being read, and [preds] are evaluated on decoded batches before
     any tuple is built. *)
 
-val block_ranges : t -> (int * int) array
-(** Row ranges at block granularity covering [\[0, rows)], for fanning
-    a scan across domains: parallel workers over distinct ranges touch
-    disjoint blocks. *)
-
 (** {1 Manifest metadata} *)
 
 val save_meta : Buffer.t -> t -> unit
@@ -115,8 +131,6 @@ val save_meta : Buffer.t -> t -> unit
 val current_format : int
 (** The segment format every engine writes (2); reported as the
     storage report's format. *)
-
-val manifest_magic_v2 : int
 
 val write_manifest_header : Buffer.t -> unit
 (** Appends the v2 magic + format version bytes. *)
@@ -152,4 +166,3 @@ val close : t -> unit
 val abandon : t -> unit
 (** Crash simulation: drop buffered state without flushing. *)
 
-val remove : t -> unit

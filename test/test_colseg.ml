@@ -18,6 +18,7 @@ module Rle = Decibel_util.Rle
 module Prng = Decibel_util.Prng
 module Fsutil = Decibel_util.Fsutil
 module Vg = Decibel_graph.Version_graph
+module Obs = Decibel_obs.Obs
 
 let qtest t = QCheck_alcotest.to_alcotest t
 
@@ -142,6 +143,33 @@ let collect seg =
   let out = ref [] in
   Col_segment.iter seg (fun _ rv -> out := rv :: !out);
   List.rev !out
+
+(* (row, key, tombstone?) newest row first, through the key-projected
+   lineage decode *)
+let walk_keys ?from ?upto seg =
+  List.concat_map
+    (fun blk ->
+      let lo, hi = Col_segment.extent blk in
+      List.init (hi - lo) (fun i ->
+          let row = hi - 1 - i in
+          (row, Col_segment.key blk row, Col_segment.is_tombstone blk row)))
+    (Col_segment.blocks_rev ~keys_only:true ?from ?upto seg)
+
+(* the same triples derived from row values, rows [from, upto) *)
+let keys_of_rows ?(from = 0) ?upto rows =
+  let upto = Option.value upto ~default:(List.length rows) in
+  List.rev
+    (List.concat
+       (List.mapi
+          (fun row rv ->
+            if row < from || row >= upto then []
+            else
+              match rv with
+              | Col_segment.Live t -> [ (row, t.(0), false) ]
+              | Col_segment.Tombstone k -> [ (row, k, true) ])
+          rows))
+
+let verdict f = match f () with v -> Ok v | exception Binio.Corrupt m -> Error m
 
 let with_seg_dir f =
   let dir = Fsutil.fresh_dir "decibel-colseg" in
@@ -293,12 +321,22 @@ let test_segment_bitflip_detected () =
           in
           Fun.protect
             ~finally:(fun () -> Col_segment.close seg)
-            (fun () -> collect seg)
+            (fun () ->
+              ( verdict (fun () -> collect seg),
+                verdict (fun () -> walk_keys seg) ))
         with
-        | got ->
+        | Ok got, keys ->
             (* the flip landed in heap slack: data must be untouched *)
             if got <> rows then
-              Alcotest.failf "bit flip at byte %d silently changed data" i
+              Alcotest.failf "bit flip at byte %d silently changed data" i;
+            if keys <> Ok (keys_of_rows rows) then
+              Alcotest.failf "bit flip at byte %d: key decode disagrees" i
+        | Error _, Ok _ ->
+            Alcotest.failf
+              "bit flip at byte %d: key decode accepted what the full decode \
+               rejects"
+              i
+        | Error _, Error _ -> ()
         | exception Binio.Corrupt _ -> ()
       done;
       Binio.write_file path pristine)
@@ -331,12 +369,186 @@ let test_segment_truncation_detected () =
           in
           Fun.protect
             ~finally:(fun () -> Col_segment.close seg)
-            (fun () -> collect seg)
+            (fun () ->
+              ( verdict (fun () -> collect seg),
+                verdict (fun () -> walk_keys seg) ))
         with
-        | _ -> Alcotest.failf "truncation to %d bytes went undetected" cut
+        | Ok _, _ -> Alcotest.failf "truncation to %d bytes went undetected" cut
+        | Error _, Ok _ ->
+            Alcotest.failf "truncation to %d bytes: key decode accepted it" cut
+        | Error _, Error _ -> ()
         | exception Binio.Corrupt _ -> ()
       done;
       Binio.write_file path pristine)
+
+(* Hostile block bodies past the checksum: a segment file holding one
+   record whose payload is a damaged copy of a sealed block, with a
+   valid CRC, so the bytes reach the decoder itself.  Both decodes may
+   only raise [Binio.Corrupt] (an out-of-bounds index would surface as
+   [Invalid_argument]); a truncated body is rejected by both; where
+   the full decode accepts, the key decode returns its keys.  Blocks
+   are written uncompressed: LZ77 bodies are only ever reached through
+   the checksum. *)
+let test_key_decode_hostile_payload () =
+  with_seg_dir (fun dir ->
+      let path = Filename.concat dir "seg" in
+      let rows =
+        rows_of_seeds (List.init 700 (fun i -> (i * 7, i * 3, i * 11)))
+      in
+      let seg =
+        Col_segment.create_v2 ~pool:(Buffer_pool.create ()) ~schema:seg_schema
+          ~compress:false ~path
+      in
+      List.iter (fun rv -> ignore (Col_segment.append seg rv)) rows;
+      Col_segment.close seg;
+      let payload =
+        let h = Heap_file.open_existing ~pool:(Buffer_pool.create ()) path in
+        let p = Heap_file.get h 0 in
+        Heap_file.close h;
+        p
+      in
+      let outcome body =
+        Sys.remove path;
+        let pool = Buffer_pool.create () in
+        let h = Heap_file.create ~pool path in
+        let off = Heap_file.append h body in
+        Heap_file.flush h;
+        let size = Heap_file.size h in
+        Heap_file.close h;
+        let meta = Buffer.create 64 in
+        List.iter (Binio.write_varint meta) [ size; 1; off; List.length rows ];
+        for _ = 1 to 6 * Schema.arity seg_schema do
+          Binio.write_varint meta 0
+        done;
+        let seg =
+          Col_segment.open_v2 ~pool ~schema:seg_schema ~compress:false ~path
+            (Buffer.contents meta) (ref 0)
+        in
+        Fun.protect
+          ~finally:(fun () -> Col_segment.close seg)
+          (fun () ->
+            ( verdict (fun () -> collect seg),
+              verdict (fun () -> walk_keys seg) ))
+      in
+      (match outcome payload with
+      | Ok got, Ok keys ->
+          Alcotest.(check bool) "pristine body decodes" true
+            (got = rows && keys = keys_of_rows rows)
+      | _ -> Alcotest.fail "pristine body rejected");
+      let agree label = function
+        | Ok got, Ok keys ->
+            if keys <> keys_of_rows got then
+              Alcotest.failf "%s: key decode disagrees with the full decode"
+                label
+        | Ok _, Error m ->
+            Alcotest.failf "%s: key decode rejected a valid body: %s" label m
+        | Error _, _ -> ()
+      in
+      let rng = Prng.create 0xb10cL in
+      for _trial = 1 to 300 do
+        let b = Bytes.of_string payload in
+        let i = Prng.int rng (Bytes.length b) in
+        Bytes.set b i
+          (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Prng.int rng 8)));
+        agree (Printf.sprintf "flip at byte %d" i) (outcome (Bytes.to_string b))
+      done;
+      for _trial = 1 to 100 do
+        let cut = 1 + Prng.int rng (String.length payload - 1) in
+        match outcome (String.sub payload 0 cut) with
+        | Error _, Error _ -> ()
+        | _ -> Alcotest.failf "body truncated to %d bytes accepted" cut
+      done)
+
+(* the lineage decode sees what [iter] sees, in either mode and over
+   any row range, newest row first *)
+let prop_blocks_rev_matches_iter =
+  QCheck2.Test.make ~name:"blocks_rev = iter, newest first" ~count:30
+    QCheck2.Gen.(triple seeds_gen (int_bound 400) (int_bound 400))
+    (fun (seeds, a, b) ->
+      let rows = rows_of_seeds (seeds @ seeds @ seeds) in
+      with_seg_dir (fun dir ->
+          let pool = Buffer_pool.create () in
+          let seg =
+            Col_segment.create_v2 ~pool ~schema:seg_schema ~compress:true
+              ~path:(Filename.concat dir "seg")
+          in
+          (* some sealed blocks, some open rows *)
+          List.iteri
+            (fun i rv ->
+              ignore (Col_segment.append seg rv);
+              if i = 500 then Col_segment.flush seg)
+            rows;
+          let from = min a b and upto = max a b + List.length seeds in
+          let full =
+            List.concat_map
+              (fun blk ->
+                let lo, hi = Col_segment.extent blk in
+                List.init (hi - lo) (fun i ->
+                    let row = hi - 1 - i in
+                    if Col_segment.is_tombstone blk row then
+                      Col_segment.Tombstone (Col_segment.key blk row)
+                    else Col_segment.Live (Col_segment.tuple blk row)))
+              (Col_segment.blocks_rev ~from ~upto seg)
+          in
+          let want =
+            List.rev
+              (List.filteri (fun i _ -> i >= from && i < upto) rows)
+          in
+          let ok =
+            full = want
+            && walk_keys ~from ~upto seg = keys_of_rows ~from ~upto rows
+          in
+          Col_segment.close seg;
+          ok))
+
+(* Decode-count guard on a depth-20 version-first chain: a lineage
+   read fetches each block of its plan at most once, and a
+   multi-branch scan at most twice (key pass, then the selected
+   scan), however many branches share the blocks. *)
+let test_lineage_decode_count () =
+  let dir = Fsutil.fresh_dir "decibel-colseg-chain" in
+  Fun.protect ~finally:(fun () -> Fsutil.rm_rf dir) @@ fun () ->
+  let db =
+    Database.open_ ~scheme:Database.Version_first ~dir
+      ~schema:(Schema.ints ~name:"r" ~width:4) ()
+  in
+  Fun.protect ~finally:(fun () -> Database.close db) @@ fun () ->
+  let row k a b c = [| Value.int k; Value.int a; Value.int b; Value.int c |] in
+  let sealed0 = Obs.value_of "colseg.blocks_sealed" in
+  for k = 0 to 2499 do
+    Database.insert db Vg.master (row k k 0 0)
+  done;
+  let v = ref (Database.commit db Vg.master ~message:"base") in
+  let tip = ref Vg.master in
+  for d = 1 to 20 do
+    let b = Database.create_branch db ~name:(Printf.sprintf "b%d" d) ~from:!v in
+    for k = 0 to 149 do
+      let key = (d * 97 + k * 13) mod 2500 in
+      Database.update db b (row key key d 1)
+    done;
+    Database.insert db b (row (10_000 + d) d d 2);
+    v := Database.commit db b ~message:(Printf.sprintf "d%d" d);
+    tip := b
+  done;
+  (* every segment of the chain lies in the tip's lineage *)
+  let blocks = Obs.value_of "colseg.blocks_sealed" - sealed0 in
+  let decoded f =
+    let before = Obs.value_of "colseg.blocks_decoded" in
+    f ();
+    Obs.value_of "colseg.blocks_decoded" - before
+  in
+  let n = decoded (fun () -> Database.scan db !tip (fun _ -> ())) in
+  if n > blocks then
+    Alcotest.failf "scan decoded %d blocks, its plan has %d" n blocks;
+  List.iter
+    (fun heads ->
+      let n =
+        decoded (fun () -> Database.multi_scan db heads (fun _ -> ()))
+      in
+      if n > 2 * blocks then
+        Alcotest.failf "multi_scan over %d heads decoded %d blocks (union %d)"
+          (List.length heads) n blocks)
+    [ [ !tip ]; Database.heads db ]
 
 (* ------------------------------------------------------------------ *)
 (* v1 upgrade: committed fixtures, fsck --migrate, identical results
@@ -754,6 +966,11 @@ let () =
             test_segment_bitflip_detected;
           Alcotest.test_case "truncation detected" `Quick
             test_segment_truncation_detected;
+          Alcotest.test_case "hostile block bodies" `Quick
+            test_key_decode_hostile_payload;
+          qtest prop_blocks_rev_matches_iter;
+          Alcotest.test_case "lineage decode count" `Quick
+            test_lineage_decode_count;
         ] );
       ( "v1-compat",
         [

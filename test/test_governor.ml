@@ -437,6 +437,36 @@ let test_budget_on_page_loads () =
   Alcotest.(check bool) "still readable" true (n > 256)
 
 (* ------------------------------------------------------------------ *)
+(* byte budget: a version-first read charges its decoded extent once,
+   whatever the domain count *)
+
+let test_vf_charge_domain_independent () =
+  let l = load_flat ~scheme:Database.Version_first gov_cfg in
+  Fun.protect ~finally:(fun () -> Driver.close l) @@ fun () ->
+  let db = l.Driver.db in
+  let heads = Database.heads db in
+  let b = biggest_branch db in
+  let a = List.find (fun h -> h <> b) heads in
+  let charged run =
+    (* warm: the pool holds the dataset, so no page load charges *)
+    run (Ctx.create ());
+    let ctx = Ctx.create () in
+    run ctx;
+    Ctx.charged_bytes ctx
+  in
+  List.iter
+    (fun (name, run) ->
+      let serial = with_domains 0 (fun () -> charged run) in
+      let par = with_domains 4 (fun () -> charged run) in
+      Alcotest.(check bool) (name ^ " charges its extent") true (serial > 0);
+      Alcotest.(check int) (name ^ ": 0 vs 4 domains") serial par)
+    [
+      ("scan", fun ctx -> Database.scan ~ctx db b ignore);
+      ("diff", fun ctx -> Database.diff ~ctx db a b ~pos:ignore ~neg:ignore);
+      ("multi_scan", fun ctx -> Database.multi_scan ~ctx db heads ignore);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* lock waits respect deadlines *)
 
 let test_lock_wait_deadline () =
@@ -610,6 +640,8 @@ let () =
             test_shed_leaves_readable;
           Alcotest.test_case "budget stops page-load blowup" `Quick
             test_budget_on_page_loads;
+          Alcotest.test_case "version-first charge, 0 vs 4 domains" `Quick
+            test_vf_charge_domain_independent;
           Alcotest.test_case "storm at 1/4/16 threads" `Quick test_shed_storm;
         ] );
       ( "wiring",
