@@ -108,10 +108,6 @@ let wrap f =
       Printf.eprintf "error: memory budget exceeded (%d of %d bytes)\n"
         charged budget;
       3
-  | Governor.Overloaded { retry_after_ms } ->
-      Printf.eprintf "error: server overloaded, retry after ~%d ms\n"
-        retry_after_ms;
-      4
   | Governor.Breaker.Tripped resource ->
       Printf.eprintf "error: circuit breaker open for %s\n" resource;
       4
@@ -505,30 +501,18 @@ let stats_cmd =
       & info [ "count" ] ~docv:"N"
           ~doc:"With $(b,--watch), stop after $(docv) refreshes (0 = forever).")
   in
-  let governor_json db =
-    match Database.governor_stats db with
-    | None -> "null"
-    | Some s ->
-        Printf.sprintf
-          "{\"capacity\":%d,\"in_use\":%d,\"queue_depth\":%d,\
-           \"admitted\":%d,\"shed\":%d,\"avg_hold_ms\":%.3f}"
-          s.Governor.Admission.capacity s.Governor.Admission.in_use
-          s.Governor.Admission.queue_depth s.Governor.Admission.admitted
-          s.Governor.Admission.shed s.Governor.Admission.avg_hold_ms
-  in
   let print_stats db json =
     let g = Database.graph db in
     if json then
       Printf.printf
         "{\"scheme\":\"%s\",\"branches\":%d,\"versions\":%d,\
          \"dataset_bytes\":%d,\"commit_meta_bytes\":%d,\"domains\":%d,\
-         \"governor\":%s,\"metrics\":%s}\n"
+         \"metrics\":%s}\n"
         (Decibel_obs.Obs.json_escape (Database.scheme_of db))
         (Vg.branch_count g) (Vg.version_count g)
         (Database.dataset_bytes db)
         (Database.commit_meta_bytes db)
         (Decibel_par.Par.domain_count ())
-        (governor_json db)
         (Database.metrics_json db)
     else begin
       Printf.printf "scheme:        %s\n" (Database.scheme_of db);
@@ -540,23 +524,6 @@ let stats_cmd =
       Printf.printf "commit bytes:  %d\n" (Database.commit_meta_bytes db);
       Printf.printf "scan domains:  %d (DECIBEL_DOMAINS to change)\n"
         (Decibel_par.Par.domain_count ());
-      (match Database.governor_stats db with
-      | Some s ->
-          Printf.printf
-            "governor:      %d/%d slots in use, queue %d, admitted %d, \
-             shed %d, avg hold %.1f ms\n"
-            s.Governor.Admission.in_use s.Governor.Admission.capacity
-            s.Governor.Admission.queue_depth s.Governor.Admission.admitted
-            s.Governor.Admission.shed s.Governor.Admission.avg_hold_ms
-      | None ->
-          let c = Governor.counters () in
-          let get k = Option.value ~default:0 (List.assoc_opt k c) in
-          Printf.printf
-            "governor:      off (process counters: admitted %d, shed %d, \
-             cancelled %d, deadline %d)\n"
-            (get "governor.admitted") (get "governor.shed")
-            (get "governor.cancelled")
-            (get "governor.deadline_exceeded"));
       let snap = Database.metrics db in
       List.iter
         (fun (name, v) -> if v > 0 then Printf.printf "%-32s %d\n" name v)
@@ -679,45 +646,6 @@ let health_cmd =
           print the verdict.  Exits 0 when ok, 1 on warnings, 2 when \
           critical.")
     Term.(const run $ dir_arg $ json_flag)
-
-let serve_metrics_cmd =
-  let port_opt =
-    Arg.(
-      value & opt int 9464
-      & info [ "port"; "p" ] ~docv:"PORT"
-          ~doc:"TCP port to listen on (0 picks an ephemeral port).")
-  in
-  let host_opt =
-    Arg.(
-      value & opt string "127.0.0.1"
-      & info [ "host" ] ~docv:"HOST" ~doc:"Address to bind.")
-  in
-  let max_requests_opt =
-    Arg.(
-      value & opt int 0
-      & info [ "max-requests" ] ~docv:"N"
-          ~doc:"Exit after serving $(docv) requests (0 = serve forever).")
-  in
-  let run dir port host max_requests =
-    wrap (fun () ->
-        with_repo dir (fun db ->
-            Monitor.serve ~host ~max_requests ~port ~handle_signals:true db
-              ~on_listen:(fun port ->
-                Printf.printf
-                  "serving metrics on http://%s:%d (routes: /metrics /events \
-                   /report /governor /profile /workload /advise /health; \
-                   SIGINT/SIGTERM to stop)\n\
-                   %!"
-                  host port)))
-  in
-  Cmd.v
-    (Cmd.info "serve-metrics"
-       ~doc:
-         "Serve a Prometheus-format pull endpoint for the metrics registry \
-          plus storage-report gauges ($(b,/metrics)), the structured event \
-          log ($(b,/events)) and the full storage report ($(b,/report)) \
-          over HTTP.")
-    Term.(const run $ dir_arg $ port_opt $ host_opt $ max_requests_opt)
 
 let maint_cmd =
   let kind_opt =
@@ -864,5 +792,5 @@ let () =
             init_cmd; insert_cmd; update_cmd; delete_cmd; commit_cmd;
             branch_cmd; scan_cmd; diff_cmd; merge_cmd; log_cmd; branches_cmd;
             sql_cmd; query_cmd; stats_cmd; inspect_cmd; advise_cmd;
-            health_cmd; serve_metrics_cmd; maint_cmd; fsck_cmd;
+            health_cmd; maint_cmd; fsck_cmd;
           ]))

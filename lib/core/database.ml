@@ -59,8 +59,8 @@ type t =
       mutable next_session : int;
       mutable health : health;
       quarantined : (branch_id, string) Hashtbl.t;
-      governor : Governor.Admission.t option;
       breakers : (branch_id, Governor.Breaker.t) Hashtbl.t;
+      breakers_mutex : Mutex.t;
       watchdog : Watchdog.t;
       maint_mutex : Mutex.t;
       mutable maint_service : Maint.Service.t option;
@@ -78,7 +78,7 @@ let c_commits = Obs.counter "engine.commits"
 let c_merges = Obs.counter "engine.merges"
 
 let open_ ?pool ?(durable = false) ?(compress = false) ?lock_timeout_s
-    ?governor ~scheme ~dir ~schema () =
+    ~scheme ~dir ~schema () =
   let pool =
     match pool with Some p -> p | None -> Buffer_pool.create ()
   in
@@ -106,8 +106,8 @@ let open_ ?pool ?(durable = false) ?(compress = false) ?lock_timeout_s
         next_session = 0;
         health = Healthy;
         quarantined = Hashtbl.create 4;
-        governor;
         breakers = Hashtbl.create 4;
+        breakers_mutex = Mutex.create ();
         watchdog = Watchdog.create ();
         maint_mutex = Mutex.create ();
         maint_service = None;
@@ -155,7 +155,7 @@ let detect_scheme dir =
   | [] -> errorf "no Decibel repository found in %s" dir
   | _ :: _ :: _ -> errorf "ambiguous repository manifests in %s" dir
 
-let reopen_checkpoint ?pool ?scheme ?governor ~dir () =
+let reopen_checkpoint ?pool ?scheme ~dir () =
   let pool = match pool with Some p -> p | None -> Buffer_pool.create () in
   let scheme = match scheme with Some s -> s | None -> detect_scheme dir in
   let pack (type e) (module E : Engine_intf.S with type t = e) =
@@ -175,8 +175,8 @@ let reopen_checkpoint ?pool ?scheme ?governor ~dir () =
         next_session = 0;
         health = Healthy;
         quarantined = Hashtbl.create 4;
-        governor;
         breakers = Hashtbl.create 4;
+        breakers_mutex = Mutex.create ();
         watchdog = Watchdog.create ();
         maint_mutex = Mutex.create ();
         maint_service = None;
@@ -274,38 +274,33 @@ let guarded t bs f =
 (* ------------------------------------------------------------------ *)
 (* Resource governance.
 
-   When the database is opened with a [?governor], long-running
-   operations pass through the full gauntlet: per-branch circuit
-   breaker, weighted admission (cheap single-branch scans vs. heavy
-   multi-scans / diffs / merges), then the engine work with the
-   caller's context installed ambiently so the buffer pool and lock
-   manager see its deadline and budget.  Without a governor the
-   wrapper only honors an explicit [?ctx] — no slots, no breakers —
-   so an ungoverned database behaves exactly as before. *)
+   Long-running operations pass each touched branch's circuit breaker,
+   then run the engine work with the caller's context (if any)
+   installed ambiently so the buffer pool and lock manager see its
+   deadline and budget. *)
 
-let breaker_for (Db d as t) b =
-  match Hashtbl.find_opt d.breakers b with
-  | Some br -> br
-  | None ->
-      let br = Governor.Breaker.create ~name:(branch_name t b) () in
-      Hashtbl.replace d.breakers b br;
-      br
+(* get-or-create under the mutex: concurrent first users of a branch
+   must share one breaker, or one thread's failure streak is lost *)
+let breaker (Db d as t) b =
+  Mutex.protect d.breakers_mutex (fun () ->
+      match Hashtbl.find_opt d.breakers b with
+      | Some br -> br
+      | None ->
+          let br = Governor.Breaker.create ~name:(branch_name t b) () in
+          Hashtbl.replace d.breakers b br;
+          br)
 
 (* Only infrastructure failures count against a branch's breaker: user
-   errors ([Engine_error]) and governor verdicts (deadline, shed) say
-   nothing about the branch's storage health. *)
+   errors ([Engine_error]) and governor verdicts (deadline, cancel,
+   budget) say nothing about the branch's storage health. *)
 let counts_as_failure = function
   | Decibel_util.Binio.Corrupt _ -> true
   | Decibel_fault.Failpoint.Fault_injected _ -> true
   | Unix.Unix_error _ -> true
   | _ -> false
 
-let governed (Db d as t) ?ctx ~cls bs f =
-  let breakers =
-    match d.governor with
-    | None -> [] (* breakers are part of the opt-in governor machinery *)
-    | Some _ -> List.map (breaker_for t) bs
-  in
+let governed t ?ctx bs f =
+  let breakers = List.map (breaker t) bs in
   List.iter Governor.Breaker.check breakers;
   let classify () =
     match f () with
@@ -318,37 +313,16 @@ let governed (Db d as t) ?ctx ~cls bs f =
           List.iter Governor.Breaker.failure breakers;
         raise e
   in
-  let with_ctx () =
-    match ctx with
-    | None -> classify ()
-    | Some c ->
-        (* [release] drops any pool pins / scratch charges the op still
-           holds, however it ended — the gauge must return to baseline *)
-        Fun.protect
-          ~finally:(fun () -> Governor.Ctx.release c)
-          (fun () ->
-            Governor.Ctx.check c;
-            Governor.Ctx.with_current ctx classify)
-  in
-  match d.governor with
-  | None -> with_ctx ()
-  | Some adm ->
-      let slot = Governor.Admission.admit ?ctx adm cls in
+  match ctx with
+  | None -> classify ()
+  | Some c ->
+      (* [release] drops any pool pins / scratch charges the op still
+         holds, however it ended — the gauge must return to baseline *)
       Fun.protect
-        ~finally:(fun () -> Governor.Admission.release slot)
-        with_ctx
-
-let governor_stats (Db { governor; _ }) =
-  Option.map Governor.Admission.stats governor
-
-let breaker (Db { governor; _ } as t) b =
-  match governor with None -> None | Some _ -> Some (breaker_for t b)
-
-let breaker_list (Db { breakers; _ }) =
-  List.sort compare
-    (Hashtbl.fold
-       (fun _ br acc -> (Governor.Breaker.name br, br) :: acc)
-       breakers [])
+        ~finally:(fun () -> Governor.Ctx.release c)
+        (fun () ->
+          Governor.Ctx.check c;
+          Governor.Ctx.with_current ctx classify)
 
 (* ------------------------------------------------------------------ *)
 (* The operation boundary.
@@ -479,32 +453,32 @@ let lookup (Db { engine = (module E); state; _ } as t) b key =
 
 let scan ?ctx (Db { engine = (module E); state; _ } as t) b f =
   guarded t [ b ] (fun () ->
-      governed t ?ctx ~cls:Governor.Cheap [ b ] (fun () ->
+      governed t ?ctx [ b ] (fun () ->
           bounded t ~span:"scan" ~row:(Read b) (fun c ->
               E.scan ?ctx state b (c.emit f))))
 
 let scan_filtered ?ctx (Db { engine = (module E); state; _ } as t) b ~preds f =
   guarded t [ b ] (fun () ->
-      governed t ?ctx ~cls:Governor.Cheap [ b ] (fun () ->
+      governed t ?ctx [ b ] (fun () ->
           bounded t ~span:"scan_filtered" ~row:(Read b) (fun c ->
               E.scan_filtered ?ctx state b ~preds (c.emit f))))
 
 let scan_version ?ctx (Db { engine = (module E); state; _ } as t) v f =
   try
-    governed t ?ctx ~cls:Governor.Cheap [] (fun () ->
+    governed t ?ctx [] (fun () ->
         bounded t ~span:"scan_version" (fun c ->
             E.scan_version ?ctx state v (c.emit f)))
   with Decibel_util.Binio.Corrupt msg -> corruption t msg
 
 let multi_scan ?ctx (Db { engine = (module E); state; _ } as t) bs f =
   guarded t bs (fun () ->
-      governed t ?ctx ~cls:Governor.Heavy bs (fun () ->
+      governed t ?ctx bs (fun () ->
           bounded t ~span:"multi_scan" ~row:(Touch bs) (fun c ->
               E.multi_scan ?ctx state bs (c.emit f))))
 
 let diff ?ctx (Db { engine = (module E); state; _ } as t) a b ~pos ~neg =
   guarded t [ a; b ] (fun () ->
-      governed t ?ctx ~cls:Governor.Heavy [ a; b ] (fun () ->
+      governed t ?ctx [ a; b ] (fun () ->
           bounded t ~span:"diff" ~row:(Touch [ a; b ]) (fun c ->
               E.diff ?ctx state a b ~pos:(c.emit pos) ~neg:(c.emit neg))))
 
@@ -512,7 +486,7 @@ let merge ?ctx (Db { engine = (module E); state; _ } as t) ~into ~from ~policy
     ~message =
   check_writable t;
   guarded t [ into; from ] (fun () ->
-      governed t ?ctx ~cls:Governor.Heavy [ into; from ] (fun () ->
+      governed t ?ctx [ into; from ] (fun () ->
           bounded t ~span:"merge" (fun _ ->
               Obs.incr c_merges;
               let lsn = log t (Wal.W_merge (into, from, policy, message)) in
@@ -603,8 +577,8 @@ let dump_trace (Db _) ~path = Obs.write_trace ~path
 
 (* EXPLAIN ANALYZE entry point: run [f] (any sequence of ops against
    this database) under a fresh request trace; the per-operator tree is
-   returned alongside the result and kept in the profiler's ring for
-   the monitor's /profile route. *)
+   returned alongside the result and kept in the profiler's ring
+   ([recent_profiles]). *)
 let profile ?label (Db _) f = Obs.Prof.profiled ?label f
 let last_profile (Db _) = Obs.Prof.last_profile ()
 let recent_profiles (Db _) = Obs.Prof.recent_profiles ()
@@ -673,26 +647,9 @@ let advise ?thresholds t =
 
 let watchdog_status (Db { watchdog; _ }) = Watchdog.status watchdog
 
-(* One watchdog evaluation over fresh report/workload snapshots.  The
-   tick itself is governor-budgeted: it takes a cheap admission slot
-   and runs under a short deadline, so health probes cannot pile onto
-   an already-overloaded server — if the governor refuses, the sticky
-   status from the previous tick is returned unchanged. *)
+(* One watchdog evaluation over fresh report/workload snapshots. *)
 let health_tick (Db d as t) =
-  let run () =
-    Watchdog.tick d.watchdog ~report:(storage_report t) ~workload:(workload t)
-  in
-  match d.governor with
-  | None -> run ()
-  | Some _ -> (
-      let ctx = Governor.Ctx.create ~deadline_ms:250 () in
-      try governed t ~ctx ~cls:Governor.Cheap [] run
-      with
-      | Governor.Cancelled | Governor.Deadline_exceeded
-      | Governor.Budget_exceeded _
-      | Governor.Overloaded _
-      ->
-        Watchdog.status d.watchdog)
+  Watchdog.tick d.watchdog ~report:(storage_report t) ~workload:(workload t)
 
 (* ------------------------------------------------------------------ *)
 (* Crash-safe background maintenance (the executor half; the policy
@@ -1068,8 +1025,8 @@ let replay_entry t lsn (e : Wal.entry) =
   let (Db { engine = (module E); state; _ }) = t in
   E.set_wal_marker state lsn
 
-let reopen ?pool ?scheme ?durable ?governor ~dir () =
-  let t = reopen_checkpoint ?pool ?scheme ?governor ~dir () in
+let reopen ?pool ?scheme ?durable ~dir () =
+  let t = reopen_checkpoint ?pool ?scheme ~dir () in
   (* finish or roll back interrupted maintenance before replaying the
      WAL: replay must run against a physically consistent store *)
   let _ = resolve_maintenance t in

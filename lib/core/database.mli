@@ -29,7 +29,6 @@ val open_ :
   ?durable:bool ->
   ?compress:bool ->
   ?lock_timeout_s:float ->
-  ?governor:Decibel_governor.Governor.Admission.t ->
   scheme:scheme ->
   dir:string ->
   schema:Schema.t ->
@@ -41,13 +40,10 @@ val open_ :
     every operation (default off); [compress] LZ77-compresses each
     sealed block where that pays (the paper's §5.5
     space/materialization trade-off, default off); [lock_timeout_s]
-    bounds session lock waits; [governor] arms
-    admission control, load shedding and per-branch circuit breakers on
-    the long-running operations (see {e Resource governance} below). *)
+    bounds session lock waits. *)
 
 val reopen :
-  ?pool:Buffer_pool.t -> ?scheme:scheme -> ?durable:bool ->
-  ?governor:Decibel_governor.Governor.Admission.t -> dir:string ->
+  ?pool:Buffer_pool.t -> ?scheme:scheme -> ?durable:bool -> dir:string ->
   unit -> t
 (** Reopen a persisted repository: reloads the last checkpoint and
     replays the intact write-ahead-log tail beyond the checkpoint's
@@ -60,8 +56,7 @@ val reopen :
     until {!upgrade_v1} has rewritten it. *)
 
 val reopen_checkpoint :
-  ?pool:Buffer_pool.t -> ?scheme:scheme ->
-  ?governor:Decibel_governor.Governor.Admission.t -> dir:string -> unit -> t
+  ?pool:Buffer_pool.t -> ?scheme:scheme -> dir:string -> unit -> t
 (** Reopen the last checkpoint only — no WAL replay, no checkpoint
     rewrite, no log arming.  The read-only half of {!reopen}; fsck
     uses it to inspect a repository without mutating it. *)
@@ -195,8 +190,8 @@ val profile :
     node, worker-domain work attributed to the request).  If [f]
     raises, a partial profile is still flushed (see
     {!Decibel_obs.Obs.Prof.profiled}) and the exception propagates.
-    The profile is also kept in the profiler's bounded ring, which the
-    monitor serves at [/profile]. *)
+    The profile is also kept in the profiler's bounded ring
+    ({!recent_profiles}). *)
 
 val last_profile : t -> Decibel_obs.Obs.Prof.profile option
 (** The most recently completed profile, if any. *)
@@ -236,10 +231,7 @@ val advise :
 
 val health_tick : t -> Decibel_obs.Watchdog.status
 (** Run one watchdog evaluation over fresh report/workload snapshots
-    and return (and store) the new sticky status.  On a governed
-    database the tick takes a cheap admission slot under a short
-    deadline; if the governor sheds or expires it, the previous sticky
-    status is returned unchanged. *)
+    and return (and store) the new sticky status. *)
 
 val watchdog_status : t -> Decibel_obs.Watchdog.status
 (** The sticky status from the last {!health_tick} (all-ok with
@@ -369,27 +361,17 @@ val locks_of : t -> Lock_manager.t
 
 (** {1 Resource governance}
 
-    A database opened with [?governor] routes every long-running
-    operation (scan, scan_version, multi_scan, diff, merge) through a
-    per-branch circuit breaker and the admission controller: cheap
-    single-branch scans take one slot unit, heavy multi-branch work
-    takes several, and when the wait queue is full arrivals are shed
-    with {!Decibel_governor.Governor.Overloaded}.  An explicit [?ctx]
-    is honored with or without a governor: it is polled at chunk
-    boundaries inside the engines, installed ambiently so buffer-pool
-    page loads charge its byte budget and lock waits respect its
-    deadline, and fully released (pins, charges) however the operation
-    ends. *)
+    Every long-running operation (scan, scan_filtered, multi_scan,
+    diff, merge) passes through the circuit breaker of each branch it
+    touches: an open breaker fails the operation fast with
+    {!Decibel_governor.Governor.Breaker.Tripped}, and only
+    infrastructure failures (corruption, injected faults, I/O errors)
+    extend a breaker's failure streak.  An explicit [?ctx] is polled at
+    chunk boundaries inside the engines, installed ambiently so
+    buffer-pool page loads charge its byte budget and lock waits
+    respect its deadline, and fully released (pins, charges) however
+    the operation ends. *)
 
-val governor_stats :
-  t -> Decibel_governor.Governor.Admission.stats option
-(** Admission-controller snapshot; [None] on an ungoverned database. *)
-
-val breaker :
-  t -> branch_id -> Decibel_governor.Governor.Breaker.t option
-(** The branch's circuit breaker (created on first use); [None] on an
-    ungoverned database.  Exposed for tests and the monitor. *)
-
-val breaker_list :
-  t -> (string * Decibel_governor.Governor.Breaker.t) list
-(** Breakers that have been instantiated so far, by branch name. *)
+val breaker : t -> branch_id -> Decibel_governor.Governor.Breaker.t
+(** The branch's circuit breaker, created on first use (atomically:
+    concurrent first users get the same breaker). *)

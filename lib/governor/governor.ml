@@ -1,5 +1,4 @@
-(* Resource governor: cancellation contexts, weighted admission with
-   bounded queues and load shedding, and per-resource circuit
+(* Resource governor: cancellation contexts and per-resource circuit
    breakers.  See governor.mli for the model. *)
 
 module Obs = Decibel_obs.Obs
@@ -7,7 +6,6 @@ module Obs = Decibel_obs.Obs
 exception Cancelled
 exception Deadline_exceeded
 exception Budget_exceeded of { charged : int; budget : int }
-exception Overloaded of { retry_after_ms : int }
 
 let () =
   Printexc.register_printer (function
@@ -17,20 +15,12 @@ let () =
         Some
           (Printf.sprintf "Governor.Budget_exceeded (%d of %d bytes)" charged
              budget)
-    | Overloaded { retry_after_ms } ->
-        Some
-          (Printf.sprintf "Governor.Overloaded (retry after %d ms)"
-             retry_after_ms)
     | _ -> None)
 
-let c_admitted = Obs.counter "governor.admitted"
-let c_shed = Obs.counter "governor.shed"
 let c_cancelled = Obs.counter "governor.cancelled"
 let c_deadline = Obs.counter "governor.deadline_exceeded"
 let c_budget = Obs.counter "governor.budget_exceeded"
-let g_queue = Obs.gauge "governor.queue_depth"
 let g_pinned = Obs.gauge "governor.pinned_bytes"
-let h_wait = Obs.histogram "governor.admission_wait"
 
 (* ------------------------------------------------------------------ *)
 
@@ -171,167 +161,6 @@ end
 
 (* ------------------------------------------------------------------ *)
 
-type op_class = Cheap | Heavy
-
-module Admission = struct
-  type t = {
-    mutex : Mutex.t;
-    cond : Condition.t;
-    capacity : int;
-    heavy_weight : int;
-    max_queue : int;
-    mutable in_use : int;
-    mutable waiting : int;
-    mutable admitted : int;
-    mutable shed : int;
-    (* exponential moving average of slot-hold seconds; the basis of
-       the [retry_after_ms] shedding hint *)
-    mutable avg_hold_s : float;
-    mutable watchdog : bool; (* ticker spawned? *)
-  }
-
-  type slot = { owner : t; weight : int; t_grant : float; done_ : bool Atomic.t }
-
-  let create ?(capacity = 64) ?(heavy_weight = 4) ?(max_queue = 128) () =
-    if capacity < 1 then invalid_arg "Admission.create: capacity < 1";
-    {
-      mutex = Mutex.create ();
-      cond = Condition.create ();
-      capacity;
-      heavy_weight = max 1 (min heavy_weight capacity);
-      max_queue = max 0 max_queue;
-      in_use = 0;
-      waiting = 0;
-      admitted = 0;
-      shed = 0;
-      avg_hold_s = 0.005;
-      watchdog = false;
-    }
-
-  let weight t = function Cheap -> 1 | Heavy -> t.heavy_weight
-
-  let retry_after_ms t =
-    (* expect to wait about one average hold per queued op ahead of us *)
-    let per = max 0.001 t.avg_hold_s in
-    max 1 (int_of_float (ceil (per *. float (t.waiting + 1) *. 1e3)))
-
-  (* [Condition] has no timed wait, so deadline-bounded waiters rely on
-     a lazily-spawned ticker broadcasting while anyone waits (same
-     scheme as [Lock_manager]'s watchdog). *)
-  let ensure_watchdog t =
-    if not t.watchdog then begin
-      t.watchdog <- true;
-      let _tid =
-        Thread.create
-          (fun () ->
-            let rec loop () =
-              Thread.delay 0.002;
-              Mutex.lock t.mutex;
-              if t.waiting > 0 then Condition.broadcast t.cond;
-              Mutex.unlock t.mutex;
-              loop ()
-            in
-            loop ())
-          ()
-      in
-      ()
-    end
-
-  let set_queue_gauge t = Obs.set_gauge g_queue (float t.waiting)
-
-  let admit ?ctx t cls =
-    let w = weight t cls in
-    let t0 = Unix.gettimeofday () in
-    Mutex.lock t.mutex;
-    let granted () =
-      t.in_use <- t.in_use + w;
-      t.admitted <- t.admitted + 1;
-      Mutex.unlock t.mutex;
-      Obs.incr c_admitted;
-      Obs.observe h_wait (Unix.gettimeofday () -. t0);
-      { owner = t; weight = w; t_grant = Unix.gettimeofday ();
-        done_ = Atomic.make false }
-    in
-    if t.in_use + w <= t.capacity then granted ()
-    else if t.waiting >= t.max_queue then begin
-      t.shed <- t.shed + 1;
-      let hint = retry_after_ms t in
-      Mutex.unlock t.mutex;
-      Obs.incr c_shed;
-      Obs.event ~level:Obs.Warn ~comp:"governor"
-        ~attrs:[ ("retry_after_ms", string_of_int hint) ]
-        "admission queue full; operation shed";
-      raise (Overloaded { retry_after_ms = hint })
-    end
-    else begin
-      (match ctx with Some _ -> ensure_watchdog t | None -> ());
-      t.waiting <- t.waiting + 1;
-      set_queue_gauge t;
-      let leave_queue () =
-        t.waiting <- t.waiting - 1;
-        set_queue_gauge t
-      in
-      let rec wait () =
-        (* poll the context while queued so a cancelled or expired
-           operation never consumes a slot *)
-        (match ctx with
-        | Some c -> (
-            try Ctx.check c
-            with e ->
-              leave_queue ();
-              Mutex.unlock t.mutex;
-              raise e)
-        | None -> ());
-        if t.in_use + w <= t.capacity then begin
-          leave_queue ();
-          granted ()
-        end
-        else begin
-          Condition.wait t.cond t.mutex;
-          wait ()
-        end
-      in
-      wait ()
-    end
-
-  let release s =
-    if not (Atomic.exchange s.done_ true) then begin
-      let t = s.owner in
-      let held = Unix.gettimeofday () -. s.t_grant in
-      Mutex.lock t.mutex;
-      t.in_use <- t.in_use - s.weight;
-      t.avg_hold_s <- (0.8 *. t.avg_hold_s) +. (0.2 *. held);
-      Condition.broadcast t.cond;
-      Mutex.unlock t.mutex
-    end
-
-  type stats = {
-    capacity : int;
-    in_use : int;
-    queue_depth : int;
-    admitted : int;
-    shed : int;
-    avg_hold_ms : float;
-  }
-
-  let stats t =
-    Mutex.lock t.mutex;
-    let s =
-      {
-        capacity = t.capacity;
-        in_use = t.in_use;
-        queue_depth = t.waiting;
-        admitted = t.admitted;
-        shed = t.shed;
-        avg_hold_ms = t.avg_hold_s *. 1e3;
-      }
-    in
-    Mutex.unlock t.mutex;
-    s
-end
-
-(* ------------------------------------------------------------------ *)
-
 module Breaker = struct
   type state = Closed | Open | Half_open
 
@@ -424,8 +253,3 @@ let note_outcome = function
   | Deadline_exceeded -> Obs.incr c_deadline
   | Budget_exceeded _ -> Obs.incr c_budget
   | _ -> ()
-
-let counters () =
-  List.map
-    (fun c -> (Obs.counter_name c, Obs.counter_value c))
-    [ c_admitted; c_shed; c_cancelled; c_deadline; c_budget ]

@@ -1,24 +1,19 @@
-(** Resource governor: cooperative cancellation, admission control and
-    load shedding for long-running operations.
+(** Resource governor: cooperative cancellation and circuit breakers
+    for long-running operations.
 
     Decibel's heavy queries (multi-branch scans, diffs, merges — paper
     §4–5) can hold the buffer pool and the domain pool for hundreds of
-    milliseconds.  Under concurrent traffic that is enough to starve
-    every cheap single-branch scan queued behind them.  This module
-    provides the three standard defenses:
+    milliseconds.  This module provides two defenses:
 
     - {!Ctx}: a per-operation cancellation context (deadline, manual
       cancel, byte budget) that operations poll at chunk boundaries.
       Cancellation is {e cooperative}: nothing is interrupted
       mid-mutation, an operation only stops at a poll point, and poll
       points are placed exclusively on read paths.
-    - {!module-Admission}: a weighted-semaphore admission controller with a
-      bounded wait queue.  When the queue is full new arrivals are shed
-      immediately with {!Overloaded} instead of queueing unboundedly.
     - {!Breaker}: a per-resource circuit breaker that trips after N
       consecutive internal failures and half-opens after a cool-down,
-      so a corrupted or persistently failing branch stops consuming
-      admission slots.
+      so a corrupted or persistently failing branch fails fast instead
+      of being re-read on every request.
 
     All state is domain-safe; contexts may be polled from pool workers
     while the submitting thread blocks. *)
@@ -31,10 +26,6 @@ exception Deadline_exceeded
 
 exception Budget_exceeded of { charged : int; budget : int }
 (** The operation's transient allocations exceeded its byte budget. *)
-
-exception Overloaded of { retry_after_ms : int }
-(** Admission queue full; shed immediately.  [retry_after_ms] is a
-    hint derived from the recent average slot-hold time. *)
 
 (** {1 Cancellation contexts} *)
 
@@ -118,48 +109,6 @@ module Ctx : sig
       the ["governor.pinned_bytes"] gauge). *)
 end
 
-(** {1 Admission control} *)
-
-type op_class =
-  | Cheap  (** single-branch scan, version scan: 1 slot unit *)
-  | Heavy  (** multi-scan, diff, merge: several units, configurable *)
-
-module Admission : sig
-  type t
-
-  val create :
-    ?capacity:int -> ?heavy_weight:int -> ?max_queue:int -> unit -> t
-  (** [capacity] slot units (default 64); a [Heavy] op takes
-      [heavy_weight] units (default 4, clamped to [capacity]); at most
-      [max_queue] operations may wait for slots (default 128) — beyond
-      that arrivals are shed with {!Overloaded}. *)
-
-  type slot
-
-  val admit : ?ctx:Ctx.t -> t -> op_class -> slot
-  (** Block until slot units are available (honoring [ctx]'s deadline
-      and cancel flag while waiting) or shed with {!Overloaded} when
-      the wait queue is full.  Counts
-      ["governor.admitted"]/["governor.shed"], observes the wait on
-      ["governor.admission_wait_ms"] and keeps the
-      ["governor.queue_depth"] gauge current. *)
-
-  val release : slot -> unit
-  (** Return the units (idempotent) and feed the hold time into the
-      average behind [retry_after_ms]. *)
-
-  type stats = {
-    capacity : int;
-    in_use : int;
-    queue_depth : int;
-    admitted : int;
-    shed : int;
-    avg_hold_ms : float;
-  }
-
-  val stats : t -> stats
-end
-
 (** {1 Circuit breaker} *)
 
 module Breaker : sig
@@ -203,6 +152,3 @@ val note_outcome : exn -> unit
 (** Bump ["governor.cancelled"] / ["governor.deadline_exceeded"] /
     ["governor.budget_exceeded"] when [e] is the corresponding governor
     exception; other exceptions are ignored. *)
-
-val counters : unit -> (string * int) list
-(** Current values of the governor counters, for reports and tests. *)

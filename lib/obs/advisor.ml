@@ -195,14 +195,3 @@ let to_text recs =
       recs;
     Buffer.contents buf
   end
-
-let prometheus_samples recs =
-  let count k =
-    List.length (List.filter (fun r -> r.rc_kind = k) recs)
-  in
-  List.map
-    (fun k ->
-      ( "advisor_recommendations",
-        [ ("kind", kind_name k) ],
-        float_of_int (count k) ))
-    [ Materialize; Compact; Gc; Rechunk ]

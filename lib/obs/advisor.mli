@@ -60,7 +60,3 @@ val advise :
 val recommendation_json : recommendation -> string
 val to_json : recommendation list -> string
 val to_text : recommendation list -> string
-
-val prometheus_samples :
-  recommendation list -> (string * (string * string) list * float) list
-(** One [advisor_recommendations{kind=...}] gauge per kind. *)

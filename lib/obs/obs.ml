@@ -220,13 +220,7 @@ let summarize h =
       hs_p99 = quantile h 0.99;
     }
 
-(* raw accessors for exporters (Prometheus needs per-bucket counts,
-   not just the quantile summary) *)
-let hist_name h = h.h_name
 let hist_buckets h = Array.copy h.h_buckets
-let hist_bucket_counts h = Array.copy h.h_counts
-let hist_count h = h.h_count
-let hist_sum h = h.h_sum
 let hist_exemplars h = locked (fun () -> Array.copy h.h_exemplars)
 
 (* trace id of a sample request that landed near quantile [q]: the
@@ -265,16 +259,6 @@ let exemplar_near h q =
         done;
         !pick
       end)
-
-let sorted_values tbl =
-  locked (fun () ->
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []))
-
-let all_counters () = List.map snd (sorted_values counters_tbl)
-let all_gauges () = List.map snd (sorted_values gauges_tbl)
-let all_histograms () = List.map snd (sorted_values histograms_tbl)
-let counter_name c = c.c_name
-let gauge_name g = g.g_name
 
 (* ------------------------------------------------------------------ *)
 (* JSON helpers (shared by events, traces and snapshots) *)
@@ -460,14 +444,8 @@ let events () =
 
 let events_emitted () = !ev_seq
 
-(* keep the last [n] elements of a list *)
-let last_n n l =
-  let len = List.length l in
-  if n >= len then l else List.filteri (fun i _ -> i >= len - n) l
-
-let events_json ?limit () =
+let events_json () =
   let es = events () in
-  let es = match limit with Some n when n >= 0 -> last_n n es | _ -> es in
   let buf = Buffer.create 1024 in
   List.iter
     (fun e ->
@@ -894,11 +872,8 @@ module Prof = struct
     Buffer.add_char buf '}';
     Buffer.contents buf
 
-  let profiles_json ?limit () =
+  let profiles_json () =
     let ps = recent_profiles () in
-    let ps =
-      match limit with Some n when n >= 0 -> last_n n ps | _ -> ps
-    in
     let buf = Buffer.create 1024 in
     Buffer.add_char buf '[';
     List.iteri

@@ -24,7 +24,7 @@
     interning, gauges, histogram observations, the event ring and the
     span buffer are serialized by a single registry mutex.  Mutators
     may therefore be called from any domain; plain readers
-    ({!gauge_value}, {!hist_count}, ...) are unsynchronized and meant
+    ({!gauge_value}, {!summarize}, ...) are unsynchronized and meant
     for report/export time, when writers are quiescent. *)
 
 (** {1 Runtime switch} *)
@@ -101,27 +101,15 @@ val quantile : histogram -> float -> float
 (** [quantile h q] for [q] in [0,1]; [0.] when the histogram is
     empty. *)
 
-(** {2 Raw accessors}
-
-    Exporters (e.g. the Prometheus text endpoint) need per-bucket
-    counts, not just the quantile summary. *)
-
-val hist_name : histogram -> string
+(** {2 Raw accessors} *)
 
 val hist_buckets : histogram -> float array
 (** Ascending upper bounds (a copy). *)
 
-val hist_bucket_counts : histogram -> int array
-(** Per-bucket observation counts, length [buckets + 1] — the last
-    slot is the overflow bucket (a copy; not cumulative). *)
-
-val hist_count : histogram -> int
-val hist_sum : histogram -> float
-
 val hist_exemplars : histogram -> string array
-(** Per-bucket exemplar trace ids (length [buckets + 1], aligned with
-    {!hist_bucket_counts}; [""] = no traced request has landed in that
-    bucket).  An observation made while a {!Prof} trace is ambient
+(** Per-bucket exemplar trace ids (length [buckets + 1]: one per
+    upper bound plus the overflow bucket; [""] = no traced request has
+    landed in that bucket).  An observation made while a {!Prof} trace is ambient
     stamps its bucket with the trace id, so tail buckets link to a
     concrete recent request. *)
 
@@ -130,15 +118,6 @@ val exemplar_near : histogram -> float -> string option
     — the exemplar of the quantile's bucket, falling back to the
     nearest populated bucket below it, then above.  [None] when the
     histogram is empty or no traced request has been observed. *)
-
-val counter_name : counter -> string
-val gauge_name : gauge -> string
-
-val all_counters : unit -> counter list
-(** Every registered counter, sorted by name. *)
-
-val all_gauges : unit -> gauge list
-val all_histograms : unit -> histogram list
 
 (** {1 Structured event log}
 
@@ -176,9 +155,8 @@ val events_emitted : unit -> int
 val event_json : event -> string
 (** One event as a single-line JSON object. *)
 
-val events_json : ?limit:int -> unit -> string
-(** The ring as JSONL (one {!event_json} line per event).  [limit]
-    keeps only the newest that many events. *)
+val events_json : unit -> string
+(** The ring as JSONL (one {!event_json} line per event). *)
 
 val set_event_capacity : int -> unit
 (** Resize the ring (clears it).  Raises [Invalid_argument] on a
@@ -287,7 +265,7 @@ val write_trace : path:string -> unit
     domain) becomes a node of the operator tree; a node's counters are
     the bag delta between span entry and exit — cumulative, children
     included, exactly like EXPLAIN ANALYZE.  Completed profiles are
-    kept in a bounded ring for the monitor's [/profile] route. *)
+    kept in a bounded ring ({!recent_profiles}). *)
 
 module Prof : sig
   (** Cost kinds, chosen to explain the paper's scheme tradeoffs (§5):
@@ -410,9 +388,8 @@ module Prof : sig
       [-> name  rows=N  time=T  [kind=v ...]] (zero counters elided). *)
 
   val profile_json : profile -> string
-  val profiles_json : ?limit:int -> unit -> string
-  (** The ring as one JSON array of {!profile_json} objects; [limit]
-      keeps only the newest that many. *)
+  val profiles_json : unit -> string
+  (** The ring as one JSON array of {!profile_json} objects. *)
 end
 
 val charge : Prof.kind -> int -> unit

@@ -234,60 +234,3 @@ let to_text r =
       r.r_columns
   end;
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Prometheus samples *)
-
-let prometheus_samples r =
-  let base =
-    [
-      ("storage_segment_format", [], float_of_int r.r_format);
-      ("storage_dataset_bytes", [], float_of_int r.r_dataset_bytes);
-      ("storage_commit_meta_bytes", [], float_of_int r.r_commit_meta_bytes);
-      ("storage_graph_versions", [], float_of_int r.r_graph.g_versions);
-      ("storage_graph_branches", [], float_of_int r.r_graph.g_branches);
-      ( "storage_graph_active_branches",
-        [],
-        float_of_int r.r_graph.g_active_branches );
-      ("storage_graph_depth", [], float_of_int r.r_graph.g_depth);
-      ("storage_graph_max_fanout", [], float_of_int r.r_graph.g_max_fanout);
-      ("storage_pool_capacity_pages", [], float_of_int r.r_pool.p_capacity_pages);
-      ("storage_pool_resident_pages", [], float_of_int r.r_pool.p_resident_pages);
-      ("storage_history_files", [], float_of_int r.r_history.h_files);
-      ("storage_history_bytes", [], float_of_int r.r_history.h_bytes);
-      ("storage_history_commits", [], float_of_int r.r_history.h_commits);
-      ("storage_history_max_chain", [], float_of_int r.r_history.h_max_chain);
-      ("storage_segments", [], float_of_int (List.length r.r_segments));
-      ( "storage_healthy",
-        [],
-        if r.r_health = "healthy" then 1.0 else 0.0 );
-      ( "storage_quarantined_branches",
-        [],
-        float_of_int (List.length r.r_quarantined) );
-    ]
-  in
-  let per_branch =
-    List.concat_map
-      (fun b ->
-        let l = [ ("branch", b.br_name) ] in
-        [
-          ("storage_branch_live_tuples", l, float_of_int b.br_live_tuples);
-          ("storage_branch_dead_tuples", l, float_of_int b.br_dead_tuples);
-          ("storage_branch_bitmap_density", l, b.br_density);
-          ("storage_branch_delta_chain", l, float_of_int b.br_delta_chain);
-          ("storage_branch_delta_bytes", l, float_of_int b.br_delta_bytes);
-        ])
-      r.r_branches
-  in
-  let per_column =
-    List.concat_map
-      (fun c ->
-        let l = [ ("column", c.co_name); ("encoding", c.co_encoding) ] in
-        [
-          ("storage_column_raw_bytes", l, float_of_int c.co_raw_bytes);
-          ("storage_column_enc_bytes", l, float_of_int c.co_enc_bytes);
-          ("storage_column_compression_ratio", l, compression_ratio c);
-        ])
-      r.r_columns
-  in
-  base @ per_branch @ per_column

@@ -116,7 +116,3 @@ val to_json : t -> string
 
 val to_text : t -> string
 (** Human-readable multi-line rendering for [decibel inspect]. *)
-
-val prometheus_samples : t -> (string * (string * string) list * float) list
-(** Report facts as [(metric, labels, value)] gauge samples for
-    {!Prometheus.render}'s [~extra]. *)

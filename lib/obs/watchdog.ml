@@ -18,7 +18,6 @@ type rules = {
   r_dead_ratio_crit : float;
   r_chain_warn : int;
   r_chain_crit : int;
-  r_shed_warn : int;  (** admissions shed since the previous tick *)
   r_events_dropped_warn : int;  (** event-ring drops since previous tick *)
   r_hot_replay_warn : float;  (** fragments/s of hot-branch delta replay *)
   r_maint_fail_warn : int;  (** maintenance failures since previous tick *)
@@ -32,7 +31,6 @@ let default_rules =
     r_dead_ratio_crit = 0.9;
     r_chain_warn = 32;
     r_chain_crit = 128;
-    r_shed_warn = 1;
     r_events_dropped_warn = 1;
     r_hot_replay_warn = 1.0;
     r_maint_fail_warn = 1;
@@ -53,7 +51,6 @@ type t = {
   mutable status : status;
   (* counter baselines so "rising" rules compare against the previous
      tick rather than process start *)
-  mutable prev_shed : int;
   mutable prev_dropped : int;
   mutable prev_maint_failed : int;
 }
@@ -63,7 +60,6 @@ let create ?(rules = default_rules) () =
     rules;
     m = Mutex.create ();
     status = { st_level = L_ok; st_findings = []; st_ticks = 0; st_time = 0.0 };
-    prev_shed = 0;
     prev_dropped = 0;
     prev_maint_failed = 0;
   }
@@ -139,13 +135,6 @@ let evaluate t ~now ~(report : Report.t) ~workload =
              "branch %s replays %.1f delta fragments/s; run advise"
              s.Workload.w_branch replay))
     workload;
-  (* shed rate rising: admissions rejected since the previous tick *)
-  let shed = Obs.value_of "governor.shed" in
-  let d_shed = shed - t.prev_shed in
-  if t.status.st_ticks > 0 && d_shed >= t.rules.r_shed_warn then
-    found "shed_rising" L_warn
-      (Printf.sprintf "%d operations shed since the last tick" d_shed);
-  t.prev_shed <- shed;
   let dropped = Obs.value_of "obs.events_dropped" in
   let d_dropped = dropped - t.prev_dropped in
   if t.status.st_ticks > 0 && d_dropped >= t.rules.r_events_dropped_warn then

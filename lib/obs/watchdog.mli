@@ -2,12 +2,11 @@
     snapshots with a sticky, leveled status.
 
     Each {!tick} evaluates its threshold rules — dead-tuple ratio,
-    delta-chain depth, quarantined branches / degraded health, shed
-    rate rising, event-ring drops, failed or stalled maintenance
-    tasks — and stores the verdict as the new
-    status.  The status is {e sticky}: it is held between ticks rather
-    than recomputed per request, so a [/health] probe is a constant-time
-    read suitable for a load-balancer check.  Level transitions emit a
+    delta-chain depth, quarantined branches / degraded health,
+    event-ring drops, failed or stalled maintenance tasks — and stores
+    the verdict as the new status.  The status is {e sticky}: it is
+    held between ticks rather than recomputed per read, so
+    {!status} is a constant-time read.  Level transitions emit a
     leveled [Obs] event (component ["watchdog"]); every tick bumps
     ["watchdog.ticks"] and the ["watchdog.level"] gauge (0/1/2).
 
@@ -26,7 +25,6 @@ type rules = {
   r_dead_ratio_crit : float;
   r_chain_warn : int;  (** delta-chain depth warning bar *)
   r_chain_crit : int;
-  r_shed_warn : int;  (** admissions shed since the previous tick *)
   r_events_dropped_warn : int;  (** ring drops since the previous tick *)
   r_hot_replay_warn : float;
       (** warn when a branch's [read rate x fragments/read] — the

@@ -219,17 +219,6 @@ let stats_json s =
     s.w_fragments s.w_pages_hit s.w_pages_missed (fl s.w_read_rate)
     (fl s.w_write_rate) (fl s.w_last_read) (fl s.w_last_write)
 
-let to_json stats =
-  let buf = Buffer.create 1024 in
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (stats_json s))
-    stats;
-  Buffer.add_char buf ']';
-  Buffer.contents buf
-
 let to_text stats =
   let buf = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -243,22 +232,6 @@ let to_text stats =
         (selectivity s) s.w_fragments s.w_read_rate s.w_write_rate)
     stats;
   Buffer.contents buf
-
-let prometheus_samples ?now () =
-  List.concat_map
-    (fun s ->
-      let l = [ ("table", s.w_table); ("branch", s.w_branch) ] in
-      [
-        ("workload_branch_reads", l, float_of_int s.w_reads);
-        ("workload_branch_writes", l, float_of_int s.w_writes);
-        ("workload_branch_tuples_scanned", l, float_of_int s.w_scanned);
-        ("workload_branch_tuples_emitted", l, float_of_int s.w_emitted);
-        ("workload_branch_selectivity", l, selectivity s);
-        ("workload_branch_fragments_replayed", l, float_of_int s.w_fragments);
-        ("workload_branch_read_rate", l, s.w_read_rate);
-        ("workload_branch_write_rate", l, s.w_write_rate);
-      ])
-    (snapshot ?now ())
 
 (* ------------------------------------------------------------------ *)
 (* JSONL checkpoint.

@@ -85,13 +85,7 @@ val set_tau : float -> unit
 (** {1 Rendering} *)
 
 val stats_json : stats -> string
-val to_json : stats list -> string
 val to_text : stats list -> string
-
-val prometheus_samples :
-  ?now:float -> unit -> (string * (string * string) list * float) list
-(** Labeled gauge samples (one family per stats field that matters for
-    alerting), for the monitor's /metrics extra section. *)
 
 (** {1 JSONL checkpoint}
 

@@ -1,16 +1,15 @@
 (* Tests for the resource governor: cancellation contexts (deadline,
    manual cancel, byte budget) firing mid-scan on every physical
-   scheme, admission control with weighted slots and load shedding,
-   circuit breakers, lock-wait deadlines, retry jitter, and — the
-   acceptance property — that an aborted operation releases every
-   admission slot and pool pin and leaves the database returning the
-   exact serial fingerprint. *)
+   scheme, circuit breakers on every database, lock-wait deadlines,
+   retry jitter, and — the acceptance property — that an aborted
+   operation releases every pool pin and leaves the database returning
+   the exact serial fingerprint. *)
 
 open Decibel
 open Decibel_bench
 module Governor = Decibel_governor.Governor
+module Obs = Decibel_obs.Obs
 module Ctx = Governor.Ctx
-module Admission = Governor.Admission
 module Breaker = Governor.Breaker
 module Par = Decibel_par.Par
 module Lock_manager = Decibel_storage.Lock_manager
@@ -26,13 +25,8 @@ let with_domains n f =
   Par.set_domain_count n;
   Fun.protect ~finally:(fun () -> Par.set_domain_count saved) f
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 (* ------------------------------------------------------------------ *)
-(* datasets: a flat branching workload, optionally reopened governed *)
+(* datasets: a flat branching workload *)
 
 let gov_cfg =
   {
@@ -43,17 +37,10 @@ let gov_cfg =
     commit_every = 200;
   }
 
-let load_flat ?governor ~scheme cfg =
+let load_flat ~scheme cfg =
   let dir = Decibel_util.Fsutil.fresh_dir "decibel-gov" in
   let wl = Strategy.generate Strategy.Flat cfg in
-  let l = Driver.load ~scheme ~dir cfg wl in
-  match governor with
-  | None -> l
-  | Some g ->
-      (* [Driver.load] has no governor hook; re-open the flushed
-         repository with one *)
-      Database.close l.Driver.db;
-      { l with Driver.db = Database.reopen ~governor:g ~dir () }
+  Driver.load ~scheme ~dir cfg wl
 
 let biggest_branch db =
   List.fold_left
@@ -130,50 +117,6 @@ let test_ambient_ctx () =
   Ctx.release c
 
 (* ------------------------------------------------------------------ *)
-(* Admission *)
-
-let test_admission_weights_and_shed () =
-  let a = Admission.create ~capacity:2 ~heavy_weight:2 ~max_queue:0 () in
-  let s1 = Admission.admit a Governor.Cheap in
-  let s2 = Admission.admit a Governor.Cheap in
-  (match Admission.admit a Governor.Cheap with
-  | _ -> Alcotest.fail "expected Overloaded"
-  | exception Governor.Overloaded { retry_after_ms } ->
-      Alcotest.(check bool) "retry hint positive" true (retry_after_ms > 0));
-  Admission.release s1;
-  Admission.release s1 (* idempotent *);
-  let s3 = Admission.admit a Governor.Cheap in
-  Admission.release s2;
-  Admission.release s3;
-  let st = Admission.stats a in
-  Alcotest.(check int) "in_use back to 0" 0 st.Admission.in_use;
-  Alcotest.(check int) "admitted" 3 st.Admission.admitted;
-  Alcotest.(check int) "shed" 1 st.Admission.shed;
-  (* a heavy op takes the whole weighted capacity *)
-  let h = Admission.admit a Governor.Heavy in
-  (match Admission.admit a Governor.Cheap with
-  | _ -> Alcotest.fail "expected Overloaded behind heavy"
-  | exception Governor.Overloaded _ -> ());
-  Admission.release h
-
-let test_admission_wait_deadline () =
-  let a = Admission.create ~capacity:1 ~max_queue:8 () in
-  let s = Admission.admit a Governor.Cheap in
-  let ctx = Ctx.create ~deadline_ms:30 () in
-  let t0 = now () in
-  (match Admission.admit ~ctx a Governor.Cheap with
-  | _ -> Alcotest.fail "expected Deadline_exceeded while queued"
-  | exception Governor.Deadline_exceeded -> ());
-  Alcotest.(check bool) "waited ~deadline, not forever" true
-    (now () -. t0 < 2.0);
-  let st = Admission.stats a in
-  Alcotest.(check int) "queue drained" 0 st.Admission.queue_depth;
-  Admission.release s;
-  (* slot is free again *)
-  let s2 = Admission.admit a Governor.Cheap in
-  Admission.release s2
-
-(* ------------------------------------------------------------------ *)
 (* Breaker *)
 
 let test_breaker_lifecycle () =
@@ -235,7 +178,7 @@ let test_deadline_mid_scan_domains scheme () =
 
 (* ------------------------------------------------------------------ *)
 (* acceptance: 1 ms deadline on a large multi_scan aborts fast,
-   releases slots and pins, and the rerun matches the serial result *)
+   releases its pins, and the rerun matches the serial result *)
 
 let test_acceptance_deadline_multi_scan () =
   let cfg =
@@ -246,8 +189,7 @@ let test_acceptance_deadline_multi_scan () =
       columns = 24;
     }
   in
-  let gov = Admission.create ~capacity:8 () in
-  let l = load_flat ~governor:gov ~scheme:Database.Hybrid cfg in
+  let l = load_flat ~scheme:Database.Hybrid cfg in
   Fun.protect ~finally:(fun () -> Driver.close l) @@ fun () ->
   let db = l.Driver.db in
   let t0 = now () in
@@ -266,23 +208,19 @@ let test_acceptance_deadline_multi_scan () =
   Alcotest.(check bool) "aborted faster than the serial pass" true
     (aborted_s < serial_s || serial_s < 0.02);
   Alcotest.(check int) "all pool pins released" 0 (Ctx.pinned_bytes ());
-  let st = Option.get (Database.governor_stats db) in
-  Alcotest.(check int) "all admission slots released" 0 st.Admission.in_use;
-  Alcotest.(check int) "admission queue empty" 0 st.Admission.queue_depth;
   Alcotest.(check bool) "rerun returns the exact serial fingerprint" true
     (Driver.multi_scan_fingerprint l = reference)
 
 (* ------------------------------------------------------------------ *)
-(* cancelled operation releases its admission slot and pins *)
+(* cancelled operation releases its pins *)
 
-let test_cancel_releases_slot_and_pins () =
-  let gov = Admission.create ~capacity:4 () in
-  let l = load_flat ~governor:gov ~scheme:Database.Tuple_first gov_cfg in
+let test_cancel_releases_pins () =
+  let l = load_flat ~scheme:Database.Tuple_first gov_cfg in
   Fun.protect ~finally:(fun () -> Driver.close l) @@ fun () ->
   let db = l.Driver.db in
   let b = biggest_branch db in
   let cancelled_before =
-    List.assoc "governor.cancelled" (Governor.counters ())
+    Obs.value_of "governor.cancelled"
   in
   Database.drop_caches db (* force page loads so pins accumulate *);
   let ctx = Ctx.create () in
@@ -296,87 +234,80 @@ let test_cancel_releases_slot_and_pins () =
   | exception Governor.Cancelled -> ());
   Alcotest.(check bool) "scan actually started" true (!seen >= 10);
   Alcotest.(check int) "pins released" 0 (Ctx.pinned_bytes ());
-  let st = Option.get (Database.governor_stats db) in
-  Alcotest.(check int) "slot released" 0 st.Admission.in_use;
   Alcotest.(check int) "cancelled counted" (cancelled_before + 1)
-    (List.assoc "governor.cancelled" (Governor.counters ()));
+    (Obs.value_of "governor.cancelled");
   (* the database is still fully readable *)
   let _, n = Driver.scan_fingerprint l ~branch:(Database.branch_name db b) in
   Alcotest.(check bool) "branch still readable" true (n > 0)
 
 (* ------------------------------------------------------------------ *)
-(* full queue sheds with Overloaded; shed op leaves the db readable *)
+(* storm: 1, 4 and 16 client threads running cheap scans, multi-scans
+   and 1 ms-deadline scans against one database.  Every op ends ok or
+   with Deadline_exceeded, nothing leaks, and no op's context outlives
+   it: the ambient context is per thread, so a thread restoring its
+   own must never leave another thread's expired deadline behind for
+   the lock wait that follows every op *)
 
-let test_shed_leaves_readable () =
-  let gov = Admission.create ~capacity:1 ~heavy_weight:1 ~max_queue:0 () in
-  let l = load_flat ~governor:gov ~scheme:Database.Version_first gov_cfg in
+let test_storm () =
+  let l = load_flat ~scheme:Database.Hybrid gov_cfg in
   Fun.protect ~finally:(fun () -> Driver.close l) @@ fun () ->
   let db = l.Driver.db in
-  let before = Driver.scan_fingerprint l ~branch:"master" in
-  (* occupy the only slot, then every arrival sheds immediately *)
-  let s = Admission.admit gov Governor.Cheap in
-  (match Database.scan db (biggest_branch db) (fun _ -> ()) with
-  | () -> Alcotest.fail "expected Overloaded"
-  | exception Governor.Overloaded { retry_after_ms } ->
-      Alcotest.(check bool) "retry hint positive" true (retry_after_ms > 0));
-  let st = Option.get (Database.governor_stats db) in
-  Alcotest.(check bool) "shed recorded" true (st.Admission.shed >= 1);
-  Admission.release s;
-  Alcotest.(check bool) "shed op left the data intact" true
-    (Driver.scan_fingerprint l ~branch:"master" = before)
-
-(* ------------------------------------------------------------------ *)
-(* overload storm: an under-provisioned governor (4 weighted slots, a
-   2-deep queue) against 1, 4 and 16 client threads running cheap
-   scans, heavy multi-scans and 1 ms-deadline scans.  Every op ends in
-   exactly one outcome, nothing leaks, and shedding and deadline aborts
-   stay invisible to the data a later reader sees *)
-
-let test_shed_storm () =
-  let gov = Admission.create ~capacity:4 ~heavy_weight:4 ~max_queue:2 () in
-  let l = load_flat ~governor:gov ~scheme:Database.Hybrid gov_cfg in
-  Fun.protect ~finally:(fun () -> Driver.close l) @@ fun () ->
-  let db = l.Driver.db in
+  let locks = Database.locks_of db in
   let heads = Database.heads db in
   let harr = Array.of_list heads in
   let reference = Driver.multi_scan_fingerprint l in
   let ops_per_thread = 20 in
+  (* an uncontended lock acquisition raises only if an expired ambient
+     deadline is installed on the calling thread *)
+  let lock_wait_raises owner =
+    match
+      Lock_manager.acquire locks ~owner ~resource:"storm" Lock_manager.Shared
+    with
+    | () ->
+        Lock_manager.release_all locks ~owner;
+        false
+    | exception Governor.Deadline_exceeded -> true
+  in
   List.iter
     (fun conc ->
       let ok = Atomic.make 0
-      and shed = Atomic.make 0
-      and deadlined = Atomic.make 0 in
+      and deadlined = Atomic.make 0
+      and lock_raised = Atomic.make 0 in
       let worker tid =
         let rng = Prng.create (Int64.of_int (0x5EDD + (conc * 1000) + tid)) in
         let pick () = harr.(Prng.int rng (Array.length harr)) in
         for _ = 1 to ops_per_thread do
-          match
-            match Prng.int rng 10 with
-            | 0 -> Database.multi_scan db heads (fun _ -> ())
-            | 1 ->
-                let ctx = Ctx.create ~deadline_ms:1 () in
-                Database.scan ~ctx db (pick ()) (fun _ -> ())
-            | _ -> Database.scan db (pick ()) (fun _ -> ())
-          with
+          (match
+             match Prng.int rng 10 with
+             | 0 -> Database.multi_scan db heads (fun _ -> ())
+             | 1 ->
+                 (* sleeping per tuple lets the deadline land mid-scan
+                    and the other threads run inside its extent *)
+                 let ctx = Ctx.create ~deadline_ms:1 () in
+                 Database.scan ~ctx db (pick ()) (fun _ -> Unix.sleepf 0.00005)
+             | _ -> Database.scan db (pick ()) (fun _ -> ())
+           with
           | () -> Atomic.incr ok
-          | exception Governor.Overloaded _ -> Atomic.incr shed
-          | exception Governor.Deadline_exceeded -> Atomic.incr deadlined
+          | exception Governor.Deadline_exceeded -> Atomic.incr deadlined);
+          if lock_wait_raises (tid + 1) then Atomic.incr lock_raised
         done
       in
       List.iter Thread.join (List.init conc (Thread.create worker));
       let msg what = Printf.sprintf "%d threads: %s" conc what in
       Alcotest.(check int)
-        (msg "ok + shed + deadline = ops")
+        (msg "ok + deadline = ops")
         (conc * ops_per_thread)
-        (Atomic.get ok + Atomic.get shed + Atomic.get deadlined);
-      let st = Option.get (Database.governor_stats db) in
-      Alcotest.(check int) (msg "no slots leaked") 0 st.Admission.in_use;
-      Alcotest.(check int) (msg "queue drained") 0 st.Admission.queue_depth;
+        (Atomic.get ok + Atomic.get deadlined);
       Alcotest.(check int) (msg "no pins leaked") 0 (Ctx.pinned_bytes ());
       Alcotest.(check bool)
         (msg "no ambient context left behind")
         true
         (Option.is_none (Ctx.current ()));
+      Alcotest.(check int) (msg "no lock wait raised") 0
+        (Atomic.get lock_raised);
+      Alcotest.(check bool)
+        (msg "lock wait after the storm")
+        false (lock_wait_raises 0);
       Alcotest.(check bool)
         (msg "multi_scan fingerprint unchanged")
         true
@@ -387,12 +318,11 @@ let test_shed_storm () =
 (* circuit breaker wired through the facade *)
 
 let test_db_breaker_wiring () =
-  let gov = Admission.create () in
-  let l = load_flat ~governor:gov ~scheme:Database.Hybrid gov_cfg in
+  let l = load_flat ~scheme:Database.Hybrid gov_cfg in
   Fun.protect ~finally:(fun () -> Driver.close l) @@ fun () ->
   let db = l.Driver.db in
   let b = Database.branch_named db "master" in
-  let br = Option.get (Database.breaker db b) in
+  let br = Database.breaker db b in
   (* a successful governed op clears a sub-threshold failure streak *)
   Breaker.failure br;
   Breaker.failure br;
@@ -414,6 +344,49 @@ let test_db_breaker_wiring () =
   (* operator reset: close it and the branch serves again *)
   Breaker.success br;
   Database.scan db b (fun _ -> ())
+
+(* concurrent first users of a branch share one breaker: 16 threads
+   start together on a fresh branch, each looks its breaker up, scans
+   the branch, and looks it up again; every lookup must return the
+   same breaker *)
+let test_breaker_registry_race () =
+  let l = load_flat ~scheme:Database.Hybrid gov_cfg in
+  Fun.protect ~finally:(fun () -> Driver.close l) @@ fun () ->
+  let db = l.Driver.db in
+  let master = Database.branch_named db "master" in
+  let fresh =
+    Database.create_branch db ~name:"fresh"
+      ~from:(Decibel_graph.Version_graph.head (Database.graph db) master)
+  in
+  let n = 16 in
+  let ready = Atomic.make 0 in
+  let seen = Array.make (2 * n) None in
+  let worker i =
+    Atomic.incr ready;
+    while Atomic.get ready < n do
+      Thread.yield ()
+    done;
+    seen.(i) <- Some (Database.breaker db fresh);
+    Database.scan db fresh (fun _ -> ());
+    seen.(n + i) <- Some (Database.breaker db fresh)
+  in
+  (* four domains of four threads each, so that first uses really
+     overlap instead of waiting for a systhread switch *)
+  let per = 4 in
+  let domain d () =
+    List.iter Thread.join
+      (List.init per (fun k -> Thread.create worker ((d * per) + k)))
+  in
+  let domains = List.init (n / per) (fun d -> Domain.spawn (domain d)) in
+  List.iter Domain.join domains;
+  let first = Option.get seen.(0) in
+  Array.iteri
+    (fun i br ->
+      Alcotest.(check bool)
+        (Printf.sprintf "lookup %d is the one breaker" i)
+        true
+        (Option.get br == first))
+    seen
 
 (* ------------------------------------------------------------------ *)
 (* byte budget: buffer-pool page loads charge the ambient context *)
@@ -562,37 +535,6 @@ let test_par_ctx () =
       | exception Governor.Cancelled -> ())
 
 (* ------------------------------------------------------------------ *)
-(* monitor surface *)
-
-let test_monitor_governor_route () =
-  let gov = Admission.create ~capacity:16 () in
-  let l = load_flat ~governor:gov ~scheme:Database.Hybrid gov_cfg in
-  Fun.protect ~finally:(fun () -> Driver.close l) @@ fun () ->
-  let db = l.Driver.db in
-  Database.scan db (biggest_branch db) (fun _ -> ());
-  let resp = Monitor.handler db ~meth:"GET" ~path:"/governor" ~query:[] in
-  Alcotest.(check int) "200" 200 resp.Decibel_obs.Http.status;
-  let body = resp.Decibel_obs.Http.body in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool)
-        (Printf.sprintf "body has %s" needle)
-        true (contains body needle))
-    [ "\"admission\""; "\"capacity\":16"; "\"counters\""; "\"breakers\"" ];
-  (* prometheus exposition carries the governor counters *)
-  let metrics = Monitor.handler db ~meth:"GET" ~path:"/metrics" ~query:[] in
-  Alcotest.(check bool) "governor counters exported" true
-    (contains metrics.Decibel_obs.Http.body "governor_")
-
-let test_monitor_governor_ungoverned () =
-  let l = load_flat ~scheme:Database.Hybrid gov_cfg in
-  Fun.protect ~finally:(fun () -> Driver.close l) @@ fun () ->
-  let resp = Monitor.handler l.Driver.db ~meth:"GET" ~path:"/governor" ~query:[] in
-  Alcotest.(check int) "200" 200 resp.Decibel_obs.Http.status;
-  Alcotest.(check bool) "admission null" true
-    (contains resp.Decibel_obs.Http.body "\"admission\":null")
-
-(* ------------------------------------------------------------------ *)
 
 let scheme_cases name f =
   List.map
@@ -612,17 +554,15 @@ let () =
           Alcotest.test_case "poller stride" `Quick test_poller_stride;
           Alcotest.test_case "ambient context" `Quick test_ambient_ctx;
         ] );
-      ( "admission",
-        [
-          Alcotest.test_case "weights and shedding" `Quick
-            test_admission_weights_and_shed;
-          Alcotest.test_case "queued waiter honors deadline" `Quick
-            test_admission_wait_deadline;
-        ] );
       ( "breaker",
         [
           Alcotest.test_case "trip, half-open, close" `Quick
             test_breaker_lifecycle;
+        ] );
+      ( "first-use",
+        [
+          Alcotest.test_case "breaker registry race" `Quick
+            test_breaker_registry_race;
         ] );
       ( "deadline",
         scheme_cases "fires mid-scan" test_deadline_mid_scan
@@ -635,14 +575,12 @@ let () =
       ( "release",
         [
           Alcotest.test_case "cancel releases slot and pins" `Quick
-            test_cancel_releases_slot_and_pins;
-          Alcotest.test_case "full queue sheds, db stays readable" `Quick
-            test_shed_leaves_readable;
+            test_cancel_releases_pins;
           Alcotest.test_case "budget stops page-load blowup" `Quick
             test_budget_on_page_loads;
+          Alcotest.test_case "storm at 1/4/16 threads" `Quick test_storm;
           Alcotest.test_case "version-first charge, 0 vs 4 domains" `Quick
             test_vf_charge_domain_independent;
-          Alcotest.test_case "storm at 1/4/16 threads" `Quick test_shed_storm;
         ] );
       ( "wiring",
         [
@@ -651,9 +589,5 @@ let () =
             test_lock_wait_deadline;
           Alcotest.test_case "retry backoff jitter" `Quick test_retry_backoff;
           Alcotest.test_case "par combinators" `Quick test_par_ctx;
-          Alcotest.test_case "monitor /governor" `Quick
-            test_monitor_governor_route;
-          Alcotest.test_case "monitor /governor ungoverned" `Quick
-            test_monitor_governor_ungoverned;
         ] );
     ]

@@ -1,18 +1,10 @@
 (* Tests for the storage-introspection subsystem: per-scheme storage
-   reports, the Prometheus text exporter, and the monitoring endpoint
-   exercised over a real loopback socket.
-
-   The socket test is single-threaded on purpose: the client connect
-   completes against the server's listen backlog and the tiny request
-   fits the kernel socket buffer, so we can connect + write first and
-   only then let [Http.handle_one] serve the request. *)
+   reports, their JSON and text renderings, and the slow-op event log. *)
 
 open Decibel
 open Decibel_storage
 module Obs = Decibel_obs.Obs
 module Report = Decibel_obs.Report
-module Prometheus = Decibel_obs.Prometheus
-module Http = Decibel_obs.Http
 
 let schema = Schema.ints ~name:"r" ~width:3
 
@@ -124,6 +116,8 @@ let check_report ~expect_scheme scheme () =
       let js = Report.to_json r in
       Alcotest.(check bool) "json is an object" true
         (js.[0] = '{' && js.[String.length js - 1] = '}');
+      Alcotest.(check bool) "json names the scheme" true
+        (contains js ("\"scheme\":\"" ^ expect_scheme));
       Alcotest.(check bool) "json names master" true
         (contains js "\"name\":\"master\"");
       Alcotest.(check bool) "json carries live count" true
@@ -186,215 +180,6 @@ let test_slow_scan_event () =
           Alcotest.(check int) "obs.slow_ops counted" (List.length slow)
             (Obs.value_of "obs.slow_ops")))
 
-(* ------------------------------------------------------------------ *)
-(* Prometheus text exporter *)
-
-(* one exposition line: "name value" or "name{labels} value"; the
-   value must parse as a finite float and the name must be a legal
-   Prometheus identifier *)
-let check_sample_line line =
-  let sp = String.rindex line ' ' in
-  let value = String.sub line (sp + 1) (String.length line - sp - 1) in
-  (match float_of_string_opt value with
-  | Some v -> Alcotest.(check bool) ("finite value: " ^ line) true
-                (Float.is_finite v)
-  | None -> Alcotest.fail ("unparseable value in: " ^ line));
-  let name_end =
-    match String.index_opt line '{' with Some i -> i | None -> sp
-  in
-  let name = String.sub line 0 name_end in
-  Alcotest.(check bool) ("non-empty name: " ^ line) true (name <> "");
-  Alcotest.(check bool) ("leading char legal: " ^ line) true
-    (match name.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> true | _ -> false);
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> ()
-      | c -> Alcotest.fail (Printf.sprintf "bad char %C in name %s" c name))
-    name
-
-let check_exposition text =
-  let lines =
-    String.split_on_char '\n' text |> List.filter (fun l -> l <> "")
-  in
-  Alcotest.(check bool) "non-empty exposition" true (lines <> []);
-  List.iter
-    (fun l ->
-      if String.length l >= 2 && String.sub l 0 2 = "# " then ()
-      else check_sample_line l)
-    lines;
-  lines
-
-let test_sanitize () =
-  Alcotest.(check string) "dots become underscores" "buffer_pool_misses"
-    (Prometheus.sanitize "buffer_pool.misses");
-  Alcotest.(check string) "dashes become underscores" "a_b_c"
-    (Prometheus.sanitize "a-b.c");
-  Alcotest.(check bool) "leading digit guarded" true
-    ((Prometheus.sanitize "9lives").[0] <> '9')
-
-let test_prometheus_render () =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Obs.add (Obs.counter "prom.test.counter") 7;
-  Obs.set_gauge (Obs.gauge "prom.test.gauge") 1.5;
-  let h = Obs.histogram ~buckets:[| 0.001; 0.01; 0.1 |] "prom.test.hist" in
-  List.iter (Obs.observe h) [ 0.0005; 0.005; 0.05; 0.5 ];
-  let text = Prometheus.render () in
-  let lines = check_exposition text in
-  (* every metric name was sanitized: no dots anywhere *)
-  List.iter
-    (fun l ->
-      Alcotest.(check bool) ("no dotted name: " ^ l) true
-        (not (contains l "prom.test")))
-    lines;
-  Alcotest.(check bool) "counter rendered with _total" true
-    (List.mem "prom_test_counter_total 7" lines);
-  Alcotest.(check bool) "gauge rendered" true
-    (List.mem "prom_test_gauge 1.5" lines);
-  (* histogram series: cumulative buckets consistent with summarize *)
-  let s = Obs.summarize h in
-  Alcotest.(check bool) "bucket le=0.001" true
-    (List.mem "prom_test_hist_bucket{le=\"0.001\"} 1" lines);
-  Alcotest.(check bool) "bucket le=0.01 cumulative" true
-    (List.mem "prom_test_hist_bucket{le=\"0.01\"} 2" lines);
-  Alcotest.(check bool) "bucket le=0.1 cumulative" true
-    (List.mem "prom_test_hist_bucket{le=\"0.1\"} 3" lines);
-  Alcotest.(check bool) "+Inf bucket equals count" true
-    (List.mem
-       (Printf.sprintf "prom_test_hist_bucket{le=\"+Inf\"} %d" s.Obs.hs_count)
-       lines);
-  Alcotest.(check bool) "_count equals summarize count" true
-    (List.mem (Printf.sprintf "prom_test_hist_count %d" s.Obs.hs_count) lines);
-  (* _sum must match the histogram's tracked sum *)
-  let sum_line =
-    List.find (fun l -> contains l "prom_test_hist_sum ") lines
-  in
-  let sp = String.rindex sum_line ' ' in
-  let v =
-    float_of_string
-      (String.sub sum_line (sp + 1) (String.length sum_line - sp - 1))
-  in
-  Alcotest.(check bool) "_sum equals summarize sum" true
-    (abs_float (v -. s.Obs.hs_sum) < 1e-9);
-  (* TYPE headers present for each family *)
-  Alcotest.(check bool) "counter TYPE header" true
-    (List.mem "# TYPE prom_test_counter_total counter" lines);
-  Alcotest.(check bool) "histogram TYPE header" true
-    (List.mem "# TYPE prom_test_hist histogram" lines)
-
-(* ------------------------------------------------------------------ *)
-(* the monitoring endpoint over a real loopback socket *)
-
-(* connect, write the whole request, then let the single-threaded
-   server pick the connection off its backlog and answer *)
-let http_get server handler path =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd
-        (Unix.ADDR_INET (Unix.inet_addr_loopback, Http.port server));
-      let req =
-        Printf.sprintf
-          "GET %s HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-          path
-      in
-      let _ = Unix.write_substring fd req 0 (String.length req) in
-      Http.handle_one server handler;
-      let buf = Buffer.create 4096 in
-      let chunk = Bytes.create 4096 in
-      let rec drain () =
-        let n = Unix.read fd chunk 0 4096 in
-        if n > 0 then begin
-          Buffer.add_subbytes buf chunk 0 n;
-          drain ()
-        end
-      in
-      drain ();
-      Buffer.contents buf)
-
-let split_response raw =
-  let sep = "\r\n\r\n" in
-  let rec find i =
-    if i + 4 > String.length raw then
-      Alcotest.fail "no header/body separator in response"
-    else if String.sub raw i 4 = sep then i
-    else find (i + 1)
-  in
-  let i = find 0 in
-  (String.sub raw 0 i, String.sub raw (i + 4) (String.length raw - i - 4))
-
-let header headers name =
-  String.split_on_char '\n' headers
-  |> List.filter_map (fun l ->
-         let l = String.trim l in
-         let prefix = name ^ ":" in
-         if
-           String.length l > String.length prefix
-           && String.lowercase_ascii (String.sub l 0 (String.length prefix))
-              = String.lowercase_ascii prefix
-         then
-           Some
-             (String.trim
-                (String.sub l (String.length prefix)
-                   (String.length l - String.length prefix)))
-         else None)
-  |> function
-  | [ v ] -> v
-  | _ -> Alcotest.fail ("header not found exactly once: " ^ name)
-
-let test_metrics_endpoint () =
-  Obs.set_enabled true;
-  Obs.reset ();
-  with_loaded Database.Hybrid (fun db ->
-      let server = Http.listen ~port:0 () in
-      Fun.protect
-        ~finally:(fun () -> Http.close server)
-        (fun () ->
-          Alcotest.(check bool) "ephemeral port bound" true
-            (Http.port server > 0);
-          let handler = Monitor.handler db in
-          (* /metrics: valid Prometheus text with storage gauges *)
-          let raw = http_get server handler "/metrics" in
-          Alcotest.(check bool) "200 OK" true
-            (String.length raw > 12 && String.sub raw 0 12 = "HTTP/1.1 200");
-          let headers, body = split_response raw in
-          Alcotest.(check string) "prometheus content type"
-            Prometheus.content_type (header headers "Content-Type");
-          Alcotest.(check int) "content-length matches body"
-            (String.length body)
-            (int_of_string (header headers "Content-Length"));
-          let lines = check_exposition body in
-          Alcotest.(check bool) "registry counters exported" true
-            (List.exists
-               (fun l -> contains l "buffer_pool_misses_total ")
-               lines);
-          Alcotest.(check bool) "per-branch storage gauge" true
-            (List.mem "storage_branch_live_tuples{branch=\"master\"} 50" lines);
-          Alcotest.(check bool) "dataset bytes gauge present" true
-            (List.exists
-               (fun l -> contains l "storage_dataset_bytes ")
-               lines);
-          (* /report: the JSON storage report *)
-          let raw = http_get server handler "/report" in
-          let headers, body = split_response raw in
-          Alcotest.(check string) "report is json" "application/json"
-            (header headers "Content-Type");
-          Alcotest.(check bool) "report names the scheme" true
-            (contains body "\"scheme\":\"hybrid\"");
-          (* /events: JSONL (possibly empty) with ndjson content type *)
-          let raw = http_get server handler "/events" in
-          Alcotest.(check bool) "events 200" true
-            (String.sub raw 0 12 = "HTTP/1.1 200");
-          let headers, _ = split_response raw in
-          Alcotest.(check string) "events are ndjson" "application/x-ndjson"
-            (header headers "Content-Type");
-          (* unknown route: 404 *)
-          let raw = http_get server handler "/nope" in
-          Alcotest.(check bool) "404 for unknown route" true
-            (String.sub raw 0 12 = "HTTP/1.1 404")))
-
 let () =
   Alcotest.run "introspect"
     [
@@ -413,15 +198,5 @@ let () =
           Alcotest.test_case "report with obs disabled" `Quick
             test_report_disabled_obs;
           Alcotest.test_case "slow scan event" `Quick test_slow_scan_event;
-        ] );
-      ( "prometheus",
-        [
-          Alcotest.test_case "sanitize" `Quick test_sanitize;
-          Alcotest.test_case "render" `Quick test_prometheus_render;
-        ] );
-      ( "endpoint",
-        [
-          Alcotest.test_case "loopback round-trip" `Quick
-            test_metrics_endpoint;
         ] );
     ]

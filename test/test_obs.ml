@@ -415,75 +415,6 @@ let test_streaming_trace () =
       Alcotest.(check bool) "span_json line present" true
         (List.mem (Obs.span_json b) file_lines))
 
-let test_prometheus_format () =
-  Obs.set_enabled true;
-  Obs.reset ();
-  let module P = Decibel_obs.Prometheus in
-  (* touch one member of each HELP-registered family *)
-  Obs.incr (Obs.counter "governor.admitted");
-  Obs.incr (Obs.counter "prof.profiles");
-  Obs.incr (Obs.counter "obs.event_log_rotations");
-  let text =
-    P.render
-      ~extra:[ ("test_labeled", [ ("branch", "we\"ird\nname\\x") ], 1.0) ]
-      ()
-  in
-  (* HELP and TYPE headers for the documented families, HELP first *)
-  List.iter
-    (fun family ->
-      let help = "# HELP " ^ family ^ " " in
-      let typ = "# TYPE " ^ family ^ " counter" in
-      Alcotest.(check bool) (family ^ " has HELP") true (contains text help);
-      Alcotest.(check bool) (family ^ " has TYPE") true (contains text typ);
-      let idx needle =
-        let n = String.length needle and m = String.length text in
-        let rec go i =
-          if i + n > m then -1
-          else if String.sub text i n = needle then i
-          else go (i + 1)
-        in
-        go 0
-      in
-      Alcotest.(check bool) (family ^ " HELP precedes TYPE") true
-        (idx help < idx typ))
-    [
-      "governor_admitted_total"; "prof_profiles_total";
-      "obs_event_log_rotations_total";
-    ];
-  (* label values escape backslash, double-quote and newline *)
-  Alcotest.(check bool) "label value escaped" true
-    (contains text "branch=\"we\\\"ird\\nname\\\\x\"");
-  (* EVERY family carries both headers: undocumented ones get a
-     readable fallback HELP derived from the metric name *)
-  Obs.incr (Obs.counter "test.prom.undocumented");
-  let text2 = P.render () in
-  Alcotest.(check bool) "TYPE for unknown family" true
-    (contains text2 "# TYPE test_prom_undocumented_total counter");
-  Alcotest.(check bool) "fallback HELP for unknown family" true
-    (contains text2 "# HELP test_prom_undocumented_total test prom undocumented\n");
-  (* exporter-wide regression: walk the rendered text and require that
-     each TYPE line is immediately preceded by its family's HELP line *)
-  let has_prefix p s =
-    String.length s >= String.length p && String.sub s 0 (String.length p) = p
-  in
-  let lines = String.split_on_char '\n' text2 in
-  let rec check_pairs = function
-    | prev :: line :: rest ->
-        (if has_prefix "# TYPE " line then
-           let fam =
-             match String.split_on_char ' ' line with
-             | _ :: _ :: fam :: _ -> fam
-             | _ -> Alcotest.fail ("malformed TYPE line: " ^ line)
-           in
-           Alcotest.(check bool)
-             ("HELP precedes TYPE for " ^ fam)
-             true
-             (has_prefix ("# HELP " ^ fam ^ " ") prev));
-        check_pairs (line :: rest)
-    | _ -> ()
-  in
-  check_pairs lines
-
 let test_slow_op_log () =
   Obs.set_enabled true;
   Obs.reset ();
@@ -658,8 +589,6 @@ let () =
           Alcotest.test_case "event sink rotation" `Quick
             test_event_sink_rotation;
           Alcotest.test_case "streaming trace" `Quick test_streaming_trace;
-          Alcotest.test_case "prometheus format" `Quick
-            test_prometheus_format;
           Alcotest.test_case "slow-op log" `Quick test_slow_op_log;
         ] );
       ( "instrumentation",
