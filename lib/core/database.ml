@@ -122,38 +122,13 @@ let open_ ?pool ?(durable = false) ?(compress = false) ?lock_timeout_s
 
 (* Reopen a repository persisted by [flush]/[close].  The scheme is
    discovered from the manifest each engine leaves behind. *)
-let manifest_schemes =
-  [
-    ("manifest.tf", Tuple_first);
-    ("manifest.vf", Version_first);
-    ("manifest.hy", Hybrid);
-  ]
-
 let detect_scheme dir =
-  let candidates =
-    List.filter_map
-      (fun (file, scheme) ->
-        if Sys.file_exists (Filename.concat dir file) then Some (file, scheme)
-        else None)
-      manifest_schemes
-  in
-  match candidates with
-  | [ (file, scheme) ] ->
-      if scheme = Tuple_first then begin
-        (* both bitmap layouts share the manifest file; it records which
-           layout wrote it (past the columnar format header, if any) *)
-        let data =
-          Decibel_util.Binio.read_file (Filename.concat dir file)
-        in
-        let pos = ref 0 in
-        let _version = Col_segment.manifest_version data pos in
-        match Decibel_util.Binio.read_string data pos with
-        | "tuple-oriented" -> Tuple_first_tuple_oriented
-        | _ -> Tuple_first
-      end
-      else scheme
-  | [] -> errorf "no Decibel repository found in %s" dir
-  | _ :: _ :: _ -> errorf "ambiguous repository manifests in %s" dir
+  match Manifest.detect dir with
+  | Manifest.Tf, Some layout when layout = Decibel_index.Tuple_bitmap.layout ->
+      Tuple_first_tuple_oriented
+  | Manifest.Tf, _ -> Tuple_first
+  | Manifest.Vf, _ -> Version_first
+  | Manifest.Hy, _ -> Hybrid
 
 let reopen_checkpoint ?pool ?scheme ~dir () =
   let pool = match pool with Some p -> p | None -> Buffer_pool.create () in
@@ -664,7 +639,7 @@ let health_tick (Db d as t) =
                                          is its last step; on exception
                                          it removed its partial files
      fingerprint after                -- mismatch: degrade, no commit
-     flush                            -- engine manifest via Atomic_file:
+     flush                            -- engine manifest via Manifest:
                                          THE atomic commit point
      journal Apply
      mp_cleanup                       -- invalidate pool pages, unlink

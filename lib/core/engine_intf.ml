@@ -55,13 +55,6 @@ type maint_plan = {
   mp_cleanup : unit -> unit;
 }
 
-(* Consume an engine manifest's format header, refusing a pre-columnar
-   (v1) manifest: only the offline upgrade behind [fsck --migrate]
-   reads those. *)
-let read_manifest_header s pos =
-  if Col_segment.manifest_version s pos < Col_segment.current_format then
-    errorf "segment format v1: run fsck --migrate"
-
 module type S = sig
   type t
 

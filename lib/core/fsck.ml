@@ -163,8 +163,11 @@ let check_maint ~repair ?pool dir =
   end
 
 (* Engine-side checks: open the last checkpoint read-only and run the
-   engine's own verify (manifest trailer, record checksums, locator
-   cross-references). *)
+   engine's verify ({!Decibel_storage.Manifest.verify}: manifest
+   trailer, record checksums, locator cross-references).  A manifest
+   whose checksum holds but whose content is inconsistent (an id out of
+   range, a missing segment file) is refused by the loader with
+   [Corrupt] and reported as a manifest finding. *)
 let check_engine ?pool dir =
   match Database.reopen_checkpoint ?pool ~dir () with
   | exception Decibel_util.Binio.Corrupt msg ->

@@ -1,8 +1,9 @@
 (** Offline repository checker behind [decibel fsck].
 
-    Detects manifest-trailer checksum failures, stale temp files from
-    interrupted atomic renames, torn write-ahead-log tails, per-record
-    heap/segment checksum failures and dangling commit locators.  With
+    Detects manifest-trailer checksum failures, manifests whose content
+    is inconsistent, stale temp files from interrupted atomic renames,
+    torn write-ahead-log tails, per-record heap/segment checksum
+    failures and dangling commit locators.  With
     [~repair:true] the mechanically safe problems (stale temp files,
     torn WAL tail, interrupted maintenance tasks) are fixed in place;
     checkpoint corruption is only ever reported.

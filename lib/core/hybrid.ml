@@ -754,66 +754,59 @@ let storage_report t =
       };
   }
 
-(* The manifest persists the graph, every segment's local bitmap and
-   block index, branch head segments, the branch–segment bitmap,
-   history bookkeeping, the commit locator and dirtiness; the key index
-   is rebuilt from local bitmaps on reopen. *)
-let manifest_path dir = Filename.concat dir "manifest.hy"
-
+(* The manifest body persists the graph, every segment's local bitmap
+   and block index, branch head segments, the branch–segment bitmap and
+   history bookkeeping; the commit locator, dirtiness and WAL marker
+   follow as {!Manifest}'s shared tail.  The key index is rebuilt from
+   local bitmaps on reopen. *)
 let save_manifest ?path t =
-  let buf = Buffer.create 4096 in
-  Col_segment.write_manifest_header buf;
-  Binio.write_u8 buf (if t.compress then 1 else 0);
-  Binio.write_string buf (Vg.serialize t.graph);
-  Schema.serialize buf t.schema;
-  Binio.write_varint buf (Vec.length t.segments);
-  Vec.iter
-    (fun s ->
-      Col_segment.save_meta buf s.seg;
-      Branch_bitmap.serialize buf s.local)
-    t.segments;
-  Binio.write_varint buf (Vec.length t.head_seg);
-  Vec.iter (fun sid -> Binio.write_varint buf sid) t.head_seg;
-  Branch_bitmap.serialize buf t.seg_index;
-  Binio.write_varint buf (Hashtbl.length t.hist_segs);
-  Hashtbl.iter
-    (fun b l ->
-      Binio.write_varint buf b;
-      Binio.write_list (fun buf s -> Binio.write_varint buf s) buf !l)
-    t.hist_segs;
-  Binio.write_varint buf (Hashtbl.length t.commit_loc);
-  Hashtbl.iter
-    (fun vid (b, snaps) ->
-      Binio.write_varint buf vid;
-      Binio.write_varint buf b;
-      Binio.write_list
-        (fun buf (sid, idx) ->
-          Binio.write_varint buf sid;
-          Binio.write_varint buf idx)
-        buf snaps)
-    t.commit_loc;
-  Binio.write_varint buf (Hashtbl.length t.dirty);
-  Hashtbl.iter
-    (fun b d ->
-      Binio.write_varint buf b;
-      Binio.write_u8 buf (if d then 1 else 0))
-    t.dirty;
-  Binio.write_varint buf t.wal_marker;
-  Atomic_file.write
-    (Option.value path ~default:(manifest_path t.dir))
-    (Buffer.contents buf)
+  Manifest.write
+    (Option.value path ~default:(Manifest.path Manifest.Hy t.dir))
+    (fun buf ->
+      Manifest.write_head buf ~compress:t.compress ~graph:t.graph
+        ~schema:t.schema;
+      Binio.write_varint buf (Vec.length t.segments);
+      Vec.iter
+        (fun s ->
+          Col_segment.save_meta buf s.seg;
+          Branch_bitmap.serialize buf s.local)
+        t.segments;
+      Binio.write_list Binio.write_varint buf (Vec.to_list t.head_seg);
+      Branch_bitmap.serialize buf t.seg_index;
+      Binio.write_varint buf (Hashtbl.length t.hist_segs);
+      Hashtbl.iter
+        (fun b l ->
+          Binio.write_varint buf b;
+          Binio.write_list Binio.write_varint buf !l)
+        t.hist_segs;
+      Manifest.write_tail buf ~locators:t.commit_loc
+        (fun buf (b, snaps) ->
+          Binio.write_varint buf b;
+          Binio.write_list
+            (fun buf (sid, idx) ->
+              Binio.write_varint buf sid;
+              Binio.write_varint buf idx)
+            buf snaps)
+        ~dirty:t.dirty ~wal_marker:t.wal_marker)
 
-let flush t =
-  Vec.iter (fun s -> Col_segment.flush s.seg) t.segments;
-  save_manifest t
+(* [Col_segment.save_meta] flushes each segment first *)
+let flush t = save_manifest t
+
+(* A bitmap whose branches are graph branches and whose every column
+   stays below [rows]. *)
+let check_bitmap what bm ~branches ~rows =
+  Manifest.check what (Branch_bitmap.branch_count bm <= branches);
+  for b = 0 to Branch_bitmap.branch_count bm - 1 do
+    Manifest.check what
+      (Bitvec.length (Branch_bitmap.column_view bm ~branch:b) <= rows)
+  done
 
 (* Manifest body past the format header.  [read_seg] reads one
    segment's section (segment plus local bitmap): the v2 block index
    here, a staged v1 offset table in [upgrade_v1]. *)
 let load ~dir ~pool ~read_seg data pos =
-  let compress = Binio.read_u8 data pos = 1 in
-  let graph = Vg.deserialize (Binio.read_string data pos) in
-  let schema = Schema.deserialize data pos in
+  let compress, graph, schema = Manifest.read_head data pos in
+  let branches = Vg.branch_count graph in
   let t =
     {
       dir;
@@ -836,49 +829,43 @@ let load ~dir ~pool ~read_seg data pos =
   let nsegs = Binio.read_varint data pos in
   for seg_id = 0 to nsegs - 1 do
     let seg, local = read_seg ~schema ~compress seg_id data pos in
+    check_bitmap "local bitmap" local ~branches ~rows:(Col_segment.rows seg);
     let _ = Vec.push t.segments { seg_id; seg; local } in
     ()
   done;
-  let nheads = Binio.read_varint data pos in
-  for _ = 1 to nheads do
-    let _ = Vec.push t.head_seg (Binio.read_varint data pos) in
-    ()
-  done;
+  let read_sid = Manifest.read_id "segment" ~bound:nsegs in
+  let read_branch = Manifest.read_id "branch" ~bound:branches in
+  List.iter
+    (fun sid -> ignore (Vec.push t.head_seg sid))
+    (Binio.read_list read_sid data pos);
+  Manifest.check "head segments" (Vec.length t.head_seg = branches);
   let seg_index = Branch_bitmap.deserialize data pos in
+  check_bitmap "segment index" seg_index ~branches ~rows:nsegs;
   (* seg_index is immutable in the record; rebuild via overwrite *)
   for b = 0 to Branch_bitmap.branch_count seg_index - 1 do
     ensure_branch t.seg_index b;
     Branch_bitmap.overwrite_column t.seg_index ~branch:b
       (Branch_bitmap.column_view seg_index ~branch:b)
   done;
-  let nhist = Binio.read_varint data pos in
-  for _ = 1 to nhist do
-    let b = Binio.read_varint data pos in
-    let l = Binio.read_list (fun s p -> Binio.read_varint s p) data pos in
-    Hashtbl.replace t.hist_segs b (ref l)
+  for _ = 1 to Binio.read_varint data pos do
+    let b = read_branch data pos in
+    Hashtbl.replace t.hist_segs b (ref (Binio.read_list read_sid data pos))
   done;
-  let ncommits = Binio.read_varint data pos in
-  for _ = 1 to ncommits do
-    let vid = Binio.read_varint data pos in
-    let b = Binio.read_varint data pos in
-    let snaps =
-      Binio.read_list
-        (fun s p ->
-          let sid = Binio.read_varint s p in
-          let idx = Binio.read_varint s p in
-          (sid, idx))
-        data pos
-    in
-    Hashtbl.replace t.commit_loc vid (b, snaps)
-  done;
-  let ndirty = Binio.read_varint data pos in
-  for _ = 1 to ndirty do
-    let b = Binio.read_varint data pos in
-    Hashtbl.replace t.dirty b (Binio.read_u8 data pos = 1)
-  done;
-  t.wal_marker <- Binio.read_varint data pos;
+  t.wal_marker <-
+    Manifest.read_tail data pos ~locators:t.commit_loc
+      (fun s pos ->
+        let b = read_branch s pos in
+        let snaps =
+          Binio.read_list
+            (fun s pos ->
+              let sid = read_sid s pos in
+              (sid, Binio.read_varint s pos))
+            s pos
+        in
+        (b, snaps))
+      ~dirty:t.dirty ~branches;
   (* rebuild the key index from the local bitmaps *)
-  for b = 0 to Vec.length t.head_seg - 1 do
+  for b = 0 to branches - 1 do
     let bid = Pk_index.add_branch t.pk ~from:None in
     assert (bid = b)
   done;
@@ -894,24 +881,20 @@ let load ~dir ~pool ~read_seg data pos =
   t
 
 let open_existing ~dir ~pool =
-  let data =
-    try Atomic_file.read (manifest_path dir)
-    with Sys_error _ -> errorf "hybrid: no repository in %s" dir
-  in
-  let pos = ref 0 in
-  Engine_intf.read_manifest_header data pos;
-  load ~dir ~pool data pos ~read_seg:(fun ~schema ~compress seg_id data pos ->
-      let seg =
-        Col_segment.open_v2 ~pool ~schema ~compress
-          ~path:(seg_file_path dir seg_id) data pos
-      in
-      (seg, Branch_bitmap.deserialize data pos))
+  Col_segment.with_opened (fun open_v2 ->
+      Manifest.load Manifest.Hy ~dir
+        (load ~dir ~pool ~read_seg:(fun ~schema ~compress seg_id data pos ->
+             let seg =
+               open_v2 ~pool ~schema ~compress ~path:(seg_file_path dir seg_id)
+                 data pos
+             in
+             (seg, Branch_bitmap.deserialize data pos))))
 
 (* A v1 segment section is the heap's byte size, the local bitmap and
    the per-row offset table, where v2 keeps the block index before the
    local bitmap. *)
 let upgrade_v1 ~dir ~pool =
-  Seg_v1.upgrade ~manifest:(manifest_path dir) (fun st data pos ->
+  Seg_v1.upgrade Manifest.Hy ~dir (fun st data pos ->
       let t =
         load ~dir ~pool data pos
           ~read_seg:(fun ~schema ~compress seg_id data pos ->
@@ -930,36 +913,10 @@ let wal_marker t = t.wal_marker
 let set_wal_marker t lsn = t.wal_marker <- lsn
 
 let verify t =
-  let errs = ref [] in
-  (match Atomic_file.verify (manifest_path t.dir) with
-  | Some reason -> errs := ("manifest.hy", reason) :: !errs
-  | None -> ());
-  Vec.iter
-    (fun s ->
-      let name = Printf.sprintf "seg_%d.dat" s.seg_id in
-      List.iter
-        (fun (_, reason) -> errs := (name, reason) :: !errs)
-        (Col_segment.verify s.seg))
-    t.segments;
-  Hashtbl.iter
-    (fun vid (_, snaps) ->
-      if not (Vg.mem_version t.graph vid) then
-        errs :=
-          ( "manifest.hy",
-            Printf.sprintf "commit locator references unknown version %d" vid )
-          :: !errs
-      else
-        List.iter
-          (fun (sid, _) ->
-            if sid < 0 || sid >= Vec.length t.segments then
-              errs :=
-                ( "manifest.hy",
-                  Printf.sprintf "commit %d references unknown segment %d" vid
-                    sid )
-                :: !errs)
-          snaps)
-    t.commit_loc;
-  List.rev !errs
+  Manifest.verify Manifest.Hy ~dir:t.dir ~graph:t.graph
+    (List.map (fun s -> s.seg) (Vec.to_list t.segments))
+    t.commit_loc
+    (fun (_, snaps) -> List.map fst snaps)
 
 (* ------------------------------------------------------------------ *)
 (* maintenance *)

@@ -582,43 +582,31 @@ module Make (B : Bitmap_intf.S) = struct
         };
     }
 
-  (* The manifest persists everything the segment file and commit
-     histories do not: the version graph, the live bitmap, the segment
-     block index, the commit locator and per-branch dirtiness.  The
-     key index is rebuilt from the bitmap on reopen. *)
-  let manifest_path dir = Filename.concat dir "manifest.tf"
-
+  (* The manifest body persists everything the segment file and commit
+     histories do not: the layout, heap generation, compress flag,
+     schema, version graph, segment block index and live bitmap; the
+     commit locator, dirtiness and WAL marker follow as {!Manifest}'s
+     shared tail.  The key index is rebuilt from the bitmap on
+     reopen. *)
   let save_manifest ?path t =
-    let buf = Buffer.create 4096 in
-    Col_segment.write_manifest_header buf;
-    Binio.write_string buf B.layout;
-    Binio.write_varint buf t.gen;
-    Binio.write_u8 buf (if t.compress then 1 else 0);
-    Schema.serialize buf t.schema;
-    Binio.write_string buf (Vg.serialize t.graph);
-    Col_segment.save_meta buf t.seg;
-    B.serialize buf t.bitmap;
-    Binio.write_varint buf (Hashtbl.length t.commit_loc);
-    Hashtbl.iter
-      (fun vid (b, idx) ->
-        Binio.write_varint buf vid;
-        Binio.write_varint buf b;
-        Binio.write_varint buf idx)
-      t.commit_loc;
-    Binio.write_varint buf (Hashtbl.length t.dirty);
-    Hashtbl.iter
-      (fun b d ->
-        Binio.write_varint buf b;
-        Binio.write_u8 buf (if d then 1 else 0))
-      t.dirty;
-    Binio.write_varint buf t.wal_marker;
-    Atomic_file.write
-      (Option.value path ~default:(manifest_path t.dir))
-      (Buffer.contents buf)
+    Manifest.write
+      (Option.value path ~default:(Manifest.path Manifest.Tf t.dir))
+      (fun buf ->
+        Binio.write_string buf B.layout;
+        Binio.write_varint buf t.gen;
+        Binio.write_u8 buf (if t.compress then 1 else 0);
+        Schema.serialize buf t.schema;
+        Binio.write_string buf (Vg.serialize t.graph);
+        Col_segment.save_meta buf t.seg;
+        B.serialize buf t.bitmap;
+        Manifest.write_tail buf ~locators:t.commit_loc
+          (fun buf (b, idx) ->
+            Binio.write_varint buf b;
+            Binio.write_varint buf idx)
+          ~dirty:t.dirty ~wal_marker:t.wal_marker)
 
-  let flush t =
-    Col_segment.flush t.seg;
-    save_manifest t
+  (* [Col_segment.save_meta] flushes the segment first *)
+  let flush t = save_manifest t
 
   (* Manifest body past the format header.  [read_gen] and [read_seg]
      read the segment section: the v2 block index here, a staged v1
@@ -634,21 +622,19 @@ module Make (B : Bitmap_intf.S) = struct
     let graph = Vg.deserialize (Binio.read_string s pos) in
     let seg = read_seg ~schema ~compress ~gen s pos in
     let bitmap = B.deserialize s pos in
+    let branches = Vg.branch_count graph in
+    let rows = Col_segment.rows seg in
+    Manifest.check "bitmap"
+      (B.branch_count bitmap = branches && B.row_count bitmap = rows);
     let commit_loc = Hashtbl.create 64 in
-    let ncommits = Binio.read_varint s pos in
-    for _ = 1 to ncommits do
-      let vid = Binio.read_varint s pos in
-      let b = Binio.read_varint s pos in
-      let idx = Binio.read_varint s pos in
-      Hashtbl.replace commit_loc vid (b, idx)
-    done;
     let dirty = Hashtbl.create 16 in
-    let ndirty = Binio.read_varint s pos in
-    for _ = 1 to ndirty do
-      let b = Binio.read_varint s pos in
-      Hashtbl.replace dirty b (Binio.read_u8 s pos = 1)
-    done;
-    let wal_marker = Binio.read_varint s pos in
+    let wal_marker =
+      Manifest.read_tail s pos ~locators:commit_loc
+        (fun s pos ->
+          let b = Manifest.read_id "branch" ~bound:branches s pos in
+          (b, Binio.read_varint s pos))
+        ~dirty ~branches
+    in
     let t =
       {
         dir;
@@ -667,29 +653,30 @@ module Make (B : Bitmap_intf.S) = struct
       }
     in
     (* rebuild the per-branch key index from the live bitmap *)
-    for b = 0 to B.branch_count t.bitmap - 1 do
+    for b = 0 to branches - 1 do
       let bid = Pk_index.add_branch t.pk ~from:None in
       assert (bid = b);
+      let col = B.column_view t.bitmap ~branch:b in
+      Manifest.check "bitmap column" (Bitvec.length col <= rows);
       Bitvec.iter_set
         (fun row -> Pk_index.set t.pk ~branch:b (key_at t row) row)
-        (B.column_view t.bitmap ~branch:b)
+        col
     done;
     t
 
   let open_existing ~dir ~pool =
-    let s = Atomic_file.read (manifest_path dir) in
-    let pos = ref 0 in
-    Engine_intf.read_manifest_header s pos;
-    load ~dir s pos ~read_gen:Binio.read_varint
-      ~read_seg:(fun ~schema ~compress ~gen s pos ->
-        Col_segment.open_v2 ~pool ~schema ~compress ~path:(seg_path dir gen)
-          s pos)
+    Col_segment.with_opened (fun open_v2 ->
+        Manifest.load Manifest.Tf ~dir
+          (load ~dir
+             ~read_gen:(Manifest.read_id "heap generation" ~bound:max_int)
+             ~read_seg:(fun ~schema ~compress ~gen s pos ->
+               open_v2 ~pool ~schema ~compress ~path:(seg_path dir gen) s pos)))
 
   (* A v1 manifest has no heap generation (always 0) and persists the
      heap's byte size and per-row offset table where v2 keeps the
      block index. *)
   let upgrade_v1 ~dir ~pool =
-    Seg_v1.upgrade ~manifest:(manifest_path dir) (fun st s pos ->
+    Seg_v1.upgrade Manifest.Tf ~dir (fun st s pos ->
         let t =
           load ~dir s pos
             ~read_gen:(fun _ _ -> 0)
@@ -904,24 +891,8 @@ module Make (B : Bitmap_intf.S) = struct
         end
 
   let verify t =
-    let errs = ref [] in
-    (match Atomic_file.verify (manifest_path t.dir) with
-    | Some reason -> errs := ("manifest.tf", reason) :: !errs
-    | None -> ());
-    let heap_name = Filename.basename (Col_segment.path t.seg) in
-    List.iter
-      (fun (_, reason) -> errs := (heap_name, reason) :: !errs)
-      (Col_segment.verify t.seg);
-    Hashtbl.iter
-      (fun vid _ ->
-        if not (Vg.mem_version t.graph vid) then
-          errs :=
-            ( "manifest.tf",
-              Printf.sprintf "commit locator references unknown version %d"
-                vid )
-            :: !errs)
-      t.commit_loc;
-    List.rev !errs
+    Manifest.verify Manifest.Tf ~dir:t.dir ~graph:t.graph [ t.seg ]
+      t.commit_loc (fun _ -> [])
 
   let crash t =
     if not t.closed then begin

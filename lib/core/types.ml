@@ -49,6 +49,6 @@ type merge_result = {
     with their active branches”). *)
 type annotated = { tuple : Tuple.t; in_branches : branch_id list }
 
-exception Engine_error of string
+exception Engine_error = Manifest.Engine_error
 
 let errorf fmt = Printf.ksprintf (fun s -> raise (Engine_error s)) fmt

@@ -633,60 +633,40 @@ let storage_report t =
       };
   }
 
-(* The manifest persists the version graph, the segment DAG (parent
-   pointers with branch-point rows), branch head segments, the commit
-   locator and dirtiness; segment contents live in their own files and
-   the key index is rebuilt by lineage scans on reopen. *)
-let manifest_path dir = Filename.concat dir "manifest.vf"
-
+(* The manifest body persists the version graph, the segment DAG
+   (parent pointers with branch-point rows) and the branch head
+   segments; the commit locator, dirtiness and WAL marker follow as
+   {!Manifest}'s shared tail.  Segment contents live in their own files
+   and the key index is rebuilt by lineage scans on reopen. *)
 let save_manifest ?path t =
-  let buf = Buffer.create 4096 in
-  Col_segment.write_manifest_header buf;
-  Binio.write_u8 buf (if t.compress then 1 else 0);
-  Binio.write_string buf (Vg.serialize t.graph);
-  Schema.serialize buf t.schema;
-  Binio.write_varint buf (Vec.length t.segments);
-  Vec.iter
-    (fun s ->
-      Col_segment.save_meta buf s.seg;
-      Binio.write_list
-        (fun b (p, row) ->
-          Binio.write_varint b p;
-          Binio.write_varint b row)
-        buf s.parents)
-    t.segments;
-  Binio.write_varint buf (Vec.length t.head_seg);
-  Vec.iter (fun sid -> Binio.write_varint buf sid) t.head_seg;
-  Binio.write_varint buf (Hashtbl.length t.commits);
-  Hashtbl.iter
-    (fun vid (sid, upto) ->
-      Binio.write_varint buf vid;
-      Binio.write_varint buf sid;
-      Binio.write_varint buf upto)
-    t.commits;
-  Binio.write_varint buf (Hashtbl.length t.dirty);
-  Hashtbl.iter
-    (fun b d ->
-      Binio.write_varint buf b;
-      Binio.write_u8 buf (if d then 1 else 0))
-    t.dirty;
-  Binio.write_varint buf t.wal_marker;
-  Atomic_file.write
-    (Option.value path ~default:(manifest_path t.dir))
-    (Buffer.contents buf)
+  let write_loc buf (sid, row) =
+    Binio.write_varint buf sid;
+    Binio.write_varint buf row
+  in
+  Manifest.write
+    (Option.value path ~default:(Manifest.path Manifest.Vf t.dir))
+    (fun buf ->
+      Manifest.write_head buf ~compress:t.compress ~graph:t.graph
+        ~schema:t.schema;
+      Binio.write_varint buf (Vec.length t.segments);
+      Vec.iter
+        (fun s ->
+          Col_segment.save_meta buf s.seg;
+          Binio.write_list write_loc buf s.parents)
+        t.segments;
+      Binio.write_list Binio.write_varint buf (Vec.to_list t.head_seg);
+      Manifest.write_tail buf ~locators:t.commits write_loc ~dirty:t.dirty
+        ~wal_marker:t.wal_marker)
 
-let flush t =
-  Vec.iter (fun s -> Col_segment.flush s.seg) t.segments;
-  save_manifest t
+(* [Col_segment.save_meta] flushes each segment first *)
+let flush t = save_manifest t
 
 (* Manifest body past the format header.  [read_seg] reads one
    segment's section and [row_of sid loc] turns a persisted locator
    into segment [sid]'s row: the v2 block index and rows here, a
    staged v1 heap and byte offsets in [upgrade_v1]. *)
 let load ~dir ~pool ~read_seg ~row_of data pos =
-  let compress = Binio.read_u8 data pos = 1 in
-  let graph = Vg.deserialize (Binio.read_string data pos) in
-  let schema = Schema.deserialize data pos in
+  let compress, graph, schema = Manifest.read_head data pos in
   let t =
     {
       dir;
@@ -703,40 +683,35 @@ let load ~dir ~pool ~read_seg ~row_of data pos =
       closed = false;
     }
   in
+  (* a locator names an already-read segment and a row up to its end *)
+  let read_loc ~bound what s pos =
+    let sid = Manifest.read_id what ~bound s pos in
+    let row = row_of sid (Binio.read_varint s pos) in
+    Manifest.check "row locator"
+      (row >= 0 && row <= Col_segment.rows (segment t sid).seg);
+    (sid, row)
+  in
   let nsegs = Binio.read_varint data pos in
   for seg_id = 0 to nsegs - 1 do
     let seg = read_seg ~schema ~compress seg_id data pos in
+    (* parents are earlier segments, so the DAG is acyclic *)
     let parents =
-      Binio.read_list
-        (fun s p ->
-          let a = Binio.read_varint s p in
-          let b = Binio.read_varint s p in
-          (a, row_of a b))
-        data pos
+      Binio.read_list (read_loc ~bound:seg_id "parent segment") data pos
     in
     let _ = Vec.push t.segments { seg_id; seg; parents } in
     ()
   done;
-  let nheads = Binio.read_varint data pos in
-  for _ = 1 to nheads do
-    let _ = Vec.push t.head_seg (Binio.read_varint data pos) in
-    ()
-  done;
-  let ncommits = Binio.read_varint data pos in
-  for _ = 1 to ncommits do
-    let vid = Binio.read_varint data pos in
-    let sid = Binio.read_varint data pos in
-    let upto = Binio.read_varint data pos in
-    Hashtbl.replace t.commits vid (sid, row_of sid upto)
-  done;
-  let ndirty = Binio.read_varint data pos in
-  for _ = 1 to ndirty do
-    let b = Binio.read_varint data pos in
-    Hashtbl.replace t.dirty b (Binio.read_u8 data pos = 1)
-  done;
-  t.wal_marker <- Binio.read_varint data pos;
+  let branches = Vg.branch_count graph in
+  List.iter
+    (fun sid -> ignore (Vec.push t.head_seg sid))
+    (Binio.read_list (Manifest.read_id "head segment" ~bound:nsegs) data pos);
+  Manifest.check "head segments" (Vec.length t.head_seg = branches);
+  t.wal_marker <-
+    Manifest.read_tail data pos ~locators:t.commits
+      (read_loc ~bound:nsegs "segment")
+      ~dirty:t.dirty ~branches;
   (* rebuild the per-branch key index with one lineage scan each *)
-  for b = 0 to Vec.length t.head_seg - 1 do
+  for b = 0 to branches - 1 do
     let bid = Pk_index.add_branch t.pk ~from:None in
     assert (bid = b);
     let sid = Vec.get t.head_seg b in
@@ -746,37 +721,26 @@ let load ~dir ~pool ~read_seg ~row_of data pos =
   t
 
 let open_existing ~dir ~pool =
-  let data =
-    try Atomic_file.read (manifest_path dir)
-    with Sys_error _ -> errorf "version-first: no repository in %s" dir
-  in
-  let pos = ref 0 in
-  Engine_intf.read_manifest_header data pos;
-  load ~dir ~pool data pos
-    ~read_seg:(fun ~schema ~compress seg_id data pos ->
-      Col_segment.open_v2 ~pool ~schema ~compress
-        ~path:(seg_file_path dir seg_id) data pos)
-    ~row_of:(fun _ row -> row)
+  Col_segment.with_opened (fun open_v2 ->
+      Manifest.load Manifest.Vf ~dir
+        (load ~dir ~pool
+           ~read_seg:(fun ~schema ~compress seg_id data pos ->
+             open_v2 ~pool ~schema ~compress ~path:(seg_file_path dir seg_id)
+               data pos)
+           ~row_of:(fun _ row -> row)))
 
 (* A v1 manifest persists each segment's byte size where v2 keeps the
    block index, and addresses branch points and commit uptos by byte
    offset. *)
 let upgrade_v1 ~dir ~pool =
-  Seg_v1.upgrade ~manifest:(manifest_path dir) (fun st data pos ->
-      (* parents reference earlier segments only, so their heaps are
+  Seg_v1.upgrade Manifest.Vf ~dir (fun st data pos ->
+      (* locators name segments already read, so their heaps are
          staged by the time a locator into them is read *)
       let heaps = Hashtbl.create 8 in
-      let row_of sid off =
-        match Hashtbl.find_opt heaps sid with
-        | Some h -> Seg_v1.row_of_offset h off
-        | None ->
-            raise
-              (Binio.Corrupt
-                 (Printf.sprintf "version-first: locator in unknown segment %d"
-                    sid))
-      in
       let t =
-        load ~dir ~pool data pos ~row_of
+        load ~dir ~pool data pos
+          ~row_of:(fun sid off ->
+            Seg_v1.row_of_offset (Hashtbl.find heaps sid) off)
           ~read_seg:(fun ~schema ~compress seg_id data pos ->
             let size = Binio.read_varint data pos in
             let seg, h =
@@ -792,38 +756,10 @@ let wal_marker t = t.wal_marker
 let set_wal_marker t lsn = t.wal_marker <- lsn
 
 let verify t =
-  let errs = ref [] in
-  (match Atomic_file.verify (manifest_path t.dir) with
-  | Some reason -> errs := ("manifest.vf", reason) :: !errs
-  | None -> ());
-  Vec.iter
-    (fun s ->
-      let name = Printf.sprintf "seg_%d.dat" s.seg_id in
-      List.iter
-        (fun (_, reason) -> errs := (name, reason) :: !errs)
-        (Col_segment.verify s.seg);
-      List.iter
-        (fun (p, _) ->
-          if p < 0 || p >= Vec.length t.segments then
-            errs :=
-              (name, Printf.sprintf "parent pointer to unknown segment %d" p)
-              :: !errs)
-        s.parents)
-    t.segments;
-  Hashtbl.iter
-    (fun vid (sid, _) ->
-      if not (Vg.mem_version t.graph vid) then
-        errs :=
-          ( "manifest.vf",
-            Printf.sprintf "commit locator references unknown version %d" vid )
-          :: !errs
-      else if sid < 0 || sid >= Vec.length t.segments then
-        errs :=
-          ( "manifest.vf",
-            Printf.sprintf "commit %d references unknown segment %d" vid sid )
-          :: !errs)
-    t.commits;
-  List.rev !errs
+  Manifest.verify Manifest.Vf ~dir:t.dir ~graph:t.graph
+    (List.map (fun s -> s.seg) (Vec.to_list t.segments))
+    t.commits
+    (fun (sid, _) -> [ sid ])
 
 (* ------------------------------------------------------------------ *)
 (* maintenance *)

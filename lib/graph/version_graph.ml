@@ -218,27 +218,42 @@ let serialize t =
   done;
   Buffer.contents buf
 
+(* Strict: every id must name an entry of the graph and parents an
+   earlier version, so a decoded graph is acyclic and total. *)
 let deserialize s =
   let pos = ref 0 in
-  let nvers = Binio.read_varint s pos in
+  let corrupt what = raise (Binio.Corrupt ("Version_graph: " ^ what)) in
+  let count () =
+    let n = Binio.read_varint s pos in
+    (* every entry takes at least three bytes *)
+    if n < 0 || n > String.length s - !pos then corrupt "count overruns input";
+    n
+  in
+  let nvers = count () in
   let vers =
     Array.init nvers (fun id ->
         let parents = Binio.read_list (fun s p -> Binio.read_varint s p) s pos in
+        if List.exists (fun p -> p < 0 || p >= id) parents then
+          corrupt "parent is not an earlier version";
         let on_branch = Binio.read_varint s pos in
         let message = Binio.read_string s pos in
         { id; parents; on_branch; message })
   in
-  let nbrs = Binio.read_varint s pos in
+  let nbrs = count () in
   let by_name = Hashtbl.create 16 in
   let brs =
     Array.init nbrs (fun bid ->
         let name = Binio.read_string s pos in
         let base = Binio.read_varint s pos in
         let head = Binio.read_varint s pos in
+        if base < 0 || base >= nvers || head < 0 || head >= nvers then
+          corrupt "branch names an unknown version";
         let active = Binio.read_u8 s pos = 1 in
         Hashtbl.replace by_name name bid;
         { bid; name; base; head; active })
   in
+  if Array.exists (fun v -> v.on_branch < 0 || v.on_branch >= nbrs) vers then
+    corrupt "version on an unknown branch";
   let t =
     {
       vers = (if nvers = 0 then Array.make 1 dummy_version else vers);

@@ -103,8 +103,9 @@ let serialize buf t =
 let deserialize s pos =
   let nbranches = Decibel_util.Binio.read_varint s pos in
   let rows = Decibel_util.Binio.read_varint s pos in
+  if rows < 0 then
+    raise (Decibel_util.Binio.Corrupt "Branch_bitmap: negative row count");
   let t = create () in
-  t.rows <- rows;
   for _ = 1 to nbranches do
     let col = Bitvec.deserialize s pos in
     let b = add_branch t ~from:None in

@@ -137,5 +137,8 @@ let deserialize s pos =
   let branch_capacity = Decibel_util.Binio.read_varint s pos in
   let nbranches = Decibel_util.Binio.read_varint s pos in
   let rows = Decibel_util.Binio.read_varint s pos in
+  if branch_capacity < 1 || nbranches < 0 || nbranches > branch_capacity
+     || rows < 0
+  then raise (Decibel_util.Binio.Corrupt "Tuple_bitmap: bad dimensions");
   let bits = Bitvec.deserialize s pos in
   { bits; branch_capacity; nbranches; rows }

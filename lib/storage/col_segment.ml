@@ -747,31 +747,44 @@ let save_meta buf t =
 
 let open_v2 ~pool ~schema ~compress ~path s pos =
   let size = Binio.read_varint s pos in
-  let nblocks = Binio.read_varint s pos in
+  let blocks =
+    Binio.read_list
+      (fun s pos ->
+        let bk_off = Binio.read_varint s pos in
+        let bk_rows = Binio.read_varint s pos in
+        if bk_rows <= 0 || bk_rows > block_rows || bk_off < 0 || bk_off >= size
+        then corrupt "Col_segment: bad block descriptor in manifest for %s" path;
+        (bk_off, bk_rows))
+      s pos
+  in
+  let stats =
+    Array.init (Schema.arity schema) (fun _ ->
+        let st = fresh_stats () in
+        st.cs_raw_bytes <- Binio.read_varint s pos;
+        st.cs_enc_bytes <- Binio.read_varint s pos;
+        st.cs_const_blocks <- Binio.read_varint s pos;
+        st.cs_delta_blocks <- Binio.read_varint s pos;
+        st.cs_rawstr_blocks <- Binio.read_varint s pos;
+        st.cs_dict_blocks <- Binio.read_varint s pos;
+        st)
+  in
+  (* the whole section parsed: only now touch the file *)
+  if not (Sys.file_exists path) then
+    corrupt "Col_segment: segment file %s is missing" path;
   let file = Heap_file.open_existing ~pool path in
-  if size > Heap_file.size file then
-    corrupt "Col_segment: manifest size %d exceeds file %s" size path;
+  if size > Heap_file.size file then begin
+    Heap_file.close file;
+    corrupt "Col_segment: manifest size %d exceeds file %s" size path
+  end;
   Heap_file.truncate_to file size;
-  let t = make ~pool ~schema ~compress ~path file in
+  let t = { (make ~pool ~schema ~compress ~path file) with stats } in
   let start = ref 0 in
-  for _ = 1 to nblocks do
-    let bk_off = Binio.read_varint s pos in
-    let bk_rows = Binio.read_varint s pos in
-    if bk_rows <= 0 || bk_rows > block_rows || bk_off >= size then
-      corrupt "Col_segment: bad block descriptor in manifest for %s" path;
-    ignore (Vec.push t.blocks { bk_off; bk_start = !start; bk_rows });
-    start := !start + bk_rows
-  done;
+  List.iter
+    (fun (bk_off, bk_rows) ->
+      ignore (Vec.push t.blocks { bk_off; bk_start = !start; bk_rows });
+      start := !start + bk_rows)
+    blocks;
   t.sealed_rows <- !start;
-  Array.iter
-    (fun st ->
-      st.cs_raw_bytes <- Binio.read_varint s pos;
-      st.cs_enc_bytes <- Binio.read_varint s pos;
-      st.cs_const_blocks <- Binio.read_varint s pos;
-      st.cs_delta_blocks <- Binio.read_varint s pos;
-      st.cs_rawstr_blocks <- Binio.read_varint s pos;
-      st.cs_dict_blocks <- Binio.read_varint s pos)
-    t.stats;
   t
 
 
@@ -867,30 +880,18 @@ let close t =
 
 let abandon t = Heap_file.abandon t.file
 
-(* ------------------------------------------------------------------ *)
-(* manifest format header *)
+(* A manifest refused halfway leaves no segment file open. *)
+let with_opened f =
+  let opened = ref [] in
+  let open_v2 ~pool ~schema ~compress ~path s pos =
+    let t = open_v2 ~pool ~schema ~compress ~path s pos in
+    opened := t :: !opened;
+    t
+  in
+  try f open_v2
+  with e ->
+    List.iter abandon !opened;
+    raise e
 
 (* The only segment format the engines read and write. *)
 let current_format = 2
-
-(* v2 manifests lead with a magic byte no v1 manifest can start with:
-   v1 tuple-first manifests begin with a varint string length (a small
-   layout name, < 0x80) and v1 version-first / hybrid manifests begin
-   with a 0/1 compress flag.  Recognising a v1 manifest is all that is
-   left of v1 here. *)
-let manifest_magic_v2 = 0xF2
-
-let write_manifest_header buf =
-  Binio.write_u8 buf manifest_magic_v2;
-  Binio.write_u8 buf current_format
-
-(* Peek the format version of a manifest blob; consumes the header
-   only when it is a v2 one. *)
-let manifest_version s pos =
-  if String.length s > !pos && Char.code s.[!pos] = manifest_magic_v2 then begin
-    incr pos;
-    let v = Binio.read_u8 s pos in
-    if v < 2 then corrupt "Col_segment: bad manifest format version %d" v;
-    v
-  end
-  else 1

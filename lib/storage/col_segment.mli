@@ -49,7 +49,21 @@ val open_v2 :
   int ref ->
   t
 (** Reopen from metadata written by {!save_meta}; truncates the heap
-    to the persisted size (crash recovery). *)
+    to the persisted size (crash recovery).  A missing file or a bad
+    block index raises [Decibel_util.Binio.Corrupt]. *)
+
+val with_opened :
+  ((pool:Buffer_pool.t ->
+   schema:Schema.t ->
+   compress:bool ->
+   path:string ->
+   string ->
+   int ref ->
+   t) ->
+  'a) ->
+  'a
+(** [with_opened f] runs [f] with {!open_v2}; if [f] raises, every
+    segment it opened is abandoned before the exception propagates. *)
 
 (** {1 Introspection} *)
 
@@ -130,14 +144,8 @@ val save_meta : Buffer.t -> t -> unit
 
 val current_format : int
 (** The segment format every engine writes (2); reported as the
-    storage report's format. *)
-
-val write_manifest_header : Buffer.t -> unit
-(** Appends the v2 magic + format version bytes. *)
-
-val manifest_version : string -> int ref -> int
-(** 1 (cursor unmoved) or the version from a v2 header (cursor past
-    it).  v1 manifests cannot begin with the v2 magic byte. *)
+    storage report's format and written in every manifest header
+    ({!Manifest}). *)
 
 (** {1 Reporting} *)
 

@@ -198,14 +198,16 @@ let read_raw t off len =
    payload.  Returns (len, crc, payload_off). *)
 let read_header t off =
   let n = min 9 (t.size - off) in
-  if n <= 0 then
-    raise (Binio.Corrupt "Heap_file: record offset at or past end of file");
+  if off < 0 || n <= 0 then
+    raise (Binio.Corrupt "Heap_file: record offset outside the file");
   let hdr = read_raw t off n in
   let pos = ref 0 in
   let len = Binio.read_varint hdr pos in
   if !pos + 4 > n then
     raise (Binio.Corrupt "Heap_file: record header truncated");
   let crc = Binio.read_u32 hdr pos in
+  if len < 0 || len > t.size - off - !pos then
+    raise (Binio.Corrupt "Heap_file: record overruns the file");
   (len, crc, off + !pos)
 
 let checked t off crc payload =

@@ -76,6 +76,9 @@ let deserialize s pos =
   let name = Binio.read_string s pos in
   let pk = Binio.read_varint s pos in
   let n = Binio.read_varint s pos in
+  (* every column takes at least two bytes *)
+  if pk < 0 || pk >= n || n > String.length s - !pos then
+    raise (Binio.Corrupt "Schema: bad column count or key index");
   let columns =
     Array.init n (fun _ ->
         let col_name = Binio.read_string s pos in

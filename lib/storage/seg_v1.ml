@@ -17,7 +17,7 @@
    Upgrade protocol (all staged names end in [.mig]):
    1. stage each v1 segment as a v2 segment [<file>.mig], flush and
       fsync it;
-   2. write the v2 manifest to [<manifest>.mig] through {!Atomic_file}
+   2. write the v2 manifest to [<manifest>.mig] through {!Manifest}
       — the commit point;
    3. rename the staged segments over their v1 originals, the manifest
       last.
@@ -161,39 +161,36 @@ let publish ~manifest =
   Failpoint.hit "migrate.rename";
   Sys.rename (manifest ^ ".mig") manifest
 
-let upgrade ~manifest build =
-  let dir = Filename.dirname manifest in
+let upgrade kind ~dir build =
+  let manifest = Manifest.path kind dir in
   if Sys.file_exists (manifest ^ ".mig") then begin
     publish ~manifest;
     true
   end
   else begin
     remove_strays dir;
-    let data = Atomic_file.read manifest in
-    let pos = ref 0 in
-    if Col_segment.manifest_version data pos >= Col_segment.current_format
-    then false
-    else begin
-      let st = { staged = [] } in
-      let save =
-        try
-          let save = build st data pos in
-          List.iter
-            (fun seg ->
-              Col_segment.flush seg;
-              fsync_file (Col_segment.path seg))
-            st.staged;
-          save
-        with e ->
-          List.iter Col_segment.abandon st.staged;
-          (* corrupt input is final: leave no staged files behind *)
-          (match e with Binio.Corrupt _ -> remove_strays dir | _ -> ());
-          raise e
-      in
-      Fun.protect
-        ~finally:(fun () -> List.iter Col_segment.abandon st.staged)
-        (fun () -> save (manifest ^ ".mig"));
-      publish ~manifest;
-      true
-    end
+    match Manifest.read_v1 kind ~dir with
+    | None -> false
+    | Some (data, pos) ->
+        let st = { staged = [] } in
+        let save =
+          try
+            let save = build st data pos in
+            List.iter
+              (fun seg ->
+                Col_segment.flush seg;
+                fsync_file (Col_segment.path seg))
+              st.staged;
+            save
+          with e ->
+            List.iter Col_segment.abandon st.staged;
+            (* corrupt input is final: leave no staged files behind *)
+            (match e with Binio.Corrupt _ -> remove_strays dir | _ -> ());
+            raise e
+        in
+        Fun.protect
+          ~finally:(fun () -> List.iter Col_segment.abandon st.staged)
+          (fun () -> save (manifest ^ ".mig"));
+        publish ~manifest;
+        true
   end

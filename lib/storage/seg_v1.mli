@@ -38,11 +38,12 @@ val stage :
     preserved, into a new v2 segment at [path ^ ".mig"]. *)
 
 val upgrade :
-  manifest:string ->
+  Manifest.kind ->
+  dir:string ->
   (staging -> string -> int ref -> string -> unit) ->
   bool
-(** [upgrade ~manifest build] runs the staging protocol on the
-    repository whose manifest is [manifest].  [build st data pos]
+(** [upgrade kind ~dir build] runs the staging protocol on the
+    repository in [dir], whose manifest is of [kind].  [build st data pos]
     parses a v1 manifest body (cursor past the absent v2 header),
     staging segments through [st], and returns the writer of the
     equivalent v2 manifest to a given path.  Staged segments are
@@ -55,4 +56,5 @@ val upgrade :
     otherwise stray staged files are deleted first.  Returns [false]
     (touching nothing) when the manifest is already v2.  Raises
     [Binio.Corrupt] on corrupt v1 input, after removing what it
-    staged; no v1 file is modified before the commit point. *)
+    staged; no v1 file is modified before the commit point.  A missing
+    manifest raises {!Manifest.Engine_error}. *)

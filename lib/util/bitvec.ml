@@ -268,9 +268,13 @@ let serialize buf t =
   done
 
 let deserialize s pos =
+  if !pos < 0 || !pos > String.length s - 4 then
+    raise (Binio.Corrupt "Bitvec: truncated length");
   let len = Int32.to_int (String.get_int32_le s !pos) in
   pos := !pos + 4;
   let n = words_for_bits len in
+  if len < 0 || n > (String.length s - !pos) / 8 then
+    raise (Binio.Corrupt (Printf.sprintf "Bitvec: %d bits overrun input" len));
   let t = create ~capacity:(max 64 len) () in
   t.len <- len;
   for i = 0 to n - 1 do

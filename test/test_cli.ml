@@ -209,6 +209,56 @@ let test_lifecycle () =
       let code, _ = run [ "scan"; dir; "--branch"; "nope" ] in
       Alcotest.(check int) "unknown branch exits 1" 1 code)
 
+(* A checksum-valid tuple-first manifest naming a heap generation whose
+   file does not exist: fsck reports it as a manifest finding (exit 1,
+   JSON on stdout) instead of dying on the missing file. *)
+let test_fsck_inconsistent_manifest () =
+  let root = Decibel_util.Fsutil.fresh_dir "decibel-cli" in
+  let dir = Filename.concat root "repo" in
+  Fun.protect
+    ~finally:(fun () -> Decibel_util.Fsutil.rm_rf root)
+    (fun () ->
+      ignore
+        (ok
+           [ "init"; dir; "--schema"; "id:int,v:int"; "--pk"; "id";
+             "--scheme"; "tuple-first" ]);
+      ignore (ok [ "insert"; dir; "-b"; "master"; "--values"; "1,2" ]);
+      let path = Filename.concat dir "manifest.tf" in
+      let payload =
+        Bytes.of_string
+          (Decibel_storage.Atomic_file.check
+             (Decibel_util.Binio.read_file path))
+      in
+      (* format header (2 bytes), then the layout string; the heap
+         generation varint follows *)
+      let gen_at = 2 + 1 + String.length "branch-oriented" in
+      Alcotest.(check int) "generation 0 on disk" 0
+        (Char.code (Bytes.get payload gen_at));
+      Bytes.set payload gen_at '\001';
+      Decibel_util.Binio.write_file path
+        (Decibel_storage.Atomic_file.frame (Bytes.to_string payload));
+      let code, out = run [ "fsck"; dir; "--json" ] in
+      Alcotest.(check int) "fsck exits 1" 1 code;
+      match parse_json out with
+      | Obj fields -> (
+          match List.assoc_opt "findings" fields with
+          | Some (Arr (Obj f :: _)) ->
+              Alcotest.(check bool) "the finding names the manifest" true
+                (match List.assoc_opt "artifact" f with
+                | Some (Str a) -> contains a "manifest"
+                | _ -> false)
+          | _ -> Alcotest.failf "fsck --json reports no finding: %s" out)
+      | _ -> Alcotest.failf "fsck --json is not an object: %s" out
+      | exception Bad_json why ->
+          Alcotest.failf "fsck --json does not parse (%s): %s" why out)
+
 let () =
   Alcotest.run "cli"
-    [ ("cli", [ Alcotest.test_case "lifecycle" `Quick test_lifecycle ]) ]
+    [
+      ( "cli",
+        [
+          Alcotest.test_case "lifecycle" `Quick test_lifecycle;
+          Alcotest.test_case "fsck refuses an inconsistent manifest" `Quick
+            test_fsck_inconsistent_manifest;
+        ] );
+    ]

@@ -613,43 +613,47 @@ let fingerprint db =
 
 let fixture_tag = function
   | Database.Tuple_first -> "tf"
+  | Database.Tuple_first_tuple_oriented -> "tf-to"
   | Database.Version_first -> "vf"
   | _ -> "hy"
 
-let fixture_dir ?(compress = false) version scheme =
+let fixture_dir ?(compress = false) ?(wal = false) version scheme =
   Filename.concat "fixtures"
-    (Printf.sprintf "v%d/%s%s" version (fixture_tag scheme)
-       (if compress then "-z" else ""))
+    (Printf.sprintf "v%d/%s%s%s" version (fixture_tag scheme)
+       (if compress then "-z" else "")
+       (if wal then "-wal" else ""))
 
 (* file name -> bytes, sorted by name *)
 let dir_files dir =
   Sys.readdir dir |> Array.to_list |> List.sort compare
   |> List.map (fun f -> (f, Binio.read_file (Filename.concat dir f)))
 
-let copy_fixture ?compress version scheme =
+let copy_fixture ?compress ?wal version scheme =
   let dir = Fsutil.fresh_dir "decibel-colseg-fixture" in
   List.iter
     (fun (f, bytes) -> Binio.write_file (Filename.concat dir f) bytes)
-    (dir_files (fixture_dir ?compress version scheme));
+    (dir_files (fixture_dir ?compress ?wal version scheme));
   dir
 
 let with_dir dir f =
   Fun.protect ~finally:(fun () -> Fsutil.rm_rf dir) (fun () -> f dir)
 
+(* the fingerprint of [build_branchy], measured when the fixtures were
+   written *)
+let pinned_fingerprint = function
+  | Database.Version_first -> 0x9e9305fcd784edb3L
+  | _ -> 0x6073cf96cbe73135L
+
 (* fingerprint of a fresh v2 build of the same history, checked
-   against the one measured when the fixtures were written *)
+   against the pinned one *)
 let fresh_fingerprint ?(compress = false) scheme =
   with_dir (Fsutil.fresh_dir "decibel-colseg-fresh") (fun dir ->
       let db = Database.open_ ~compress ~scheme ~dir ~schema:db_schema () in
       build_branchy db;
       let fp = fingerprint db in
       Database.close db;
-      let expected =
-        match scheme with
-        | Database.Version_first -> 0x9e9305fcd784edb3L
-        | _ -> 0x6073cf96cbe73135L
-      in
-      Alcotest.(check int64) "fresh v2 fingerprint" expected fp;
+      Alcotest.(check int64) "fresh v2 fingerprint" (pinned_fingerprint scheme)
+        fp;
       fp)
 
 let reopen_fingerprint dir =
@@ -728,29 +732,41 @@ let test_v2_migrate_noop () =
         (Fsck.clean report))
 
 (* Today's v2 writer reproduces the committed v2 fixture byte for byte,
-   and today's reader reads the fixture to the same results. *)
-let test_v2_bytes_unchanged scheme () =
+   and today's reader reads the fixture to the same results.  The
+   [~wal] pin is a durable build left with one uncommitted insert, so
+   its manifest carries a non-zero WAL marker and a dirty branch. *)
+let test_v2_bytes_unchanged ?(wal = false) ~compress scheme () =
   List.iter
     (fun compress ->
-      let expected = fresh_fingerprint ~compress scheme in
-      with_dir (Fsutil.fresh_dir "decibel-colseg-v2") (fun dir ->
-          let db = Database.open_ ~compress ~scheme ~dir ~schema:db_schema () in
-          build_branchy db;
-          Database.close db;
-          let wl = Filename.concat dir "workload.jsonl" in
-          if Sys.file_exists wl then Sys.remove wl;
-          let fixture = dir_files (fixture_dir ~compress 2 scheme) in
-          Alcotest.(check (list string)) "same files" (List.map fst fixture)
-            (List.map fst (dir_files dir));
-          List.iter2
-            (fun (f, want) (_, got) ->
-              if want <> got then
-                Alcotest.failf "%s differs from the v2 fixture" f)
-            fixture (dir_files dir));
-      with_dir (copy_fixture ~compress 2 scheme) (fun dir ->
+      let expected =
+        with_dir (Fsutil.fresh_dir "decibel-colseg-v2") (fun dir ->
+            let db =
+              Database.open_ ~compress ~durable:wal ~scheme ~dir
+                ~schema:db_schema ()
+            in
+            build_branchy db;
+            if wal then Database.insert db Vg.master (row 9000 1 2 3);
+            let fp = fingerprint db in
+            if not wal then
+              Alcotest.(check int64) "fresh v2 fingerprint"
+                (pinned_fingerprint scheme) fp;
+            Database.close db;
+            let wl = Filename.concat dir "workload.jsonl" in
+            if Sys.file_exists wl then Sys.remove wl;
+            let fixture = dir_files (fixture_dir ~compress ~wal 2 scheme) in
+            Alcotest.(check (list string)) "same files" (List.map fst fixture)
+              (List.map fst (dir_files dir));
+            List.iter2
+              (fun (f, want) (_, got) ->
+                if want <> got then
+                  Alcotest.failf "%s differs from the v2 fixture" f)
+              fixture (dir_files dir);
+            fp)
+      in
+      with_dir (copy_fixture ~compress ~wal 2 scheme) (fun dir ->
           Alcotest.(check int64) "v2 fixture reads" expected
             (reopen_fingerprint dir)))
-    [ false; true ]
+    compress
 
 (* Crash the upgrade at every failpoint it crosses (first, middle and
    last crossing; torn as well as raised at the write sites), then
@@ -934,6 +950,66 @@ let test_hostile_v1 () =
         ^ String.sub m !pos (String.length m - !pos));
       check_refuses_hostile ~label:"locator off a record boundary" dir)
 
+(* Hostile v2 manifests: a seeded run of 1-3 random byte changes past
+   the format header, re-framed so the checksum holds and only the
+   decoders can object.  Fsck must always return its report, reopen
+   may refuse only with [Binio.Corrupt] or [Engine_error], and a
+   refused reopen leaves no segment file open. *)
+let manifest_fuzz_seed = 0x6d616e6966L
+
+let open_fds () =
+  if Sys.file_exists "/proc/self/fd" then
+    Array.length (Sys.readdir "/proc/self/fd")
+  else 0
+
+let test_hostile_v2_manifest scheme () =
+  let rng = Prng.create manifest_fuzz_seed in
+  let fds = open_fds () in
+  let name, framed =
+    List.find
+      (fun (f, _) -> String.starts_with ~prefix:"manifest." f)
+      (dir_files (fixture_dir 2 scheme))
+  in
+  let payload = Atomic_file.check framed in
+  let failures = ref [] in
+  for i = 1 to 200 do
+    let m = Bytes.of_string payload in
+    let edits =
+      List.init
+        (1 + Prng.int rng 3)
+        (fun _ ->
+          let off = 2 + Prng.int rng (Bytes.length m - 2) in
+          let b = Char.chr (Prng.int rng 256) in
+          Bytes.set m off b;
+          (off, b))
+    in
+    let fail what e =
+      failures :=
+        Printf.sprintf "mutation %d [%s]: %s raised %s" i
+          (String.concat "; "
+             (List.map
+                (fun (off, b) -> Printf.sprintf "@%d=0x%02x" off (Char.code b))
+                edits))
+          what (Printexc.to_string e)
+        :: !failures
+    in
+    with_dir (copy_fixture 2 scheme) (fun dir ->
+        Binio.write_file (Filename.concat dir name)
+          (Atomic_file.frame (Bytes.to_string m));
+        (match Fsck.run ~dir () with
+        | _ -> ()
+        | exception e -> fail "fsck" e);
+        match Database.reopen ~dir () with
+        | db -> Database.crash db
+        | exception (Binio.Corrupt _ | Types.Engine_error _) -> ()
+        | exception e -> fail "reopen" e)
+  done;
+  if !failures <> [] then
+    Alcotest.failf "%s, seed %Ld: %d failure(s):\n%s" name manifest_fuzz_seed
+      (List.length !failures)
+      (String.concat "\n" (List.rev !failures));
+  Alcotest.(check int) "no file descriptor leaked" fds (open_fds ())
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -983,12 +1059,28 @@ let () =
           Alcotest.test_case "v2 migrate is a no-op" `Quick
             test_v2_migrate_noop;
           Alcotest.test_case "v2 bytes unchanged: tuple-first" `Quick
-            (test_v2_bytes_unchanged Database.Tuple_first);
+            (test_v2_bytes_unchanged ~compress:[ false; true ]
+               Database.Tuple_first);
           Alcotest.test_case "v2 bytes unchanged: version-first" `Quick
-            (test_v2_bytes_unchanged Database.Version_first);
+            (test_v2_bytes_unchanged ~compress:[ false; true ]
+               Database.Version_first);
           Alcotest.test_case "v2 bytes unchanged: hybrid" `Quick
-            (test_v2_bytes_unchanged Database.Hybrid);
+            (test_v2_bytes_unchanged ~compress:[ false; true ] Database.Hybrid);
+          Alcotest.test_case "v2 bytes unchanged: tuple-oriented" `Quick
+            (test_v2_bytes_unchanged ~compress:[ false ]
+               Database.Tuple_first_tuple_oriented);
+          Alcotest.test_case "v2 bytes unchanged: hybrid, wal" `Quick
+            (test_v2_bytes_unchanged ~wal:true ~compress:[ false ]
+               Database.Hybrid);
           Alcotest.test_case "hostile v1 input refused" `Quick test_hostile_v1;
+          Alcotest.test_case "hostile v2 manifest: tuple-first" `Quick
+            (test_hostile_v2_manifest Database.Tuple_first);
+          Alcotest.test_case "hostile v2 manifest: tuple-oriented" `Quick
+            (test_hostile_v2_manifest Database.Tuple_first_tuple_oriented);
+          Alcotest.test_case "hostile v2 manifest: version-first" `Quick
+            (test_hostile_v2_manifest Database.Version_first);
+          Alcotest.test_case "hostile v2 manifest: hybrid" `Quick
+            (test_hostile_v2_manifest Database.Hybrid);
         ] );
       ( "v1-upgrade-crash",
         [

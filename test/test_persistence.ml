@@ -130,6 +130,30 @@ let test_reopen_missing () =
       | exception Types.Engine_error _ -> ()
       | _ -> Alcotest.fail "expected Engine_error for empty dir")
 
+(* every physical scheme refuses an empty directory the same way,
+   whether or not the caller names the scheme *)
+let test_reopen_missing_scheme () =
+  let dir = Decibel_util.Fsutil.fresh_dir "decibel-persist4" in
+  Fun.protect
+    ~finally:(fun () -> Decibel_util.Fsutil.rm_rf dir)
+    (fun () ->
+      List.iter
+        (fun scheme ->
+          match Database.reopen ~scheme ~dir () with
+          | exception Types.Engine_error _ -> ()
+          | exception e ->
+              Alcotest.failf "%s: expected Engine_error, got %s"
+                (Database.scheme_name scheme) (Printexc.to_string e)
+          | _ ->
+              Alcotest.failf "%s: empty directory opened"
+                (Database.scheme_name scheme))
+        [
+          Database.Tuple_first;
+          Database.Tuple_first_tuple_oriented;
+          Database.Version_first;
+          Database.Hybrid;
+        ])
+
 (* property: close+reopen at a random cut point ≡ never closing *)
 let reopen_equivalence scheme (cmds, cut_hint) =
   let dir1 = Decibel_util.Fsutil.fresh_dir "decibel-pp1" in
@@ -196,7 +220,11 @@ let () =
                 (test_reopen_compressed scheme);
             ])
           schemes
-        @ [ Alcotest.test_case "missing repository" `Quick test_reopen_missing ]
+        @ [
+            Alcotest.test_case "missing repository" `Quick test_reopen_missing;
+            Alcotest.test_case "missing repository, scheme given" `Quick
+              test_reopen_missing_scheme;
+          ]
       );
       ( "reopen-equivalence",
         List.map
