@@ -745,7 +745,9 @@ let save_meta buf t =
       Binio.write_varint buf st.cs_dict_blocks)
     t.stats
 
-let open_v2 ~pool ~schema ~compress ~path s pos =
+(* Parses a segment section and opens its file at the manifest size;
+   bytes a crash left past it stay on disk until [reclaim_tail]. *)
+let open_at_size ~pool ~schema ~compress ~path s pos =
   let size = Binio.read_varint s pos in
   let blocks =
     Binio.read_list
@@ -771,12 +773,7 @@ let open_v2 ~pool ~schema ~compress ~path s pos =
   (* the whole section parsed: only now touch the file *)
   if not (Sys.file_exists path) then
     corrupt "Col_segment: segment file %s is missing" path;
-  let file = Heap_file.open_existing ~pool path in
-  if size > Heap_file.size file then begin
-    Heap_file.close file;
-    corrupt "Col_segment: manifest size %d exceeds file %s" size path
-  end;
-  Heap_file.truncate_to file size;
+  let file = Heap_file.open_existing ~pool ~size path in
   let t = { (make ~pool ~schema ~compress ~path file) with stats } in
   let start = ref 0 in
   List.iter
@@ -787,6 +784,14 @@ let open_v2 ~pool ~schema ~compress ~path s pos =
   t.sealed_rows <- !start;
   t
 
+(* Crash recovery: bytes written after the last checkpoint are cut
+   (the WAL replays them instead). *)
+let reclaim_tail t = Heap_file.truncate_to t.file (Heap_file.size t.file)
+
+let open_v2 ~pool ~schema ~compress ~path s pos =
+  let t = open_at_size ~pool ~schema ~compress ~path s pos in
+  reclaim_tail t;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* per-column encoding report *)
@@ -880,15 +885,20 @@ let close t =
 
 let abandon t = Heap_file.abandon t.file
 
-(* A manifest refused halfway leaves no segment file open. *)
+(* A manifest refused anywhere, even in its last section, leaves no
+   segment file open and every file as it was: tails are reclaimed
+   only once the whole manifest has loaded. *)
 let with_opened f =
   let opened = ref [] in
   let open_v2 ~pool ~schema ~compress ~path s pos =
-    let t = open_v2 ~pool ~schema ~compress ~path s pos in
+    let t = open_at_size ~pool ~schema ~compress ~path s pos in
     opened := t :: !opened;
     t
   in
-  try f open_v2
+  try
+    let x = f open_v2 in
+    List.iter reclaim_tail !opened;
+    x
   with e ->
     List.iter abandon !opened;
     raise e

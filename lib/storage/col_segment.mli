@@ -62,8 +62,11 @@ val with_opened :
    t) ->
   'a) ->
   'a
-(** [with_opened f] runs [f] with {!open_v2}; if [f] raises, every
-    segment it opened is abandoned before the exception propagates. *)
+(** [with_opened f] runs [f] with {!open_v2}, except that the
+    truncations to the persisted sizes wait until [f] has returned: a
+    manifest refused in any section leaves every segment file
+    byte-identical.  If [f] raises, every segment it opened is
+    abandoned before the exception propagates. *)
 
 (** {1 Introspection} *)
 

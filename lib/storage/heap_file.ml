@@ -24,6 +24,10 @@ type t = {
   mutable size : int; (* logical end, including pending bytes *)
   mutable flushed : int; (* bytes durable in [fd] *)
   pending : Buffer.t;
+      (* starts small and grows with the appends since the last flush,
+         which hands its memory back: an idle or sealed file (one per
+         segment, and segments multiply with branches) costs bytes,
+         not [flush_threshold] *)
   mutable closed : bool;
 }
 
@@ -38,7 +42,7 @@ let make ~pool path fd initial_size =
     file_id = Buffer_pool.next_file_id pool;
     size = initial_size;
     flushed = initial_size;
-    pending = Buffer.create flush_threshold;
+    pending = Buffer.create 256;
     closed = false;
   }
 
@@ -46,9 +50,20 @@ let create ~pool path =
   let fd = Unix.openfile path [ O_RDWR; O_CREAT; O_TRUNC ] 0o644 in
   make ~pool path fd 0
 
-let open_existing ~pool path =
+(* With [~size], bytes past it stay on disk, unread, until a
+   [truncate_to] reclaims them: a reopen can check the rest of its
+   manifest before it cuts anything. *)
+let open_existing ~pool ?size path =
   let fd = Unix.openfile path [ O_RDWR ] 0o644 in
-  let size = (Unix.fstat fd).st_size in
+  let on_disk = (Unix.fstat fd).st_size in
+  let size = Option.value size ~default:on_disk in
+  if size < 0 || size > on_disk then begin
+    Unix.close fd;
+    raise
+      (Binio.Corrupt
+         (Printf.sprintf "Heap_file: size %d outside %s (%d bytes)" size path
+            on_disk))
+  end;
   make ~pool path fd size
 
 (* Open-or-create with logical size 0 but WITHOUT truncating: the
@@ -94,7 +109,7 @@ let flush t =
     Obs.add c_pages_allocated
       (((t.flushed + len + psz - 1) / psz) - ((t.flushed + psz - 1) / psz));
     t.flushed <- t.flushed + len;
-    Buffer.clear t.pending;
+    Buffer.reset t.pending;
     Obs.incr c_flushes;
     Buffer_pool.note_write_back t.pool
   end
@@ -287,7 +302,7 @@ let abandon t =
     (* crash simulation: drop buffered appends on the floor and close
        the descriptor without flushing — disk keeps only what earlier
        flushes made durable *)
-    Buffer.clear t.pending;
+    Buffer.reset t.pending;
     (try Unix.close t.fd with Unix.Unix_error _ -> ());
     Buffer_pool.invalidate_file t.pool t.file_id;
     t.closed <- true

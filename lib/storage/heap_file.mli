@@ -7,10 +7,14 @@
     offset; offsets double as record identifiers and as the branch-point
     markers version-first stores in its version graph.
 
-    Appends are buffered in memory and flushed in large writes; reads go
-    through the shared {!Buffer_pool} so sequential scans hit cached
-    pages.  A single writer is assumed per file (Decibel serializes
-    branch modifications with branch-level locks).
+    Appends are buffered in memory and flushed in large writes (at
+    1 MiB pending, or on an explicit {!flush}); the buffer starts at a
+    few hundred bytes, grows with the pending appends and is released
+    by each flush, so an open file that is not being written costs no
+    buffer memory to speak of.  Reads go through the shared
+    {!Buffer_pool} so sequential scans hit cached pages.  A single
+    writer is assumed per file (Decibel serializes branch modifications
+    with branch-level locks).
 
     Every record carries a CRC-32 of its payload in the header
     ([varint length, u32 crc, payload]), verified on every read, so
@@ -27,8 +31,13 @@ type t
 val create : pool:Buffer_pool.t -> string -> t
 (** Create or truncate the file at the given path. *)
 
-val open_existing : pool:Buffer_pool.t -> string -> t
-(** Open for reading and appending; raises [Sys_error] if missing. *)
+val open_existing : pool:Buffer_pool.t -> ?size:int -> string -> t
+(** Open for reading and appending; raises [Sys_error] if missing.
+    [~size] sets the logical size below the file's: the bytes past it
+    are neither read nor cut until a {!truncate_to} (so a reopen can
+    validate its whole manifest before it writes);
+    [Decibel_util.Binio.Corrupt] if [size] is negative or exceeds the
+    file. *)
 
 val open_reset : pool:Buffer_pool.t -> string -> t
 (** Open-or-create with logical size 0 {e without} truncating the file

@@ -1010,6 +1010,50 @@ let test_hostile_v2_manifest scheme () =
       (String.concat "\n" (List.rev !failures));
   Alcotest.(check int) "no file descriptor leaked" fds (open_fds ())
 
+(* A checksum-valid manifest refused in its last section (the WAL
+   marker, or trailing bytes past it) must leave every segment file as
+   it was, even files with bytes past their manifest size: reopen
+   reclaims those tails only once the whole manifest has loaded, and
+   fsck never writes. *)
+let test_refused_manifest_keeps_tails scheme () =
+  let segs dir =
+    List.filter
+      (fun (f, _) -> String.starts_with ~prefix:"seg_" f)
+      (dir_files dir)
+  in
+  let name, framed =
+    List.find
+      (fun (f, _) -> String.starts_with ~prefix:"manifest." f)
+      (dir_files (fixture_dir 2 scheme))
+  in
+  let payload = Atomic_file.check framed in
+  let last = String.length payload - 1 in
+  List.iter
+    (fun (label, mutated) ->
+      with_dir (copy_fixture 2 scheme) (fun dir ->
+          List.iter
+            (fun (f, bytes) ->
+              Binio.write_file (Filename.concat dir f) (bytes ^ "stale tail"))
+            (segs dir);
+          Binio.write_file (Filename.concat dir name) (Atomic_file.frame mutated);
+          let before = segs dir in
+          (match Database.reopen ~dir () with
+          | db ->
+              Database.crash db;
+              Alcotest.failf "%s: reopen accepted the manifest" label
+          | exception (Binio.Corrupt _ | Types.Engine_error _) -> ());
+          Alcotest.(check bool) (label ^ ": segments intact after reopen") true
+            (segs dir = before);
+          let report = Fsck.run ~dir () in
+          Alcotest.(check bool) (label ^ ": fsck reports it") false
+            (Fsck.clean report);
+          Alcotest.(check bool) (label ^ ": segments intact after fsck") true
+            (segs dir = before)))
+    [
+      ("unterminated WAL marker", String.sub payload 0 last ^ "\x80");
+      ("trailing byte", payload ^ "\x00");
+    ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1081,6 +1125,11 @@ let () =
             (test_hostile_v2_manifest Database.Version_first);
           Alcotest.test_case "hostile v2 manifest: hybrid" `Quick
             (test_hostile_v2_manifest Database.Hybrid);
+          Alcotest.test_case "refused manifest keeps tails: version-first"
+            `Quick
+            (test_refused_manifest_keeps_tails Database.Version_first);
+          Alcotest.test_case "refused manifest keeps tails: hybrid" `Quick
+            (test_refused_manifest_keeps_tails Database.Hybrid);
         ] );
       ( "v1-upgrade-crash",
         [

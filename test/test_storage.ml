@@ -243,6 +243,58 @@ let test_heap_reopen () =
       Alcotest.(check string) "appended after reopen" "more"
         (Heap_file.get h2 o2))
 
+(* An open heap file costs bytes, not its flush threshold: the write
+   buffer grows with pending appends and is released by the flush, so
+   idle and sealed files (one per segment, and segments grow with
+   branches) do not each pin a mebibyte. *)
+let test_heap_buffer_follows_data () =
+  let per_file_bound = 16 * 1024 / (Sys.word_size / 8) in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let dir = Fsutil.fresh_dir "decibel-heapmem" in
+  let pool = Buffer_pool.create () in
+  let n = 256 in
+  let path i = Filename.concat dir (Printf.sprintf "h%d.dat" i) in
+  for i = 0 to n - 1 do
+    let h = Heap_file.create ~pool (path i) in
+    ignore (Heap_file.append h (Printf.sprintf "record-%d" i));
+    Heap_file.close h
+  done;
+  let before = live () in
+  (* every constructor: fresh, reopened and staged-empty files *)
+  let files =
+    List.init n (fun i ->
+        match i mod 3 with
+        | 0 -> Heap_file.create ~pool (path i)
+        | 1 -> Heap_file.open_existing ~pool (path i)
+        | _ -> Heap_file.open_reset ~pool (path i))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Heap_file.close files;
+      Fsutil.rm_rf dir)
+    (fun () ->
+      let opened = live () in
+      let per_file = (opened - before) / n in
+      if per_file >= per_file_bound then
+        Alcotest.failf "an open heap file holds %d words (bound %d)" per_file
+          per_file_bound;
+      (* a burst past the flush threshold, then back to idle *)
+      let h = List.hd files in
+      let chunk = String.make 4000 'x' in
+      let last = ref 0 in
+      for _ = 1 to (2 * 1024 * 1024 / String.length chunk) + 16 do
+        last := Heap_file.append h chunk
+      done;
+      Heap_file.flush h;
+      let after = live () in
+      if after - opened >= per_file_bound then
+        Alcotest.failf "a flushed heap file keeps %d words (bound %d)"
+          (after - opened) per_file_bound;
+      Alcotest.(check string) "burst readable" chunk (Heap_file.get h !last))
+
 let prop_heap_roundtrip =
   QCheck2.Test.make ~name:"heap file roundtrips arbitrary records"
     ~count:60
@@ -350,6 +402,8 @@ let () =
           Alcotest.test_case "read unflushed tail" `Quick
             test_heap_read_unflushed;
           Alcotest.test_case "reopen" `Quick test_heap_reopen;
+          Alcotest.test_case "write buffer follows the data" `Quick
+            test_heap_buffer_follows_data;
           qtest prop_heap_roundtrip;
         ] );
       ( "lock-manager",
