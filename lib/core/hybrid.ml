@@ -981,9 +981,10 @@ let seg_by_file t name =
    locators).  The old slot is re-staffed with an EMPTY segment whose
    file is deliberately NOT truncated: until the manifest commits, a
    crash must reopen the old bytes.  The committed manifest records
-   size 0 for the slot, so [open_v2]'s truncate self-heals the file on
-   the next reopen, and the in-process [mp_cleanup] truncates it
-   eagerly after invalidating the old handle's buffer-pool pages. *)
+   size 0 for the slot, so [Col_segment.with_opened]'s truncate
+   self-heals the file on the next reopen, and the in-process
+   [mp_cleanup] truncates it eagerly after invalidating the old
+   handle's buffer-pool pages. *)
 let plan_compact t ~kind sid =
   if sid < 0 || sid >= Vec.length t.segments then None
   else begin

@@ -103,8 +103,8 @@ let create_v2 ~pool ~schema ~compress ~path =
 (* Empty segment staged over a slot file whose old bytes must stay
    on disk until the engine manifest commits (maintenance compaction).
    [save_meta] records size 0 and zero blocks without touching the fd,
-   and [open_v2]'s truncate-to-manifest-size reclaims the stale tail
-   on the next reopen. *)
+   and [with_opened] cuts the stale tail back to the manifest size on
+   the next reopen. *)
 let empty_over ~pool ~schema ~compress ~path =
   make ~pool ~schema ~compress ~path (Heap_file.open_reset ~pool path)
 
@@ -747,7 +747,7 @@ let save_meta buf t =
 
 (* Parses a segment section and opens its file at the manifest size;
    bytes a crash left past it stay on disk until [reclaim_tail]. *)
-let open_at_size ~pool ~schema ~compress ~path s pos =
+let open_v2 ~pool ~schema ~compress ~path s pos =
   let size = Binio.read_varint s pos in
   let blocks =
     Binio.read_list
@@ -787,11 +787,6 @@ let open_at_size ~pool ~schema ~compress ~path s pos =
 (* Crash recovery: bytes written after the last checkpoint are cut
    (the WAL replays them instead). *)
 let reclaim_tail t = Heap_file.truncate_to t.file (Heap_file.size t.file)
-
-let open_v2 ~pool ~schema ~compress ~path s pos =
-  let t = open_at_size ~pool ~schema ~compress ~path s pos in
-  reclaim_tail t;
-  t
 
 (* ------------------------------------------------------------------ *)
 (* per-column encoding report *)
@@ -891,7 +886,7 @@ let abandon t = Heap_file.abandon t.file
 let with_opened f =
   let opened = ref [] in
   let open_v2 ~pool ~schema ~compress ~path s pos =
-    let t = open_at_size ~pool ~schema ~compress ~path s pos in
+    let t = open_v2 ~pool ~schema ~compress ~path s pos in
     opened := t :: !opened;
     t
   in

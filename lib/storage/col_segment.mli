@@ -48,9 +48,11 @@ val open_v2 :
   string ->
   int ref ->
   t
-(** Reopen from metadata written by {!save_meta}; truncates the heap
-    to the persisted size (crash recovery).  A missing file or a bad
-    block index raises [Decibel_util.Binio.Corrupt]. *)
+(** Reopen from metadata written by {!save_meta}, at the persisted
+    size: bytes a crash left past it are neither read nor cut (only
+    {!with_opened} cuts them).  A missing file, a file shorter than the
+    persisted size or a bad block index raises
+    [Decibel_util.Binio.Corrupt]. *)
 
 val with_opened :
   ((pool:Buffer_pool.t ->
@@ -62,11 +64,11 @@ val with_opened :
    t) ->
   'a) ->
   'a
-(** [with_opened f] runs [f] with {!open_v2}, except that the
-    truncations to the persisted sizes wait until [f] has returned: a
-    manifest refused in any section leaves every segment file
-    byte-identical.  If [f] raises, every segment it opened is
-    abandoned before the exception propagates. *)
+(** [with_opened f] runs [f] with {!open_v2}; once [f] has returned,
+    every segment it opened is truncated to its persisted size (crash
+    recovery), so a manifest refused in any section leaves every
+    segment file byte-identical.  If [f] raises, every segment it
+    opened is abandoned before the exception propagates. *)
 
 (** {1 Introspection} *)
 

@@ -50,13 +50,12 @@ let create ~pool path =
   let fd = Unix.openfile path [ O_RDWR; O_CREAT; O_TRUNC ] 0o644 in
   make ~pool path fd 0
 
-(* With [~size], bytes past it stay on disk, unread, until a
-   [truncate_to] reclaims them: a reopen can check the rest of its
-   manifest before it cuts anything. *)
-let open_existing ~pool ?size path =
+(* Bytes past [size] stay on disk, unread, until a [truncate_to]
+   reclaims them: a reopen can check the rest of its manifest before
+   it cuts anything. *)
+let open_existing ~pool ~size path =
   let fd = Unix.openfile path [ O_RDWR ] 0o644 in
   let on_disk = (Unix.fstat fd).st_size in
-  let size = Option.value size ~default:on_disk in
   if size < 0 || size > on_disk then begin
     Unix.close fd;
     raise

@@ -31,13 +31,12 @@ type t
 val create : pool:Buffer_pool.t -> string -> t
 (** Create or truncate the file at the given path. *)
 
-val open_existing : pool:Buffer_pool.t -> ?size:int -> string -> t
-(** Open for reading and appending; raises [Sys_error] if missing.
-    [~size] sets the logical size below the file's: the bytes past it
-    are neither read nor cut until a {!truncate_to} (so a reopen can
-    validate its whole manifest before it writes);
-    [Decibel_util.Binio.Corrupt] if [size] is negative or exceeds the
-    file. *)
+val open_existing : pool:Buffer_pool.t -> size:int -> string -> t
+(** Open for reading and appending at logical size [size]; raises
+    [Sys_error] if missing.  Bytes past [size] are neither read nor
+    cut until a {!truncate_to} (so a reopen can validate its whole
+    manifest before it writes); [Decibel_util.Binio.Corrupt] if [size]
+    is negative or exceeds the file. *)
 
 val open_reset : pool:Buffer_pool.t -> string -> t
 (** Open-or-create with logical size 0 {e without} truncating the file

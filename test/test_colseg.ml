@@ -402,7 +402,10 @@ let test_key_decode_hostile_payload () =
       List.iter (fun rv -> ignore (Col_segment.append seg rv)) rows;
       Col_segment.close seg;
       let payload =
-        let h = Heap_file.open_existing ~pool:(Buffer_pool.create ()) path in
+        let h =
+          Heap_file.open_existing ~pool:(Buffer_pool.create ())
+            ~size:(Unix.stat path).st_size path
+        in
         let p = Heap_file.get h 0 in
         Heap_file.close h;
         p

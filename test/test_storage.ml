@@ -232,7 +232,7 @@ let test_heap_reopen () =
   let h = Heap_file.create ~pool path in
   let o1 = Heap_file.append h "persisted" in
   Heap_file.close h;
-  let h2 = Heap_file.open_existing ~pool path in
+  let h2 = Heap_file.open_existing ~pool ~size:(Unix.stat path).st_size path in
   Fun.protect
     ~finally:(fun () ->
       Heap_file.close h2;
@@ -268,7 +268,9 @@ let test_heap_buffer_follows_data () =
     List.init n (fun i ->
         match i mod 3 with
         | 0 -> Heap_file.create ~pool (path i)
-        | 1 -> Heap_file.open_existing ~pool (path i)
+        | 1 ->
+            Heap_file.open_existing ~pool ~size:(Unix.stat (path i)).st_size
+              (path i)
         | _ -> Heap_file.open_reset ~pool (path i))
   in
   Fun.protect
