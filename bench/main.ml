@@ -565,7 +565,6 @@ let ablations () =
     ignore (Commit_history.checkout h i)
   done;
   let per_checkout = (Unix.gettimeofday () -. t0) /. float_of_int n in
-  Commit_history.close h;
   Report.table
     ~headers:[ "variant"; "avg deltas replayed"; "measured avg checkout" ]
     ~rows:

@@ -130,14 +130,16 @@ let detect_scheme dir =
   | Manifest.Vf, _ -> Version_first
   | Manifest.Hy, _ -> Hybrid
 
-let reopen_checkpoint ?pool ?scheme ~dir () =
+(* [~recover:false] is the read-only load: tails stay, and the
+   workload checkpoint is not merged into this process's table. *)
+let load_checkpoint ~recover ?pool ?scheme ~dir () =
   let pool = match pool with Some p -> p | None -> Buffer_pool.create () in
   let scheme = match scheme with Some s -> s | None -> detect_scheme dir in
   let pack (type e) (module E : Engine_intf.S with type t = e) =
-    let state = E.open_existing ~dir ~pool in
+    let state = E.open_existing ~cut_tails:recover ~dir ~pool in
     (* resume per-branch workload accounting from the checkpoint left
        by the last flush/close (missing file is a no-op) *)
-    Workload.load ~path:(workload_path dir) ();
+    if recover then Workload.load ~path:(workload_path dir) ();
     Db
       {
         engine = (module E);
@@ -163,6 +165,15 @@ let reopen_checkpoint ?pool ?scheme ~dir () =
   | Version_first -> pack (module Version_first)
   | Hybrid -> pack (module Hybrid)
   | Model -> pack (module Model)
+
+let reopen_checkpoint ?pool ?scheme ~dir () =
+  load_checkpoint ~recover:true ?pool ?scheme ~dir ()
+
+let inspect_checkpoint ?pool ~dir f =
+  let (Db { engine = (module E); state; _ } as t) =
+    load_checkpoint ~recover:false ?pool ~dir ()
+  in
+  Fun.protect ~finally:(fun () -> E.crash state) (fun () -> f t)
 
 (* Offline v1 → v2 segment-format upgrade ([fsck --migrate]); [false]
    when the repository is already v2.  Must not run against an open

@@ -58,8 +58,16 @@ val reopen :
 val reopen_checkpoint :
   ?pool:Buffer_pool.t -> ?scheme:scheme -> dir:string -> unit -> t
 (** Reopen the last checkpoint only — no WAL replay, no checkpoint
-    rewrite, no log arming.  The read-only half of {!reopen}; fsck
-    uses it to inspect a repository without mutating it. *)
+    rewrite, no log arming.  It still cuts segment bytes a crash left
+    past the checkpoint, and its {!close} writes a checkpoint; for a
+    look that writes nothing use {!inspect_checkpoint}. *)
+
+val inspect_checkpoint : ?pool:Buffer_pool.t -> dir:string -> (t -> 'a) -> 'a
+(** [inspect_checkpoint ~dir f] loads the last checkpoint without
+    writing anything, runs [f] on it and releases it again without a
+    checkpoint, a workload save or a tail cut: every file in [dir] is
+    left byte-identical.  Segment bytes past the checkpoint stay on
+    disk and show up in {!verify}.  fsck's read-only check. *)
 
 val upgrade_v1 : ?pool:Buffer_pool.t -> dir:string -> unit -> bool
 (** Offline, crash-atomic rewrite of a segment-format-v1 repository

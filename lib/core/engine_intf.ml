@@ -80,8 +80,12 @@ module type S = sig
       materialization (decode) cost for space.  Default off, as in the
       paper. *)
 
-  val open_existing : dir:string -> pool:Buffer_pool.t -> t
+  val open_existing : cut_tails:bool -> dir:string -> pool:Buffer_pool.t -> t
   (** Reopen a repository persisted by {!S.flush} or {!S.close}.
+      With [~cut_tails:true] (crash recovery) segment bytes past the
+      checkpoint are cut once the whole manifest has loaded; with
+      [false] the open writes nothing, and a {!S.crash} releases the
+      state again without writing (fsck's read-only check).
       Raises {!Types.Engine_error} if [dir] holds no repository of this
       scheme, or one still in the pre-columnar segment format v1 (which
       only [fsck --migrate] reads). *)

@@ -7,12 +7,13 @@
     checksum failures, and dangling commit-locator cross-references
     (the engine-side checks behind {!Database.verify}).
 
-    With [~repair:true] it additionally fixes the two problems that
-    have a mechanical, information-preserving remedy: stale [*.tmp]
-    files are removed (the rename never happened, so the manifest on
-    disk is the authoritative one) and a torn WAL tail is truncated to
-    its intact prefix (replay would stop there anyway; truncating makes
-    the log clean for future appends).  Checksum failures inside the
+    With [~repair:true] it additionally fixes the problems that have a
+    mechanical, information-preserving remedy: stale [*.tmp] files are
+    removed (the rename never happened, so the manifest on disk is the
+    authoritative one), a torn WAL tail is truncated to its intact
+    prefix (replay would stop there anyway; truncating makes the log
+    clean for future appends), and segment bytes past the checkpoint
+    are cut (a crash's unflushed appends, which the WAL replays).  Checksum failures inside the
     checkpoint itself are reported but never "repaired" — there is no
     redundant copy to restore from, and deleting data silently would be
     worse than refusing. *)
@@ -106,7 +107,16 @@ let check_maint ~repair ?pool dir =
   let module J = Decibel_maint.Journal in
   if J.pending (J.load dir) = [] then ([], [])
   else begin
-    match Database.reopen_checkpoint ?pool ~dir () with
+    let resolve db = Database.resolve_maintenance ~dry_run:(not repair) db in
+    match
+      if repair then begin
+        let db = Database.reopen_checkpoint ?pool ~dir () in
+        Fun.protect
+          ~finally:(fun () -> Database.close db)
+          (fun () -> resolve db)
+      end
+      else Database.inspect_checkpoint ?pool ~dir resolve
+    with
     | exception _ ->
         ( [
             {
@@ -117,12 +127,7 @@ let check_maint ~repair ?pool dir =
             };
           ],
           [] )
-    | db ->
-        let resolutions =
-          Fun.protect
-            ~finally:(fun () -> Database.close db)
-            (fun () -> Database.resolve_maintenance ~dry_run:(not repair) db)
-        in
+    | resolutions ->
         let fixes =
           List.map
             (fun (r : Database.maint_resolution) ->
@@ -162,28 +167,43 @@ let check_maint ~repair ?pool dir =
         (findings, fixes)
   end
 
-(* Engine-side checks: open the last checkpoint read-only and run the
-   engine's verify ({!Decibel_storage.Manifest.verify}: manifest
-   trailer, record checksums, locator cross-references).  A manifest
-   whose checksum holds but whose content is inconsistent (an id out of
-   range, a missing segment file) is refused by the loader with
-   [Corrupt] and reported as a manifest finding. *)
-let check_engine ?pool dir =
-  match Database.reopen_checkpoint ?pool ~dir () with
+(* Engine-side checks: load the last checkpoint without writing and run
+   the engine's verify ({!Decibel_storage.Manifest.verify}: manifest
+   trailer, record checksums, segment bytes past the checkpoint,
+   locator cross-references).  A manifest whose checksum holds but
+   whose content is inconsistent (an id out of range, a missing
+   segment file) is refused by the loader with [Corrupt] and reported
+   as a manifest finding.  Under [repair], stray segment tails are cut
+   by a recovering open, the one place that cuts them. *)
+let check_engine ~repair ?pool dir =
+  match
+    Database.inspect_checkpoint ?pool ~dir (fun db ->
+        (Database.scheme_of db, Database.verify db))
+  with
   | exception Decibel_util.Binio.Corrupt msg ->
       ( None,
         [ { artifact = "manifest"; problem = msg; repaired = false } ] )
   | exception Types.Engine_error msg ->
       (None, [ { artifact = dir; problem = msg; repaired = false } ])
-  | db ->
-      let scheme = Database.scheme_of db in
-      let findings =
-        List.map
-          (fun (artifact, problem) -> { artifact; problem; repaired = false })
-          (Database.verify db)
+  | scheme, problems ->
+      let is_tail (_, problem) =
+        String.starts_with ~prefix:Decibel_storage.Col_segment.stray_tail
+          problem
       in
-      Database.close db;
-      (Some scheme, findings)
+      let cut =
+        repair
+        && List.exists is_tail problems
+        &&
+        try
+          Database.close (Database.reopen_checkpoint ?pool ~dir ());
+          true
+        with _ -> false
+      in
+      ( Some scheme,
+        List.map
+          (fun ((artifact, problem) as p) ->
+            { artifact; problem; repaired = cut && is_tail p })
+          problems )
 
 (* Format upgrade: the offline, crash-atomic v1 → v2 rewrite.  Every
    v1 record is checksum-verified and strictly decoded before the
@@ -227,7 +247,7 @@ let run ?(repair = false) ?(migrate = false) ?pool ~dir () =
     (* resolve interrupted maintenance before the engine check so a
        repaired repository verifies against its settled file set *)
     let mfind, maint = check_maint ~repair ?pool dir in
-    let scheme, engine = check_engine ?pool dir in
+    let scheme, engine = check_engine ~repair ?pool dir in
     let findings = migration @ tmp @ wal @ mfind @ engine in
     Obs.add c_findings (List.length findings);
     if findings <> [] then

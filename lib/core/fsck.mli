@@ -3,10 +3,11 @@
     Detects manifest-trailer checksum failures, manifests whose content
     is inconsistent, stale temp files from interrupted atomic renames,
     torn write-ahead-log tails, per-record heap/segment checksum
-    failures and dangling commit locators.  With
-    [~repair:true] the mechanically safe problems (stale temp files,
-    torn WAL tail, interrupted maintenance tasks) are fixed in place;
-    checkpoint corruption is only ever reported.
+    failures, segment bytes past the checkpoint and dangling commit
+    locators.  With [~repair:true] the mechanically safe problems
+    (stale temp files, torn WAL tail, interrupted maintenance tasks,
+    stray segment tails) are fixed in place; checkpoint corruption is
+    only ever reported.
 
     An interrupted maintenance task (a non-terminal entry in the
     [maint.jsonl] intent log) is resolved the same way

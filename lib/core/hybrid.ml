@@ -20,7 +20,9 @@
     segment the branch touches, the branch's local column into a
     compressed history — many small histories rather than tuple-first's
     single wide one, which is why hybrid's commit data is smaller and
-    its checkouts faster (Table 2). *)
+    its checkouts faster (Table 2).  A commit records only the segments
+    whose column changed since the branch's last snapshot, and the
+    histories reach disk at the next checkpoint. *)
 
 open Decibel_util
 open Decibel_storage
@@ -193,22 +195,31 @@ let clear_live t b sid row =
     Branch_bitmap.clear t.seg_index ~branch:b ~row:sid
   end
 
-let commit t b ~message =
-  (* snapshot every segment the branch has ever had a history for plus
-     any it now touches, so deletions round-trip through checkout *)
+(* A commit's (segment, history index) snapshot of branch [b]: every
+   segment the branch has ever had a history for plus any it now
+   touches, so deletions round-trip through checkout.  A column equal
+   to its history's latest entry reuses that entry's index, so only
+   the segments that changed since the branch's last snapshot are
+   encoded and recorded. *)
+let snapshot t b =
   let touched : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun s -> Hashtbl.replace touched s ()) (segs_of_branch t b);
   (match Hashtbl.find_opt t.hist_segs b with
   | Some l -> List.iter (fun s -> Hashtbl.replace touched s ()) !l
   | None -> ());
-  let snaps =
-    Hashtbl.fold
-      (fun sid () acc ->
-        let col = Bitvec.copy (local_col t b sid) in
-        let idx = Commit_history.commit (history t b sid) col in
-        (sid, idx) :: acc)
-      touched []
-  in
+  Hashtbl.fold
+    (fun sid () acc ->
+      let h = history t b sid in
+      let col = local_col t b sid in
+      let idx =
+        if Commit_history.is_latest h col then Commit_history.count h - 1
+        else Commit_history.commit h col
+      in
+      (sid, idx) :: acc)
+    touched []
+
+let commit t b ~message =
+  let snaps = snapshot t b in
   let vid = Vg.commit t.graph b ~message in
   Hashtbl.replace t.commit_loc vid (b, snaps);
   set_dirty t b false;
@@ -452,6 +463,13 @@ let multi_scan ?ctx t branches f =
       ()
   else Array.iter (fun sid -> List.iter f (annotated_of_segment sid)) segs
 
+(* Under a primary key each branch holds at most one live copy of a
+   key.  So when [a]'s and [b]'s copies of a key are different physical
+   rows, both are in the XOR set; a key live in one branch only has its
+   one copy there.  The diff is therefore a join inside the XOR set
+   (§3.2's bitmap XOR): each segment's XOR rows are decoded once, the
+   rows are keyed by side, and keys whose two sides are equal in
+   content drop out.  No row outside the XOR set is read. *)
 let diff ?ctx t a b ~pos ~neg =
   charge_cols (branch_cols t a);
   charge_cols (branch_cols t b);
@@ -475,25 +493,41 @@ let diff ?ctx t a b ~pos ~neg =
        the selection-driven scan decodes each exactly once *)
     Col_segment.scan ~sel:sym (segment t sid).seg (fun row tuple ->
         poll ();
-        let side = Bitvec.get ca row in
-        let other = if side then b else a in
-        let key = Tuple.pk t.schema tuple in
-        let same =
-          match lookup t other key with
-          | Some other_t -> Tuple.equal tuple other_t
-          | None -> false
-        in
-        if not same then acc := (side, tuple) :: !acc);
+        acc := (Bitvec.get ca row, Tuple.pk t.schema tuple, tuple) :: !acc);
     List.rev !acc
   in
-  let consume l =
-    List.iter (fun (side, tu) -> if side then pos tu else neg tu) l
-  in
+  (* per-segment XOR rows, segments ascending *)
+  let rows = ref [] in
   if Par.available () && Array.length segs > 1 then
     Par.parallel_iter_buffered ?ctx ~n:(Array.length segs)
       ~produce:(fun i -> collect segs.(i))
-      ~consume ()
-  else Array.iter (fun sid -> consume (collect sid)) segs
+      ~consume:(fun l -> rows := l :: !rows)
+      ()
+  else Array.iter (fun sid -> rows := collect sid :: !rows) segs;
+  let rows = List.rev !rows in
+  let on_a : (Value.t, Tuple.t) Hashtbl.t = Hashtbl.create 256 in
+  let n = ref 0 in
+  List.iter
+    (List.iter (fun (side, key, tuple) ->
+         incr n;
+         if side then Hashtbl.replace on_a key tuple))
+    rows;
+  (* the join tables are transient: a decoded row (one boxed value per
+     field) plus its key, table cell and list cell per XOR row *)
+  Gctx.charge_current (!n * (2 * Schema.arity t.schema + 16) * 8);
+  let same : (Value.t, unit) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (List.iter (fun (side, key, tuple) ->
+         if not side then
+           match Hashtbl.find_opt on_a key with
+           | Some ta when Tuple.equal ta tuple -> Hashtbl.replace same key ()
+           | _ -> ()))
+    rows;
+  List.iter
+    (List.iter (fun (side, key, tuple) ->
+         if not (Hashtbl.mem same key) then
+           if side then pos tuple else neg tuple))
+    rows
 
 (* Change tables for merge: per segment, XOR the branch's current
    column against the LCA's restored column; set-minus directions give
@@ -603,20 +637,7 @@ let merge ?ctx t ~into ~from ~policy ~message =
     decisions;
   let vid = Vg.merge_commit t.graph ~into ~theirs:v_theirs ~message in
   (* snapshot the merged state, like any commit *)
-  let touched : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun s -> Hashtbl.replace touched s ()) (segs_of_branch t into);
-  (match Hashtbl.find_opt t.hist_segs into with
-  | Some l -> List.iter (fun s -> Hashtbl.replace touched s ()) !l
-  | None -> ());
-  let snaps =
-    Hashtbl.fold
-      (fun sid () acc ->
-        let col = Bitvec.copy (local_col t into sid) in
-        let idx = Commit_history.commit (history t into sid) col in
-        (sid, idx) :: acc)
-      touched []
-  in
-  Hashtbl.replace t.commit_loc vid (into, snaps);
+  Hashtbl.replace t.commit_loc vid (into, snapshot t into);
   set_dirty t into false;
   {
     merge_version = vid;
@@ -631,15 +652,12 @@ let dataset_bytes t =
   Vec.iter (fun s -> acc := !acc + Col_segment.byte_size s.seg) t.segments;
   !acc
 
-let commit_meta_bytes t =
-  (* count the persisted history files, including ones not yet lazily
-     (re)opened in this process *)
-  Array.fold_left
-    (fun acc name ->
-      if String.length name > 5 && String.sub name 0 5 = "hist_" then
-        acc + (Unix.stat (Filename.concat t.dir name)).Unix.st_size
-      else acc)
-    0 (Sys.readdir t.dir)
+(* (files, bytes) of every commit history, pending records included *)
+let history_footprint t =
+  Commit_history.footprint ~dir:t.dir
+    (Hashtbl.fold (fun _ h acc -> h :: acc) t.histories [])
+
+let commit_meta_bytes t = snd (history_footprint t)
 
 let storage_report t =
   let module R = Decibel_obs.Report in
@@ -717,14 +735,7 @@ let storage_report t =
       t.commit_loc []
   in
   let max_chain, mean_chain = R.chain_stats chains in
-  let h_files, h_bytes =
-    Array.fold_left
-      (fun (n, bytes) name ->
-        if String.length name > 5 && String.sub name 0 5 = "hist_" then
-          (n + 1, bytes + (Unix.stat (Filename.concat t.dir name)).Unix.st_size)
-        else (n, bytes))
-      (0, 0) (Sys.readdir t.dir)
-  in
+  let h_files, h_bytes = history_footprint t in
   let columns =
     let reports = ref [] in
     Vec.iter
@@ -758,8 +769,10 @@ let storage_report t =
    and block index, branch head segments, the branch–segment bitmap and
    history bookkeeping; the commit locator, dirtiness and WAL marker
    follow as {!Manifest}'s shared tail.  The key index is rebuilt from
-   local bitmaps on reopen. *)
+   local bitmaps on reopen.  Histories reach disk first, so the
+   manifest never references a record that is not there. *)
 let save_manifest ?path t =
+  Hashtbl.iter (fun _ h -> Commit_history.flush h) t.histories;
   Manifest.write
     (Option.value path ~default:(Manifest.path Manifest.Hy t.dir))
     (fun buf ->
@@ -864,24 +877,41 @@ let load ~dir ~pool ~read_seg data pos =
         in
         (b, snaps))
       ~dirty:t.dirty ~branches;
-  (* rebuild the key index from the local bitmaps *)
+  (* rebuild the key index from the local bitmaps.  A branch starts
+     from the map of the branch it was created from (any earlier branch
+     would do) and applies the rows their columns differ in, so the maps
+     share structure as before the reopen and the rebuild pays per
+     difference. *)
+  let no_col = Bitvec.create () in
   for b = 0 to branches - 1 do
-    let bid = Pk_index.add_branch t.pk ~from:None in
-    assert (bid = b)
-  done;
-  Vec.iter
-    (fun s ->
-      for b = 0 to Branch_bitmap.branch_count s.local - 1 do
+    let base =
+      let p = (Vg.version graph (Vg.branch graph b).Vg.base).Vg.on_branch in
+      if p < b then Some p else None
+    in
+    let bid = Pk_index.add_branch t.pk ~from:base in
+    assert (bid = b);
+    let base_col sid =
+      match base with Some p -> local_col t p sid | None -> no_col
+    in
+    (* removals first: a key that moved to another row is re-added *)
+    Vec.iter
+      (fun s ->
+        Bitvec.iter_set
+          (fun row -> Pk_index.remove t.pk ~branch:b (key_at t s.seg_id row))
+          (Bitvec.diff (base_col s.seg_id) (local_col t b s.seg_id)))
+      t.segments;
+    Vec.iter
+      (fun s ->
         Bitvec.iter_set
           (fun row ->
             Pk_index.set t.pk ~branch:b (key_at t s.seg_id row) (s.seg_id, row))
-          (Branch_bitmap.column_view s.local ~branch:b)
-      done)
-    t.segments;
+          (Bitvec.diff (local_col t b s.seg_id) (base_col s.seg_id)))
+      t.segments
+  done;
   t
 
-let open_existing ~dir ~pool =
-  Col_segment.with_opened (fun open_v2 ->
+let open_existing ~cut_tails ~dir ~pool =
+  Col_segment.with_opened ~cut_tails (fun open_v2 ->
       Manifest.load Manifest.Hy ~dir
         (load ~dir ~pool ~read_seg:(fun ~schema ~compress seg_id data pos ->
              let seg =
@@ -1050,13 +1080,10 @@ let plan_compact t ~kind sid =
                done)
              hbranches
          with e ->
+           (* the new histories are still pending: dropping them
+              leaves no file behind *)
            Col_segment.abandon new_seg;
            (try Sys.remove new_seg_path with Sys_error _ -> ());
-           List.iter
-             (fun (b, nh) ->
-               (try Commit_history.close nh with _ -> ());
-               try Sys.remove (hist_path t b new_sid) with Sys_error _ -> ())
-             !new_hists;
            raise e);
         (* swap: pure in-memory repointing, nothing below raises *)
         let new_local = Branch_bitmap.create () in
@@ -1146,9 +1173,7 @@ let plan_compact t ~kind sid =
         | Some (old_seg, old_hists) ->
             List.iter
               (fun h ->
-                let p = Commit_history.path h in
-                (try Commit_history.close h with _ -> ());
-                try Sys.remove p with Sys_error _ -> ())
+                try Sys.remove (Commit_history.path h) with Sys_error _ -> ())
               old_hists;
             (* the old handle's buffer-pool pages are invalidated by
                its close BEFORE the slot file is truncated, so a
@@ -1209,10 +1234,10 @@ let plan_maintenance t ~kind ~target =
         t.segments;
       Option.bind !best (fun (sid, _) -> plan_compact t ~kind sid)
 
+(* histories hold no descriptor: a crash drops their pending records *)
 let crash t =
   if not t.closed then begin
     Vec.iter (fun s -> Col_segment.abandon s.seg) t.segments;
-    Hashtbl.iter (fun _ h -> Commit_history.close h) t.histories;
     t.closed <- true
   end
 
@@ -1220,6 +1245,5 @@ let close t =
   if not t.closed then begin
     flush t;
     Vec.iter (fun s -> Col_segment.close s.seg) t.segments;
-    Hashtbl.iter (fun _ h -> Commit_history.close h) t.histories;
     t.closed <- true
   end

@@ -43,7 +43,7 @@ let create ~compress:_ ~dir:_ ~pool:_ ~schema =
     wal_marker = 0;
   }
 
-let open_existing ~dir:_ ~pool:_ =
+let open_existing ~cut_tails:_ ~dir:_ ~pool:_ =
   errorf "model: the in-memory oracle does not persist"
 
 let schema t = t.schema

@@ -482,15 +482,12 @@ module Make (B : Bitmap_intf.S) = struct
 
   let dataset_bytes t = Col_segment.byte_size t.seg
 
-  let commit_meta_bytes t =
-    (* count the persisted history files, including ones not yet
-       lazily (re)opened in this process *)
-    Array.fold_left
-      (fun acc name ->
-        if String.length name > 5 && String.sub name 0 5 = "hist_" then
-          acc + (Unix.stat (Filename.concat t.dir name)).Unix.st_size
-        else acc)
-      0 (Sys.readdir t.dir)
+  (* (files, bytes) of every commit history, pending records included *)
+  let history_footprint t =
+    Commit_history.footprint ~dir:t.dir
+      (Hashtbl.fold (fun _ h acc -> h :: acc) t.histories [])
+
+  let commit_meta_bytes t = snd (history_footprint t)
 
   let storage_report t =
     let module R = Decibel_obs.Report in
@@ -549,14 +546,7 @@ module Make (B : Bitmap_intf.S) = struct
         t.commit_loc []
     in
     let max_chain, mean_chain = R.chain_stats chains in
-    let h_files, h_bytes =
-      Array.fold_left
-        (fun (n, bytes) name ->
-          if String.length name > 5 && String.sub name 0 5 = "hist_" then
-            (n + 1, bytes + (Unix.stat (Filename.concat t.dir name)).Unix.st_size)
-          else (n, bytes))
-        (0, 0) (Sys.readdir t.dir)
-    in
+    let h_files, h_bytes = history_footprint t in
     let columns =
       List.map
         (fun (c : Col_segment.col_report) ->
@@ -587,8 +577,10 @@ module Make (B : Bitmap_intf.S) = struct
      schema, version graph, segment block index and live bitmap; the
      commit locator, dirtiness and WAL marker follow as {!Manifest}'s
      shared tail.  The key index is rebuilt from the bitmap on
-     reopen. *)
+     reopen.  Histories reach disk first, so the manifest never
+     references a record that is not there. *)
   let save_manifest ?path t =
+    Hashtbl.iter (fun _ h -> Commit_history.flush h) t.histories;
     Manifest.write
       (Option.value path ~default:(Manifest.path Manifest.Tf t.dir))
       (fun buf ->
@@ -652,20 +644,36 @@ module Make (B : Bitmap_intf.S) = struct
         closed = false;
       }
     in
-    (* rebuild the per-branch key index from the live bitmap *)
+    (* rebuild the per-branch key index from the live bitmap.  A branch
+       starts from the map of the branch it was created from (any
+       earlier branch would do) and applies the rows their columns
+       differ in, so the maps share structure as before the reopen. *)
     for b = 0 to branches - 1 do
-      let bid = Pk_index.add_branch t.pk ~from:None in
-      assert (bid = b);
       let col = B.column_view t.bitmap ~branch:b in
       Manifest.check "bitmap column" (Bitvec.length col <= rows);
+      let base =
+        let p = (Vg.version graph (Vg.branch graph b).Vg.base).Vg.on_branch in
+        if p < b then Some p else None
+      in
+      let bid = Pk_index.add_branch t.pk ~from:base in
+      assert (bid = b);
+      let base_col =
+        match base with
+        | Some p -> B.column_view t.bitmap ~branch:p
+        | None -> Bitvec.create ()
+      in
+      (* removals first: a key that moved to another row is re-added *)
+      Bitvec.iter_set
+        (fun row -> Pk_index.remove t.pk ~branch:b (key_at t row))
+        (Bitvec.diff base_col col);
       Bitvec.iter_set
         (fun row -> Pk_index.set t.pk ~branch:b (key_at t row) row)
-        col
+        (Bitvec.diff col base_col)
     done;
     t
 
-  let open_existing ~dir ~pool =
-    Col_segment.with_opened (fun open_v2 ->
+  let open_existing ~cut_tails ~dir ~pool =
+    Col_segment.with_opened ~cut_tails (fun open_v2 ->
         Manifest.load Manifest.Tf ~dir
           (load ~dir
              ~read_gen:(Manifest.read_id "heap generation" ~bound:max_int)
@@ -759,11 +767,7 @@ module Make (B : Bitmap_intf.S) = struct
               hb
           in
           (* old-generation artifacts to retire, captured at swap *)
-          let retired :
-              (Col_segment.t * Commit_history.t list * string list) option
-              ref =
-            ref None
-          in
+          let retired : (Col_segment.t * string list) option ref = ref None in
           let apply () =
             let nbranches = B.branch_count t.bitmap in
             (* dense remap old row -> new row for kept rows *)
@@ -814,12 +818,8 @@ module Make (B : Bitmap_intf.S) = struct
                    done)
                  hb
              with e ->
-               List.iter
-                 (fun (_, nh) ->
-                   let p = Commit_history.path nh in
-                   Commit_history.close nh;
-                   (try Sys.remove p with Sys_error _ -> ()))
-                 !nhists;
+               (* the new histories are still pending: dropping them
+                  leaves no file behind *)
                Col_segment.abandon nseg;
                (try Sys.remove nheap_path with Sys_error _ -> ());
                raise e);
@@ -843,9 +843,6 @@ module Make (B : Bitmap_intf.S) = struct
             done;
             (* swap: pure in-memory, nothing below can raise *)
             let old_seg = t.seg in
-            let old_hists =
-              List.filter_map (fun b -> Hashtbl.find_opt t.histories b) hb
-            in
             let old_paths =
               Filename.concat t.dir (seg_file t.gen)
               :: List.map
@@ -860,14 +857,13 @@ module Make (B : Bitmap_intf.S) = struct
             List.iter
               (fun (b, nh) -> Hashtbl.replace t.histories b nh)
               !nhists;
-            retired := Some (old_seg, old_hists, old_paths)
+            retired := Some (old_seg, old_paths)
           in
           let cleanup () =
             match !retired with
             | None -> ()
-            | Some (old_seg, old_hists, old_paths) ->
+            | Some (old_seg, old_paths) ->
                 retired := None;
-                List.iter Commit_history.close old_hists;
                 (* abandon (not close): invalidates the buffer pool's
                    pages for the old heap without flushing bytes into
                    a file about to be unlinked *)
@@ -894,10 +890,11 @@ module Make (B : Bitmap_intf.S) = struct
     Manifest.verify Manifest.Tf ~dir:t.dir ~graph:t.graph [ t.seg ]
       t.commit_loc (fun _ -> [])
 
+  (* histories hold no descriptor: a crash drops their pending
+     records *)
   let crash t =
     if not t.closed then begin
       Col_segment.abandon t.seg;
-      Hashtbl.iter (fun _ h -> Commit_history.close h) t.histories;
       t.closed <- true
     end
 
@@ -905,7 +902,6 @@ module Make (B : Bitmap_intf.S) = struct
     if not t.closed then begin
       flush t;
       Col_segment.close t.seg;
-      Hashtbl.iter (fun _ h -> Commit_history.close h) t.histories;
       t.closed <- true
     end
 end

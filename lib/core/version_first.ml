@@ -720,8 +720,8 @@ let load ~dir ~pool ~read_seg ~row_of data pos =
   done;
   t
 
-let open_existing ~dir ~pool =
-  Col_segment.with_opened (fun open_v2 ->
+let open_existing ~cut_tails ~dir ~pool =
+  Col_segment.with_opened ~cut_tails (fun open_v2 ->
       Manifest.load Manifest.Vf ~dir
         (load ~dir ~pool
            ~read_seg:(fun ~schema ~compress seg_id data pos ->

@@ -31,8 +31,10 @@ type t = {
   mutable ncomposites : int;
   mutable last : Bitvec.t; (* bitmap at latest commit *)
   mutable anchor : Bitvec.t; (* bitmap at last composite boundary *)
-  mutable disk : int;
-  oc : out_channel;
+  mutable disk : int; (* file bytes plus pending bytes *)
+  mutable on_disk : bool; (* the file exists and holds the flushed prefix *)
+  mutable pending : Buffer.t option;
+      (* records since the last flush; released by it *)
 }
 
 let push_entry arr n e =
@@ -48,15 +50,21 @@ let push_entry arr n e =
 
 (* File framing: [u8 kind][varint rle length][rle bytes]; kind 0 = unit
    delta, 1 = composite delta. *)
-let write_record oc kind compressed =
-  let buf = Buffer.create (String.length compressed + 8) in
+let write_record t kind compressed =
+  let buf =
+    match t.pending with
+    | Some b -> b
+    | None ->
+        let b = Buffer.create (String.length compressed + 8) in
+        t.pending <- Some b;
+        b
+  in
+  let before = Buffer.length buf in
   Binio.write_u8 buf kind;
   Binio.write_string buf compressed;
-  let s = Buffer.contents buf in
-  output_string oc s;
-  String.length s
+  t.disk <- t.disk + Buffer.length buf - before
 
-let make path oc =
+let make ~on_disk path =
   {
     path;
     units = Array.make 8 { compressed = "" };
@@ -66,12 +74,27 @@ let make path oc =
     last = Bitvec.create ();
     anchor = Bitvec.create ();
     disk = 0;
-    oc;
+    on_disk;
+    pending = None;
   }
 
-let create ~path =
-  let oc = open_out_bin path in
-  make path oc
+let create ~path = make ~on_disk:false path
+
+let flush t =
+  if t.pending <> None || not t.on_disk then begin
+    let flags =
+      if t.on_disk then [ Open_wronly; Open_append; Open_binary ]
+      else [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
+    in
+    let oc = open_out_gen flags 0o644 t.path in
+    (try Option.iter (Buffer.output_buffer oc) t.pending
+     with e ->
+       close_out_noerr oc;
+       raise e);
+    close_out oc;
+    t.on_disk <- true;
+    t.pending <- None
+  end
 
 let commit t bitmap =
   let idx = t.nunits in
@@ -79,7 +102,7 @@ let commit t bitmap =
   let compressed = Rle.encode delta in
   t.units <- push_entry t.units t.nunits { compressed };
   t.nunits <- t.nunits + 1;
-  t.disk <- t.disk + write_record t.oc 0 compressed;
+  write_record t 0 compressed;
   t.last <- Bitvec.copy bitmap;
   Obs.incr c_commits;
   Obs.add c_delta_bytes (String.length compressed);
@@ -89,13 +112,14 @@ let commit t bitmap =
     let comp_c = Rle.encode comp in
     t.composites <- push_entry t.composites t.ncomposites { compressed = comp_c };
     t.ncomposites <- t.ncomposites + 1;
-    t.disk <- t.disk + write_record t.oc 1 comp_c;
+    write_record t 1 comp_c;
     t.anchor <- Bitvec.copy bitmap;
     Obs.add c_delta_bytes (String.length comp_c);
     Obs.add c_rle_runs (rle_run_count comp_c)
   end;
-  flush t.oc;
   idx
+
+let is_latest t bitmap = t.nunits > 0 && Bitvec.equal t.last bitmap
 
 let decode_entry e =
   let pos = ref 0 in
@@ -138,12 +162,9 @@ let max_replay_length t =
   done;
   !mx
 
-let close t = close_out_noerr t.oc
-
 let open_existing ~path =
   let data = Binio.read_file path in
-  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-  let t = make path oc in
+  let t = make ~on_disk:true path in
   t.disk <- String.length data;
   let pos = ref 0 in
   while !pos < String.length data do
@@ -165,3 +186,22 @@ let open_existing ~path =
       (if boundary = 0 then Bitvec.create () else checkout t (boundary - 1))
   end;
   t
+
+let is_history_file name =
+  String.length name > 5 && String.sub name 0 5 = "hist_"
+
+let footprint ~dir loaded =
+  let in_memory = Hashtbl.create 64 in
+  let files, bytes =
+    List.fold_left
+      (fun (n, bytes) h ->
+        Hashtbl.replace in_memory (Filename.basename h.path) ();
+        (n + 1, bytes + h.disk))
+      (0, 0) loaded
+  in
+  Array.fold_left
+    (fun (n, bytes) name ->
+      if is_history_file name && not (Hashtbl.mem in_memory name) then
+        (n + 1, bytes + (Unix.stat (Filename.concat dir name)).Unix.st_size)
+      else (n, bytes))
+    (files, bytes) (Sys.readdir dir)

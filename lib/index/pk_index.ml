@@ -1,15 +1,13 @@
 open Decibel_storage
 
-module H = Hashtbl.Make (struct
-  type t = Value.t
+module M = Map.Make (Value)
 
-  let equal = Value.equal
-  let hash = Value.hash
-end)
+(* One persistent map per branch: a child starts as its parent's map
+   and shares every node until its own writes path-copy the ones they
+   touch. *)
+type 'a t = { mutable maps : 'a M.t array; mutable n : int }
 
-type 'a t = { mutable maps : 'a H.t array; mutable n : int }
-
-let create () = { maps = Array.make 4 (H.create 1); n = 0 }
+let create () = { maps = Array.make 4 M.empty; n = 0 }
 
 let branch_count t = t.n
 
@@ -20,13 +18,13 @@ let check t b =
 let add_branch t ~from =
   let m =
     match from with
-    | None -> H.create 64
+    | None -> M.empty
     | Some parent ->
         check t parent;
-        H.copy t.maps.(parent)
+        t.maps.(parent)
   in
   if t.n = Array.length t.maps then begin
-    let a = Array.make (2 * t.n) (H.create 1) in
+    let a = Array.make (2 * t.n) M.empty in
     Array.blit t.maps 0 a 0 t.n;
     t.maps <- a
   end;
@@ -36,24 +34,24 @@ let add_branch t ~from =
 
 let find t ~branch k =
   check t branch;
-  H.find_opt t.maps.(branch) k
+  M.find_opt k t.maps.(branch)
 
 let set t ~branch k v =
   check t branch;
-  H.replace t.maps.(branch) k v
+  t.maps.(branch) <- M.add k v t.maps.(branch)
 
 let remove t ~branch k =
   check t branch;
-  H.remove t.maps.(branch) k
+  t.maps.(branch) <- M.remove k t.maps.(branch)
 
 let mem t ~branch k =
   check t branch;
-  H.mem t.maps.(branch) k
+  M.mem k t.maps.(branch)
 
 let iter t ~branch f =
   check t branch;
-  H.iter f t.maps.(branch)
+  M.iter f t.maps.(branch)
 
 let cardinal t ~branch =
   check t branch;
-  H.length t.maps.(branch)
+  M.cardinal t.maps.(branch)

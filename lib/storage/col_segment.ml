@@ -857,7 +857,7 @@ let merge_column_reports reports =
 (* ------------------------------------------------------------------ *)
 (* integrity, lifecycle *)
 
-let verify t =
+let verify_records t =
   match Heap_file.verify t.file with
   | [] ->
       let errors = ref [] in
@@ -874,6 +874,21 @@ let verify t =
       List.rev !errors
   | errs -> errs
 
+let stray_tail = "stray tail:"
+
+let verify t =
+  let end_ = Heap_file.size t.file in
+  verify_records t
+  @
+  match Heap_file.stray_bytes t.file with
+  | 0 -> []
+  | n ->
+      [
+        ( end_,
+          Printf.sprintf "%s %d bytes past the checkpointed end %d" stray_tail
+            n end_ );
+      ]
+
 let close t =
   flush t;
   Heap_file.close t.file
@@ -882,8 +897,9 @@ let abandon t = Heap_file.abandon t.file
 
 (* A manifest refused anywhere, even in its last section, leaves no
    segment file open and every file as it was: tails are reclaimed
-   only once the whole manifest has loaded. *)
-let with_opened f =
+   only once the whole manifest has loaded, and never by a read-only
+   open. *)
+let with_opened ~cut_tails f =
   let opened = ref [] in
   let open_v2 ~pool ~schema ~compress ~path s pos =
     let t = open_v2 ~pool ~schema ~compress ~path s pos in
@@ -892,7 +908,7 @@ let with_opened f =
   in
   try
     let x = f open_v2 in
-    List.iter reclaim_tail !opened;
+    if cut_tails then List.iter reclaim_tail !opened;
     x
   with e ->
     List.iter abandon !opened;

@@ -55,6 +55,7 @@ val open_v2 :
     [Decibel_util.Binio.Corrupt]. *)
 
 val with_opened :
+  cut_tails:bool ->
   ((pool:Buffer_pool.t ->
    schema:Schema.t ->
    compress:bool ->
@@ -64,11 +65,13 @@ val with_opened :
    t) ->
   'a) ->
   'a
-(** [with_opened f] runs [f] with {!open_v2}; once [f] has returned,
-    every segment it opened is truncated to its persisted size (crash
-    recovery), so a manifest refused in any section leaves every
-    segment file byte-identical.  If [f] raises, every segment it
-    opened is abandoned before the exception propagates. *)
+(** [with_opened ~cut_tails f] runs [f] with {!open_v2}; once [f] has
+    returned, and if [cut_tails], every segment it opened is truncated
+    to its persisted size (crash recovery), so a manifest refused in
+    any section leaves every segment file byte-identical.  Without
+    [cut_tails] nothing is written (fsck's read-only load).  If [f]
+    raises, every segment it opened is abandoned before the exception
+    propagates. *)
 
 (** {1 Introspection} *)
 
@@ -173,7 +176,11 @@ val merge_column_reports : col_report array list -> col_report array
 (** {1 Integrity and lifecycle} *)
 
 val verify : t -> (int * string) list
-(** Record checksums plus block decode and row-count checks. *)
+(** Record checksums plus block decode and row-count checks, and bytes
+    on disk past the persisted size ({!Heap_file.stray_bytes}), whose
+    finding starts with {!stray_tail}. *)
+
+val stray_tail : string
 
 val close : t -> unit
 val abandon : t -> unit

@@ -288,6 +288,10 @@ let verify t =
      errors := (-1, msg) :: !errors);
   List.rev !errors
 
+let stray_bytes t =
+  check_open t;
+  max 0 ((Unix.fstat t.fd).Unix.st_size - t.flushed)
+
 let close t =
   if not t.closed then begin
     flush t;

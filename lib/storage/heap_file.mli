@@ -91,6 +91,11 @@ val verify : t -> (int * string) list
     the record framing itself is broken and the scan cannot continue).
     Empty means the file is clean.  Used by fsck. *)
 
+val stray_bytes : t -> int
+(** Bytes on disk past the flushed end: a crash's tail that a
+    read-only open leaves in place (a recovering one cuts it with
+    {!truncate_to}).  [0] on a live file. *)
+
 val close : t -> unit
 
 val abandon : t -> unit

@@ -125,6 +125,54 @@ let test_fsck_detects_bitrot () =
         "checksum corruption is never auto-repaired" true
         (List.exists (fun f -> not f.Fsck.repaired) r.Fsck.findings))
 
+(* fsck without repair writes nothing: segment bytes past the
+   checkpoint (a crash's unflushed tail) are reported, not cut, and the
+   workload statistics are not rewritten.  Repair cuts them. *)
+let test_fsck_read_only scheme () =
+  with_root (fun root ->
+      let dir = Filename.concat root "repo" in
+      let db = Database.open_ ~scheme ~dir ~schema:Torture.schema () in
+      List.iter (Torture.apply db) Torture.default_workload;
+      Database.close db;
+      let is_segment f =
+        Filename.check_suffix f ".dat"
+        && (String.starts_with ~prefix:"seg_" f
+           || String.starts_with ~prefix:"heap" f)
+      in
+      let files () =
+        Sys.readdir dir |> Array.to_list |> List.sort compare
+        |> List.map (fun f ->
+               (f, Decibel_util.Binio.read_file (Filename.concat dir f)))
+      in
+      let segments = List.filter is_segment (List.map fst (files ())) in
+      Alcotest.(check bool) "has segment files" true (segments <> []);
+      List.iter
+        (fun f ->
+          let oc =
+            open_out_gen [ Open_append; Open_binary ] 0o644
+              (Filename.concat dir f)
+          in
+          output_string oc "junk";
+          close_out oc)
+        segments;
+      let pristine = files () in
+      let r = Fsck.run ~dir () in
+      Alcotest.(check bool) "every file byte-identical" true
+        (files () = pristine);
+      let tails =
+        List.filter
+          (fun f -> List.mem f.Fsck.artifact segments && not f.Fsck.repaired)
+          r.Fsck.findings
+      in
+      Alcotest.(check int) "one stray-tail finding per segment"
+        (List.length segments) (List.length tails);
+      let r = Fsck.run ~repair:true ~dir () in
+      Alcotest.(check bool) "repair cuts the tails" true
+        (r.Fsck.findings <> []
+        && List.for_all (fun f -> f.Fsck.repaired) r.Fsck.findings);
+      Alcotest.(check bool) "clean after repair" true
+        (Fsck.clean (Fsck.run ~dir ())))
+
 (* Corruption escaping an engine operation quarantines the branch and
    degrades the database to read-only; intact branches stay readable. *)
 let test_degraded_mode () =
@@ -197,7 +245,14 @@ let () =
           Alcotest.test_case "repairs torn tail + stale tmp" `Quick
             test_fsck_repair;
           Alcotest.test_case "detects bitrot" `Quick test_fsck_detects_bitrot;
-        ] );
+        ]
+        @ List.map
+            (fun scheme ->
+              Alcotest.test_case
+                ("read-only on stray tails: " ^ Database.scheme_name scheme)
+                `Quick (test_fsck_read_only scheme))
+            [ Database.Tuple_first; Database.Version_first; Database.Hybrid ]
+      );
       ( "degraded",
         [ Alcotest.test_case "quarantine + read-only" `Quick test_degraded_mode ] );
     ]

@@ -142,11 +142,7 @@ let prop_layouts_agree =
 let with_history f =
   let dir = Fsutil.fresh_dir "decibel-hist" in
   let h = Commit_history.create ~path:(Filename.concat dir "h.chx") in
-  Fun.protect
-    ~finally:(fun () ->
-      Commit_history.close h;
-      Fsutil.rm_rf dir)
-    (fun () -> f dir h)
+  Fun.protect ~finally:(fun () -> Fsutil.rm_rf dir) (fun () -> f dir h)
 
 let test_history_checkout () =
   with_history (fun _dir h ->
@@ -191,12 +187,10 @@ let test_history_persistence () =
   in
   List.iter (fun s -> ignore (Commit_history.commit h s)) snaps;
   let size = Commit_history.disk_bytes h in
-  Commit_history.close h;
+  Commit_history.flush h;
   let h2 = Commit_history.open_existing ~path in
   Fun.protect
-    ~finally:(fun () ->
-      Commit_history.close h2;
-      Fsutil.rm_rf dir)
+    ~finally:(fun () -> Fsutil.rm_rf dir)
     (fun () ->
       Alcotest.(check int) "count" 40 (Commit_history.count h2);
       Alcotest.(check int) "disk size" size (Commit_history.disk_bytes h2);
@@ -212,6 +206,37 @@ let test_history_persistence () =
       let idx = Commit_history.commit h2 extra in
       Alcotest.(check bool) "append after reload" true
         (Bitvec.equal extra (Commit_history.checkout h2 idx)))
+
+(* Commits stay in memory until [flush], which writes them and keeps
+   no descriptor; records never flushed are not on disk. *)
+let test_history_write_back () =
+  let dir = Fsutil.fresh_dir "decibel-hist3" in
+  Fun.protect ~finally:(fun () -> Fsutil.rm_rf dir) @@ fun () ->
+  let path = Filename.concat dir "h.chx" in
+  let file_size () = (Unix.stat path).Unix.st_size in
+  let h = Commit_history.create ~path in
+  ignore (Commit_history.commit h (Bitvec.of_list [ 1; 5 ]));
+  Alcotest.(check bool) "no file before the first flush" false
+    (Sys.file_exists path);
+  Commit_history.flush h;
+  Alcotest.(check int) "flushed bytes on disk" (Commit_history.disk_bytes h)
+    (file_size ());
+  let flushed = file_size () in
+  ignore (Commit_history.commit h (Bitvec.of_list [ 1; 7 ]));
+  Alcotest.(check int) "pending commit not on disk" flushed (file_size ());
+  Alcotest.(check bool) "pending bytes counted" true
+    (Commit_history.disk_bytes h > flushed);
+  (* dropped without a flush: only the flushed commit survives *)
+  let h2 = Commit_history.open_existing ~path in
+  Alcotest.(check int) "reopened count" 1 (Commit_history.count h2);
+  Alcotest.(check bool) "latest after reopen" true
+    (Commit_history.is_latest h2 (Bitvec.of_list [ 1; 5 ]));
+  ignore (Commit_history.commit h2 (Bitvec.of_list [ 2 ]));
+  Commit_history.flush h2;
+  let h3 = Commit_history.open_existing ~path in
+  Alcotest.(check int) "appended after reopen" 2 (Commit_history.count h3);
+  Alcotest.(check bool) "appended checkout" true
+    (Bitvec.equal (Bitvec.of_list [ 2 ]) (Commit_history.checkout h3 1))
 
 let prop_history_roundtrip =
   QCheck2.Test.make ~name:"commit history checkout == snapshot" ~count:60
@@ -274,6 +299,7 @@ let () =
           Alcotest.test_case "layering bounds replay" `Quick
             test_history_layering_bounds_replay;
           Alcotest.test_case "persistence" `Quick test_history_persistence;
+          Alcotest.test_case "write-back" `Quick test_history_write_back;
           qtest prop_history_roundtrip;
         ] );
       ( "pk-index",
