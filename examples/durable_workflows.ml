@@ -1,8 +1,7 @@
-(* Durability and governance: write-ahead logging, crash recovery,
-   persistent repositories, and branch-level access control — the
-   operational features around the core versioning engine (the paper
-   defers fault tolerance and per-branch privileges to future work,
-   §2.1 / §2.2.2; this library implements both).
+(* Durability: write-ahead logging, crash recovery, persistent
+   repositories and isolated sessions — the operational features around
+   the core versioning engine (the paper defers fault tolerance to
+   future work, §2.1; this library implements it).
 
      dune exec examples/durable_workflows.exe
 *)
@@ -40,22 +39,7 @@ let () =
     (Database.count db dev)
     (Vg.version_count (Database.graph db));
 
-  (* 4. branch-level access control on top of the recovered database *)
-  let acl = Acl.create () in
-  Acl.grant acl ~user:"alice" ~branch:"master" Acl.Admin;
-  Acl.grant acl ~user:"bob" ~branch:"dev" Acl.Write;
-  Acl.grant acl ~user:"bob" ~branch:"master" Acl.Read;
-  let g = Acl.Guarded.make ~db ~acl ~dir in
-
-  Acl.Guarded.insert g ~user:"bob" (Database.branch_named db "dev") (row 4 40);
-  (match
-     Acl.Guarded.insert g ~user:"bob" Vg.master (row 5 50)
-   with
-  | exception Acl.Denied msg -> Printf.printf "denied as expected: %s\n" msg
-  | () -> assert false);
-  Acl.Guarded.insert g ~user:"alice" Vg.master (row 5 50);
-
-  (* 5. concurrent sessions are isolated by two-phase locking *)
+  (* 4. concurrent sessions are isolated by two-phase locking *)
   let s1 = Database.new_session db in
   Database.session_checkout_branch s1 "master";
   Database.session_insert s1 (row 6 60);

@@ -63,7 +63,6 @@ type t =
       breakers_mutex : Mutex.t;
       watchdog : Watchdog.t;
       maint_mutex : Mutex.t;
-      mutable maint_service : Maint.Service.t option;
     }
       -> t
 
@@ -110,7 +109,6 @@ let open_ ?pool ?(durable = false) ?(compress = false) ?lock_timeout_s
         breakers_mutex = Mutex.create ();
         watchdog = Watchdog.create ();
         maint_mutex = Mutex.create ();
-        maint_service = None;
       }
   in
   match scheme with
@@ -156,7 +154,6 @@ let load_checkpoint ~recover ?pool ?scheme ~dir () =
         breakers_mutex = Mutex.create ();
         watchdog = Watchdog.create ();
         maint_mutex = Mutex.create ();
-        maint_service = None;
       }
   in
   match scheme with
@@ -217,25 +214,15 @@ let quarantined (Db { quarantined; _ }) =
 let degrade (Db d) reason =
   match d.health with
   | Degraded _ -> ()
-  | Healthy ->
-      d.health <- Degraded reason;
-      Obs.event ~level:Obs.Warn ~comp:"db"
-        ~attrs:[ ("reason", reason) ]
-        "database degraded to read-only"
+  | Healthy -> d.health <- Degraded reason
 
 (* Record detected corruption and raise; never returns. *)
 let corruption (Db d as t) ?branch msg =
   Obs.incr c_corruption;
   (match branch with
   | Some b when not (Hashtbl.mem d.quarantined b) ->
-      Hashtbl.replace d.quarantined b msg;
-      Obs.event ~level:Obs.Warn ~comp:"db"
-        ~attrs:[ ("branch", string_of_int b); ("reason", msg) ]
-        "corruption detected; branch quarantined"
-  | _ ->
-      Obs.event ~level:Obs.Warn ~comp:"db"
-        ~attrs:[ ("reason", msg) ]
-        "corruption detected");
+      Hashtbl.replace d.quarantined b msg
+  | _ -> ());
   degrade t msg;
   errorf "corruption detected: %s" msg
 
@@ -513,19 +500,7 @@ let flush (Db { engine = (module E); state; wal; _ } as t) =
   save_workload t;
   Option.iter Wal.reset wal
 
-(* The background maintenance service must be stopped before the
-   engine's descriptors go away, whether the shutdown is graceful or a
-   simulated crash — a domain ticking against a closed state would
-   turn the torture harness's controlled kills into wild ones. *)
-let stop_maint_service (Db d) =
-  match d.maint_service with
-  | None -> ()
-  | Some s ->
-      d.maint_service <- None;
-      Maint.Service.stop s
-
 let close (Db { engine = (module E); state; wal; _ } as t) =
-  stop_maint_service t;
   save_workload t;
   E.close state;
   Option.iter
@@ -537,8 +512,7 @@ let close (Db { engine = (module E); state; wal; _ } as t) =
 (* Crash simulation for the torture harness: drop every in-memory
    buffer and close descriptors without checkpointing, so disk holds
    exactly what the WAL and the last flush made durable. *)
-let crash (Db { engine = (module E); state; wal; _ } as t) =
-  stop_maint_service t;
+let crash (Db { engine = (module E); state; wal; _ }) =
   E.crash state;
   Option.iter Wal.close wal
 
@@ -559,15 +533,11 @@ let drop_caches (Db { pool; _ } as t) =
    registries later. *)
 let metrics (Db _) = Obs.snapshot ()
 let metrics_json (Db _) = Obs.to_json (Obs.snapshot ())
-let dump_trace (Db _) ~path = Obs.write_trace ~path
 
 (* EXPLAIN ANALYZE entry point: run [f] (any sequence of ops against
    this database) under a fresh request trace; the per-operator tree is
-   returned alongside the result and kept in the profiler's ring
-   ([recent_profiles]). *)
+   returned alongside the result. *)
 let profile ?label (Db _) f = Obs.Prof.profiled ?label f
-let last_profile (Db _) = Obs.Prof.last_profile ()
-let recent_profiles (Db _) = Obs.Prof.recent_profiles ()
 
 let storage_report (Db { engine = (module E); state; pool; _ } as t) =
   Obs.with_span "db.storage_report" (fun () ->
@@ -631,14 +601,12 @@ let advise ?thresholds t =
   Advisor.advise ?thresholds ~report:(storage_report t)
     ~workload:(workload t) ()
 
-let watchdog_status (Db { watchdog; _ }) = Watchdog.status watchdog
-
 (* One watchdog evaluation over fresh report/workload snapshots. *)
 let health_tick (Db d as t) =
   Watchdog.tick d.watchdog ~report:(storage_report t) ~workload:(workload t)
 
 (* ------------------------------------------------------------------ *)
-(* Crash-safe background maintenance (the executor half; the policy
+(* Crash-safe maintenance (the executor half; the policy
    half is the advisor, the mechanism half [Decibel_maint]).
 
    Protocol per task, all under the maintenance mutex:
@@ -796,8 +764,7 @@ let run_maintenance (Db d as t) ~kind ~target =
 (* One advisor-driven pass: plan and execute every current
    recommendation that maps to an engine task.  Recommendations made
    stale by an earlier task in the same pass plan to [None] and are
-   skipped.  Exceptions propagate (the service loop counts and
-   swallows them). *)
+   skipped.  Exceptions propagate. *)
 let maintenance_tick ?thresholds (Db d as t) =
   match d.health with
   | Degraded _ -> []
@@ -808,19 +775,6 @@ let maintenance_tick ?thresholds (Db d as t) =
             ~kind:(maint_kind_of_advisor r.Advisor.rc_kind)
             ~target:r.Advisor.rc_target)
         (advise ?thresholds t)
-
-let start_maintenance ?interval_s ?thresholds (Db d as t) =
-  match d.maint_service with
-  | Some _ -> ()
-  | None ->
-      d.maint_service <-
-        Some
-          (Maint.Service.start ?interval_s (fun () ->
-               ignore (maintenance_tick ?thresholds t)))
-
-let stop_maintenance t = stop_maint_service t
-let maintenance_running (Db d) =
-  match d.maint_service with Some s -> Maint.Service.running s | None -> false
 
 (* Finish or roll back maintenance the journal left pending.  Runs on
    a freshly reopened checkpoint, before WAL replay: a pending task
@@ -890,12 +844,12 @@ let resolve_maintenance ?(dry_run = false)
 let scan_list t b =
   let acc = ref [] in
   scan t b (fun tuple -> acc := tuple :: !acc);
-  !acc
+  List.rev !acc
 
 let scan_version_list t v =
   let acc = ref [] in
   scan_version t v (fun tuple -> acc := tuple :: !acc);
-  !acc
+  List.rev !acc
 
 let count t b =
   let n = ref 0 in
@@ -907,7 +861,9 @@ let count t b =
    about the branch's size and the branch's data ends up re-clustered
    at the end of storage. *)
 let update_all t b f =
-  let tuples = scan_list t b in
+  (* rewrite in reverse scan order: the on-disk layout the byte pins
+     and fingerprints record was written in this order *)
+  let tuples = List.rev (scan_list t b) in
   List.iter (fun tuple -> update t b (f tuple)) tuples;
   List.length tuples
 

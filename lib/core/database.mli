@@ -152,7 +152,11 @@ val diff :
   neg:(Tuple.t -> unit) -> unit
 
 val scan_list : t -> branch_id -> Tuple.t list
+(** The branch's live rows, in {!scan}'s emission order. *)
+
 val scan_version_list : t -> version_id -> Tuple.t list
+(** The version's rows, in {!scan_version}'s emission order. *)
+
 val count : t -> branch_id -> int
 
 val update_all : t -> branch_id -> (Tuple.t -> Tuple.t) -> int
@@ -186,26 +190,14 @@ val storage_report : t -> Decibel_obs.Report.t
     buffer-pool residency.  Read-only, and independent of the
     {!Decibel_obs.Obs} recording switch. *)
 
-val dump_trace : t -> path:string -> unit
-(** Write recorded tracing spans to [path] in Chrome trace format
-    (one JSON event per line; load via chrome://tracing or Perfetto). *)
-
 val profile :
   ?label:string -> t -> (unit -> 'a) -> 'a * Decibel_obs.Obs.Prof.profile
 (** EXPLAIN ANALYZE: run [f] — any sequence of operations against this
     database — under a fresh request trace and return its result with
     the per-operator profile tree (rows, timings and cost counters per
     node, worker-domain work attributed to the request).  If [f]
-    raises, a partial profile is still flushed (see
-    {!Decibel_obs.Obs.Prof.profiled}) and the exception propagates.
-    The profile is also kept in the profiler's bounded ring
-    ({!recent_profiles}). *)
-
-val last_profile : t -> Decibel_obs.Obs.Prof.profile option
-(** The most recently completed profile, if any. *)
-
-val recent_profiles : t -> Decibel_obs.Obs.Prof.profile list
-(** The profiler ring's contents, oldest first. *)
+    raises, the exception propagates (see
+    {!Decibel_obs.Obs.Prof.profiled}). *)
 
 val flush : t -> unit
 (** Checkpoint: persist engine manifests and truncate the WAL.  Also
@@ -240,10 +232,6 @@ val advise :
 val health_tick : t -> Decibel_obs.Watchdog.status
 (** Run one watchdog evaluation over fresh report/workload snapshots
     and return (and store) the new sticky status. *)
-
-val watchdog_status : t -> Decibel_obs.Watchdog.status
-(** The sticky status from the last {!health_tick} (all-ok with
-    [st_ticks = 0] before the first). *)
 
 (** {1 Crash-safe maintenance}
 
@@ -283,22 +271,6 @@ val maintenance_tick :
 (** One advisor-driven pass: execute every current recommendation
     that maps to an engine task.  No-op on degraded stores. *)
 
-val start_maintenance :
-  ?interval_s:float ->
-  ?thresholds:Decibel_obs.Advisor.thresholds ->
-  t ->
-  unit
-(** Arm the background maintenance service: {!maintenance_tick} every
-    [interval_s] (default 1.0) seconds on a dedicated domain.  The
-    tick serializes against explicit {!run_maintenance} calls through
-    the maintenance mutex, but the engines are not internally
-    synchronized — concurrent user writes during a tick need
-    application-level quiescing.  Stopped by {!stop_maintenance},
-    {!close} and {!crash}. *)
-
-val stop_maintenance : t -> unit
-val maintenance_running : t -> bool
-
 val resolve_maintenance : ?dry_run:bool -> t -> maint_resolution list
 (** Finish or roll back maintenance the journal left pending: a task
     whose new files all reached the committed manifest is finished
@@ -318,8 +290,7 @@ val fingerprint : t -> string
     operation) quarantines the branch it surfaced on and degrades the
     database to read-only: intact branches stay readable, writes raise
     {!Types.Engine_error} until the repository is repaired, and the
-    ["storage.corruption_detected"] counter plus a [Warn] event record
-    the transition. *)
+    ["storage.corruption_detected"] counter records the transition. *)
 
 type health = Healthy | Degraded of string
 
@@ -356,7 +327,6 @@ type session
 val new_session : t -> session
 val session_checkout_branch : session -> string -> unit
 val session_checkout_version : session -> version_id -> unit
-val current_branch : session -> branch_id
 val session_insert : session -> Tuple.t -> unit
 val session_update : session -> Tuple.t -> unit
 val session_delete : session -> Value.t -> unit

@@ -250,9 +250,6 @@ let run ?(repair = false) ?(migrate = false) ?pool ~dir () =
     let scheme, engine = check_engine ~repair ?pool dir in
     let findings = migration @ tmp @ wal @ mfind @ engine in
     Obs.add c_findings (List.length findings);
-    if findings <> [] then
-      Obs.event ~level:Obs.Warn ~comp:"fsck"
-        (Printf.sprintf "%s: %d finding(s)" dir (List.length findings));
     { dir; scheme; findings; maint }
   end
 

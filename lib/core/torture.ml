@@ -388,8 +388,9 @@ let maint_sites =
     "maint.swap";
   ]
 
-let maint_torture ?(workload = maint_workload) ~root scheme =
-  torture ~workload ~site_prefix:"maint." ~tag:"maint" ~root scheme
+let maint_torture ~root scheme =
+  torture ~workload:maint_workload ~site_prefix:"maint." ~tag:"maint" ~root
+    scheme
 
 (* Transient-fault check: a single transient failure at each retryable
    site must be absorbed by bounded retry — the workload completes and

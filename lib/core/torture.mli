@@ -19,10 +19,6 @@ type op =
 
 val default_workload : op list
 
-val maint_workload : op list
-(** Maintenance-concurrent schedule: fragmenting writes, two [Maint]
-    passes, and writer ops continuing in between. *)
-
 val schema : Decibel_storage.Schema.t
 (** The 3-int-column schema the scripted workloads use. *)
 
@@ -72,8 +68,9 @@ val torture :
 val maint_sites : string list
 (** The five maintenance failpoint sites a [Maint] pass crosses. *)
 
-val maint_torture : ?workload:op list -> root:string -> Database.scheme -> summary
-(** {!torture} with {!maint_workload}, killing at the [maint.*] sites
+val maint_torture : root:string -> Database.scheme -> summary
+(** {!torture} on a maintenance-concurrent schedule (fragmenting
+    writes, two [Maint] passes, writer ops in between), killing at the [maint.*] sites
     only: every case crashes inside (or at the journal boundaries of)
     a compaction/materialization/GC and must recover
     fingerprint-identical. *)

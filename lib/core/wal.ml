@@ -194,7 +194,7 @@ let append t schema entry =
   Buffer.add_string buf payload;
   Failpoint.guard_write "wal.append" (Buffer.contents buf)
     (output_string t.oc);
-  Retry.with_retries ~site:"wal.sync" (fun () ->
+  Retry.with_retries (fun () ->
       Failpoint.hit "wal.sync";
       flush t.oc);
   t.next_lsn <- lsn + 1;

@@ -90,9 +90,6 @@ let due a =
 let fire name = function
   | Raise | Torn _ ->
       Obs.incr c_injected;
-      Obs.event ~level:Obs.Warn ~comp:"fault"
-        ~attrs:[ ("site", name) ]
-        "injected fault";
       raise (Fault_injected name)
   | Transient ->
       Obs.incr c_transient;
@@ -122,10 +119,6 @@ let guard_write name payload write =
             in
             if keep > 0 then write (String.sub payload 0 keep);
             Obs.incr c_injected;
-            Obs.event ~level:Obs.Warn ~comp:"fault"
-              ~attrs:
-                [ ("site", name); ("torn_bytes", string_of_int (n - keep)) ]
-              "injected torn write";
             raise (Fault_injected (name ^ " (torn)"))
       end
 

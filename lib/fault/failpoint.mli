@@ -20,8 +20,7 @@
     on 2nd hit), [wal.sync=always].
 
     Injected faults increment the ["fault.injected"] /
-    ["fault.transient"] registry counters and emit a [Warn] event with
-    component ["fault"]. *)
+    ["fault.transient"] registry counters. *)
 
 exception Fault_injected of string
 (** A fatal injected fault; carries the site name. *)

@@ -41,19 +41,13 @@ let backoff_ms ~base_delay_ms ~max_delay_ms ~attempt =
   end
 
 let with_retries ?(attempts = 3) ?(base_delay_ms = 0) ?(max_delay_ms = 1000)
-    ?site f =
+    f =
   if attempts < 1 then invalid_arg "Retry.with_retries: attempts < 1";
   let rec go n =
     try f ()
     with e when is_transient e && n < attempts ->
       Obs.incr c_retries;
       let sleep_ms = backoff_ms ~base_delay_ms ~max_delay_ms ~attempt:n in
-      Obs.event ~level:Obs.Debug ~comp:"fault"
-        ~attrs:
-          (("attempt", string_of_int n)
-          :: ("backoff_ms", string_of_int sleep_ms)
-          :: (match site with Some s -> [ ("site", s) ] | None -> []))
-        "transient failure, retrying";
       if sleep_ms > 0 then Unix.sleepf (float_of_int sleep_ms /. 1000.);
       go (n + 1)
   in

@@ -1,19 +1,15 @@
 (** Bounded retry-on-transient-failure for flush/sync paths. *)
 
-val is_transient : exn -> bool
-(** [EINTR]/[EAGAIN] and injected {!Failpoint.Fault_transient}. *)
-
 val with_retries :
   ?attempts:int ->
   ?base_delay_ms:int ->
   ?max_delay_ms:int ->
-  ?site:string ->
   (unit -> 'a) ->
   'a
 (** Run [f], retrying up to [attempts] total tries (default 3) while
-    it raises a transient failure; the final failure escapes.  Each
-    retry increments ["fault.retries"].  [site] labels the debug
-    event.
+    it raises a transient failure ([EINTR]/[EAGAIN] or an injected
+    {!Failpoint.Fault_transient}); the final failure escapes.  Each
+    retry increments ["fault.retries"].
 
     Before the k-th retry, sleep a {e full-jitter} backoff: uniform in
     [\[0, min (max_delay_ms, base_delay_ms * 2^(k-1))\]] milliseconds,

@@ -43,5 +43,3 @@ val repo_bytes : t -> int
 
 val loose_count : t -> int
 
-val max_chain_depth : int
-(** Cap on delta-chain length in a pack. *)

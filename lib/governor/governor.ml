@@ -60,11 +60,6 @@ module Ctx = struct
   let deadline t = t.deadline
   let trace t = t.trace
 
-  let remaining_ms t =
-    Option.map
-      (fun d -> int_of_float (ceil ((d -. Unix.gettimeofday ()) *. 1e3)))
-      t.deadline
-
   let check t =
     if Atomic.get t.cancel_flag then raise Cancelled;
     (match t.deadline with
@@ -192,11 +187,6 @@ module Breaker = struct
       opened_at = 0.;
     }
 
-  let state_name = function
-    | Closed -> "closed"
-    | Open -> "open"
-    | Half_open -> "half-open"
-
   let locked t f =
     Mutex.lock t.mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
@@ -206,32 +196,20 @@ module Breaker = struct
         match t.state with
         | Closed | Half_open -> ()
         | Open ->
-            if Unix.gettimeofday () -. t.opened_at >= t.cooldown_s then begin
-              t.state <- Half_open;
-              Obs.event ~comp:"governor"
-                ~attrs:[ ("breaker", t.name) ]
-                "circuit breaker half-open"
-            end
+            if Unix.gettimeofday () -. t.opened_at >= t.cooldown_s then
+              t.state <- Half_open
             else raise (Tripped t.name))
 
   let success t =
     locked t (fun () ->
         t.failures <- 0;
         match t.state with
-        | Half_open | Open ->
-            t.state <- Closed;
-            Obs.event ~comp:"governor"
-              ~attrs:[ ("breaker", t.name) ]
-              "circuit breaker closed"
+        | Half_open | Open -> t.state <- Closed
         | Closed -> ())
 
   let trip t =
     t.state <- Open;
-    t.opened_at <- Unix.gettimeofday ();
-    Obs.event ~level:Obs.Warn ~comp:"governor"
-      ~attrs:
-        [ ("breaker", t.name); ("failures", string_of_int t.failures) ]
-      "circuit breaker tripped"
+    t.opened_at <- Unix.gettimeofday ()
 
   let failure t =
     locked t (fun () ->

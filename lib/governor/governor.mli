@@ -57,9 +57,6 @@ module Ctx : sig
   val trace : t -> Decibel_obs.Obs.Prof.trace option
   (** The profiling trace attached at {!create}, if any. *)
 
-  val remaining_ms : t -> int option
-  (** Milliseconds until the deadline; negative once overdue. *)
-
   val check : t -> unit
   (** The poll point: raises {!Cancelled}, {!Deadline_exceeded} or
       {!Budget_exceeded} (in that precedence) if the context has been
@@ -139,7 +136,6 @@ module Breaker : sig
   val state : t -> state
   val name : t -> string
   val consecutive_failures : t -> int
-  val state_name : state -> string
 end
 
 (** {1 Outcome accounting}

@@ -154,14 +154,6 @@ let count t = t.nunits
 let disk_bytes t = t.disk
 let path t = t.path
 
-let max_replay_length t =
-  let mx = ref 0 in
-  for idx = 0 to t.nunits - 1 do
-    let r = replay_length t idx in
-    if r > !mx then mx := r
-  done;
-  !mx
-
 let open_existing ~path =
   let data = Binio.read_file path in
   let t = make ~on_disk:true path in

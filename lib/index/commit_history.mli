@@ -61,11 +61,6 @@ val replay_length : t -> int -> int
 (** Number of delta applications a checkout of the given index needs
     (for the layering ablation). *)
 
-val max_replay_length : t -> int
-(** Worst-case {!replay_length} over every commit in this history
-    ([0] when empty) — the chain-depth bound the two-layer scheme is
-    meant to keep at [n / stride + stride]. *)
-
 val footprint : dir:string -> t list -> int * int
 (** [(files, bytes)] over every history file ([hist_*]) of [dir]: each
     of the given in-memory histories counts as one file of its

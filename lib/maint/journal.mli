@@ -49,6 +49,3 @@ val pending : entry list -> (int * entry list) list
 val truncate : string -> unit
 (** Remove the journal file at [dir] if present (all tasks terminal). *)
 
-val status_name : status -> string
-val entry_json : entry -> string
-(** One-line JSON encoding (no trailing newline). *)

@@ -1,25 +1,7 @@
-(** Maintenance-executor mechanism: task kinds, [maint.*] metrics and
-    the dedicated-domain service loop.  The crash-safe protocol itself
+(** Maintenance-executor metrics.  The crash-safe protocol itself
     lives in [Database.run_maintenance]; this module is policy-free. *)
 
 module Obs = Decibel_obs.Obs
-module Par = Decibel_par.Par
-
-type kind = Compact | Materialize | Gc
-
-let kind_name = function
-  | Compact -> "compact"
-  | Materialize -> "materialize"
-  | Gc -> "gc"
-
-let kind_of_name = function
-  | "compact" -> Some Compact
-  | "materialize" -> Some Materialize
-  | "gc" -> Some Gc
-  | _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* metrics *)
 
 let c_run = Obs.counter "maint.tasks_run"
 let c_failed = Obs.counter "maint.tasks_failed"
@@ -56,73 +38,3 @@ let note_finished ~target ~ok =
 
 let note_rolled_back () = Obs.incr c_rolled_back
 let note_reclaimed n = if n > 0 then Obs.add c_reclaimed n
-
-let reset_streaks () =
-  Mutex.lock streak_m;
-  Hashtbl.reset streaks;
-  Obs.set_gauge g_streak 0.;
-  Mutex.unlock streak_m
-
-(* ------------------------------------------------------------------ *)
-(* background service *)
-
-module Service = struct
-  type t = {
-    m : Mutex.t;
-    mutable stop : bool;
-    mutable domain : unit Domain.t option;
-  }
-
-  let stopping t =
-    Mutex.lock t.m;
-    let s = t.stop in
-    Mutex.unlock t.m;
-    s
-
-  let loop t interval_s tick () =
-    let rec go () =
-      if stopping t then ()
-      else begin
-        (try tick ()
-         with e ->
-           Obs.incr c_failed;
-           Obs.event ~level:Obs.Warn ~comp:"maint"
-             (Printf.sprintf "service tick raised: %s" (Printexc.to_string e)));
-        (* interruptible sleep: poll [stop] in short slices so [stop]
-           joins promptly even with a long interval *)
-        let deadline = Unix.gettimeofday () +. interval_s in
-        let rec doze () =
-          if stopping t then ()
-          else begin
-            let left = deadline -. Unix.gettimeofday () in
-            if left > 0. then begin
-              Unix.sleepf (Float.min 0.05 left);
-              doze ()
-            end
-          end
-        in
-        doze ();
-        go ()
-      end
-    in
-    go ()
-
-  let start ?(interval_s = 1.0) tick =
-    let t = { m = Mutex.create (); stop = false; domain = None } in
-    t.domain <- Some (Par.spawn_domain (loop t interval_s tick));
-    t
-
-  let stop t =
-    Mutex.lock t.m;
-    t.stop <- true;
-    let d = t.domain in
-    t.domain <- None;
-    Mutex.unlock t.m;
-    match d with None -> () | Some d -> Domain.join d
-
-  let running t =
-    Mutex.lock t.m;
-    let r = (not t.stop) && t.domain <> None in
-    Mutex.unlock t.m;
-    r
-end

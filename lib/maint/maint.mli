@@ -1,20 +1,10 @@
-(** Background maintenance executor support: kinds, counters, and the
-    dedicated-domain service loop.
+(** Maintenance executor support: counters and gauges.
 
     The policy half lives in the advisor (what to do); this module
-    holds the mechanism shared by the database-level executor: the
-    task-kind vocabulary, the [maint.*] observability surface, and a
-    [Service] that runs a tick callback periodically on its own
-    domain.  The crash-safe rewrite protocol itself is implemented in
-    [Database.run_maintenance] against the engine hooks, journaled via
-    {!Journal}. *)
-
-type kind = Compact | Materialize | Gc
-
-val kind_name : kind -> string
-(** "compact" | "materialize" | "gc" — journal encoding. *)
-
-val kind_of_name : string -> kind option
+    holds the [maint.*] observability surface shared by the
+    database-level executor.  The crash-safe rewrite protocol itself
+    is implemented in [Database.run_maintenance] against the engine
+    hooks, journaled via {!Journal}. *)
 
 (** {1 Observability}
 
@@ -37,24 +27,3 @@ val note_rolled_back : unit -> unit
 
 val note_reclaimed : int -> unit
 (** Add reclaimed bytes (clamped at 0) to [maint.bytes_reclaimed]. *)
-
-val reset_streaks : unit -> unit
-(** Forget per-target failure streaks (tests). *)
-
-(** Periodic driver on a dedicated {!Decibel_par.Par.spawn_domain}
-    domain.  The tick callback must be self-synchronizing (the
-    database wraps it in its maintenance mutex); exceptions it raises
-    are swallowed after being counted as a failed task so the service
-    survives a bad tick. *)
-module Service : sig
-  type t
-
-  val start : ?interval_s:float -> (unit -> unit) -> t
-  (** Spawn the service domain; [tick] runs immediately and then every
-      [interval_s] (default 1.0) seconds until [stop]. *)
-
-  val stop : t -> unit
-  (** Signal shutdown and join the domain.  Idempotent. *)
-
-  val running : t -> bool
-end

@@ -14,9 +14,9 @@ let now () = Unix.gettimeofday ()
 
 (* Domain-safety: counters are atomic (hit from parallel scan
    workers); everything slower-moving — interning tables, gauges,
-   histograms, the event ring, the span buffer — is guarded by one
-   registry mutex.  [locked] sections never call other [locked]
-   functions (the mutex is not reentrant). *)
+   histograms, the span buffer — is guarded by one registry mutex.
+   [locked] sections never call other [locked] functions (the mutex is
+   not reentrant). *)
 let reg_m = Mutex.create ()
 
 let locked f =
@@ -105,7 +105,6 @@ type histogram = {
   h_name : string;
   h_buckets : float array; (* ascending upper bounds *)
   h_counts : int array; (* length = buckets + 1 (overflow) *)
-  h_exemplars : string array; (* per-bucket last trace id; "" = none *)
   mutable h_count : int;
   mutable h_sum : float;
   mutable h_min : float;
@@ -135,7 +134,6 @@ let histogram ?buckets name =
               h_name = name;
               h_buckets = buckets;
               h_counts = Array.make (Array.length buckets + 1) 0;
-              h_exemplars = Array.make (Array.length buckets + 1) "";
               h_count = 0;
               h_sum = 0.0;
               h_min = infinity;
@@ -161,12 +159,7 @@ let observe h v =
         h.h_count <- h.h_count + 1;
         h.h_sum <- h.h_sum +. v;
         if v < h.h_min then h.h_min <- v;
-        if v > h.h_max then h.h_max <- v;
-        (* tail-latency exemplar: remember which request last landed in
-           this bucket, so a p99 spike links to a concrete trace *)
-        match current_prof_trace () with
-        | Some tr when tr.tr_id <> "" -> h.h_exemplars.(i) <- tr.tr_id
-        | _ -> ())
+        if v > h.h_max then h.h_max <- v)
 
 let quantile h q =
   if h.h_count = 0 then 0.0
@@ -221,47 +214,8 @@ let summarize h =
     }
 
 let hist_buckets h = Array.copy h.h_buckets
-let hist_exemplars h = locked (fun () -> Array.copy h.h_exemplars)
-
-(* trace id of a sample request that landed near quantile [q]: the
-   exemplar of the quantile's bucket, falling back to the nearest
-   populated bucket below it, then above — so "show me a p99 request"
-   answers with a concrete trace even when the exact bucket's exemplar
-   predates tracing *)
-let exemplar_near h q =
-  locked (fun () ->
-      if h.h_count = 0 then None
-      else begin
-        let rank = int_of_float (ceil (q *. float_of_int h.h_count)) in
-        let rank = max 1 (min h.h_count rank) in
-        let nb = Array.length h.h_buckets in
-        let target = ref nb in
-        let acc = ref 0 in
-        (try
-           for i = 0 to nb do
-             acc := !acc + h.h_counts.(i);
-             if !acc >= rank then begin
-               target := i;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        let pick = ref None in
-        let i = ref !target in
-        while !pick = None && !i >= 0 do
-          if h.h_exemplars.(!i) <> "" then pick := Some h.h_exemplars.(!i);
-          Stdlib.decr i
-        done;
-        let i = ref (!target + 1) in
-        while !pick = None && !i <= nb do
-          if h.h_exemplars.(!i) <> "" then pick := Some h.h_exemplars.(!i);
-          Stdlib.incr i
-        done;
-        !pick
-      end)
-
 (* ------------------------------------------------------------------ *)
-(* JSON helpers (shared by events, traces and snapshots) *)
+(* JSON helpers (shared by traces and snapshots) *)
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -283,222 +237,16 @@ let json_float v =
   if Float.is_finite v then Printf.sprintf "%.9g" v else "0"
 
 (* ------------------------------------------------------------------ *)
-(* structured event log *)
-
-type level = Debug | Info | Warn | Error
-
-let level_name = function
-  | Debug -> "debug"
-  | Info -> "info"
-  | Warn -> "warn"
-  | Error -> "error"
-
-let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
-
-type event = {
-  ev_seq : int;
-  ev_time : float; (* unix epoch seconds *)
-  ev_level : level;
-  ev_comp : string;
-  ev_msg : string;
-  ev_attrs : (string * string) list;
-}
-
-(* bounded ring: when full the oldest event is overwritten and
-   "obs.events_dropped" counts the loss *)
-let ev_capacity = ref 4096
-let ev_ring : event option array ref = ref (Array.make !ev_capacity None)
-let ev_next = ref 0 (* next write slot *)
-let ev_count = ref 0 (* events currently held, <= capacity *)
-let ev_seq = ref 0 (* monotonic emission count *)
-let ev_min_level = ref Debug
-(* file sink with size-based rotation: when the live file would exceed
-   [sk_max_bytes] it is renamed to <path>.1 (shifting .1 -> .2 ... up
-   to [sk_keep], the oldest falling off) and a fresh file is opened, so
-   long --watch-style runs cannot fill the disk *)
-type sink = {
-  sk_path : string;
-  mutable sk_oc : out_channel;
-  sk_max_bytes : int; (* 0 = unbounded *)
-  sk_keep : int; (* rotated files retained; 0 = truncate in place *)
-  mutable sk_written : int;
-}
-
-let ev_sink : sink option ref = ref None
-let c_events = counter "obs.events"
-let c_events_dropped = counter "obs.events_dropped"
-let c_rotations = counter "obs.event_log_rotations"
-
-let set_event_capacity n =
-  if n < 1 then invalid_arg "Obs.set_event_capacity: capacity must be >= 1";
-  ev_capacity := n;
-  ev_ring := Array.make n None;
-  ev_next := 0;
-  ev_count := 0
-
-let set_min_event_level l = ev_min_level := l
-
-let set_event_sink ?(max_bytes = 8 * 1024 * 1024) ?(keep = 3) path =
-  if max_bytes < 0 then invalid_arg "Obs.set_event_sink: max_bytes must be >= 0";
-  if keep < 0 then invalid_arg "Obs.set_event_sink: keep must be >= 0";
-  (match !ev_sink with
-  | Some sk -> ( try close_out sk.sk_oc with Sys_error _ -> ())
-  | None -> ());
-  ev_sink :=
-    match path with
-    | None -> None
-    | Some p ->
-        let oc = open_out_gen [ Open_append; Open_creat ] 0o644 p in
-        (* resume the byte budget of an existing file so re-opening a
-           sink does not defer its first rotation *)
-        let written =
-          try (Unix.stat p).Unix.st_size with Unix.Unix_error _ -> 0
-        in
-        Some
-          {
-            sk_path = p;
-            sk_oc = oc;
-            sk_max_bytes = max_bytes;
-            sk_keep = keep;
-            sk_written = written;
-          }
-
-(* caller holds the registry mutex (called from [event]) *)
-let rotate_sink sk =
-  (try close_out sk.sk_oc with Sys_error _ -> ());
-  if sk.sk_keep > 0 then begin
-    for i = sk.sk_keep - 1 downto 1 do
-      let src = Printf.sprintf "%s.%d" sk.sk_path i in
-      if Sys.file_exists src then (
-        try Sys.rename src (Printf.sprintf "%s.%d" sk.sk_path (i + 1))
-        with Sys_error _ -> ())
-    done;
-    try Sys.rename sk.sk_path (sk.sk_path ^ ".1") with Sys_error _ -> ()
-  end;
-  sk.sk_oc <-
-    open_out_gen [ Open_trunc; Open_creat; Open_wronly ] 0o644 sk.sk_path;
-  sk.sk_written <- 0;
-  incr c_rotations
-
-let event_json e =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"seq\":%d,\"time\":%.6f,\"level\":\"%s\",\"comp\":\"%s\",\"msg\":\"%s\""
-       e.ev_seq e.ev_time (level_name e.ev_level) (json_escape e.ev_comp)
-       (json_escape e.ev_msg));
-  if e.ev_attrs <> [] then begin
-    Buffer.add_string buf ",\"attrs\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-      e.ev_attrs;
-    Buffer.add_char buf '}'
-  end;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
-let event ?(attrs = []) ?(level = Info) ~comp msg =
-  if !on && level_rank level >= level_rank !ev_min_level then begin
-    locked (fun () ->
-        let e =
-          {
-            ev_seq = !ev_seq;
-            ev_time = now ();
-            ev_level = level;
-            ev_comp = comp;
-            ev_msg = msg;
-            ev_attrs = attrs;
-          }
-        in
-        Stdlib.incr ev_seq;
-        let cap = Array.length !ev_ring in
-        if !ev_count = cap then incr c_events_dropped
-        else Stdlib.incr ev_count;
-        !ev_ring.(!ev_next) <- Some e;
-        ev_next := (!ev_next + 1) mod cap;
-        match !ev_sink with
-        | Some sk ->
-            let line = event_json e in
-            if
-              sk.sk_max_bytes > 0 && sk.sk_written > 0
-              && sk.sk_written + String.length line + 1 > sk.sk_max_bytes
-            then rotate_sink sk;
-            output_string sk.sk_oc line;
-            output_char sk.sk_oc '\n';
-            flush sk.sk_oc;
-            sk.sk_written <- sk.sk_written + String.length line + 1
-        | None -> ());
-    incr c_events
-  end
-
-let events () =
-  locked (fun () ->
-      let cap = Array.length !ev_ring in
-      let first = (!ev_next - !ev_count + cap) mod cap in
-      List.init !ev_count (fun i ->
-          match !ev_ring.((first + i) mod cap) with
-          | Some e -> e
-          | None -> assert false))
-
-let events_emitted () = !ev_seq
-
-let events_json () =
-  let es = events () in
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (event_json e);
-      Buffer.add_char buf '\n')
-    es;
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* slow-operation log *)
-
-let slow_tbl : (string, float) Hashtbl.t = Hashtbl.create 16
-
-let slow_default =
-  ref
-    (match Sys.getenv_opt "DECIBEL_SLOW_MS" with
-    | Some s -> ( try Some (float_of_string s /. 1e3) with Failure _ -> None)
-    | None -> None)
-
-let set_slow_threshold name secs = Hashtbl.replace slow_tbl name secs
-let clear_slow_threshold name = Hashtbl.remove slow_tbl name
-let set_slow_default secs = slow_default := secs
-
-let slow_threshold name =
-  match Hashtbl.find_opt slow_tbl name with
-  | Some _ as t -> t
-  | None -> !slow_default
-
-let c_slow = counter "obs.slow_ops"
-
-let note_slow name dur attrs =
-  match slow_threshold name with
-  | Some th when dur >= th ->
-      incr c_slow;
-      event ~level:Warn ~comp:"slow_op"
-        ~attrs:
-          (("duration_ms", Printf.sprintf "%.3f" (dur *. 1e3))
-          :: ("threshold_ms", Printf.sprintf "%.3f" (th *. 1e3))
-          :: attrs)
-        name
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* request profiler: EXPLAIN ANALYZE over the span tree *)
 
 module Prof = struct
   (* Two ambient pieces of state, deliberately separate:
 
-     - the [trace] (type [prof_trace] near the top of the file, so
-       [observe] can record exemplars): id + atomic counter bag.  It
-       crosses domains — [Par] re-installs the submitting domain's
-       trace around every worker task — so cost counters from a
-       4-domain scan all land in the one request's bag.
+     - the [trace] (type [prof_trace] near the top of the file): id +
+       atomic counter bag.  It crosses domains — [Par] re-installs the
+       submitting domain's trace around every worker task — so cost
+       counters from a 4-domain scan all land in the one request's
+       bag.
 
      - the [builder]: the operator-tree stack.  It lives only on the
        domain that called [profiled]; worker-domain spans do not open
@@ -649,7 +397,6 @@ module Prof = struct
     p_label : string;
     p_dur : float; (* seconds *)
     p_root : node;
-    p_aborted : string option; (* exception text when flushed partial *)
   }
 
   type frame = { f_node : node; f_bag0 : int array }
@@ -709,99 +456,43 @@ module Prof = struct
         | f :: _ -> f.f_node.n_rows <- n
         | [] -> ())
 
-  (* ---------------- ring of recent profiles *)
-
-  let profiles_ring : profile option array ref = ref (Array.make 16 None)
-  let profiles_next = ref 0
-  let profiles_count = ref 0
-
-  let set_profile_capacity n =
-    if n < 1 then invalid_arg "Obs.Prof.set_profile_capacity: must be >= 1";
-    locked (fun () ->
-        profiles_ring := Array.make n None;
-        profiles_next := 0;
-        profiles_count := 0)
-
-  let keep p =
-    locked (fun () ->
-        let cap = Array.length !profiles_ring in
-        !profiles_ring.(!profiles_next) <- Some p;
-        profiles_next := (!profiles_next + 1) mod cap;
-        if !profiles_count < cap then Stdlib.incr profiles_count)
-
-  let last_profile () =
-    locked (fun () ->
-        if !profiles_count = 0 then None
-        else
-          let cap = Array.length !profiles_ring in
-          !profiles_ring.((!profiles_next - 1 + cap) mod cap))
-
-  let recent_profiles () =
-    locked (fun () ->
-        let cap = Array.length !profiles_ring in
-        let first = (!profiles_next - !profiles_count + cap) mod cap in
-        List.init !profiles_count (fun i ->
-            match !profiles_ring.((first + i) mod cap) with
-            | Some p -> p
-            | None -> assert false))
-
   (* ---------------- profiled execution *)
 
   let profiled ?(label = "request") f =
     let tr = make_trace () in
     let root = new_node label in
-    let b =
-      { b_trace = tr; b_stack = [ { f_node = root; f_bag0 = bag_snapshot tr } ] }
-    in
+    let root_frame = { f_node = root; f_bag0 = bag_snapshot tr } in
+    let b = { b_trace = tr; b_stack = [ root_frame ] } in
     let saved_tr = Domain.DLS.get prof_trace_key in
     let saved_b = Domain.DLS.get builder_key in
     Domain.DLS.set prof_trace_key (Some tr);
     Domain.DLS.set builder_key (Some b);
     let start = now () in
-    let finish aborted =
-      let dur = now () -. start in
+    let restore () =
       Domain.DLS.set prof_trace_key saved_tr;
-      Domain.DLS.set builder_key saved_b;
-      (* an abort unwinds through [with_span]'s finally, so nested
-         frames are normally already closed; drain defensively *)
-      let rec drain () =
-        match b.b_stack with
-        | [] -> ()
-        | [ f ] ->
-            close_frame b f ~dur;
-            b.b_stack <- []
-        | f :: (parent :: _ as rest) ->
-            close_frame b f ~dur;
-            parent.f_node.n_children <- f.f_node :: parent.f_node.n_children;
-            b.b_stack <- rest;
-            drain ()
-      in
-      drain ();
-      let rec order n =
-        n.n_children <- List.rev n.n_children;
-        List.iter order n.n_children
-      in
-      order root;
-      let p =
-        {
-          p_trace_id = tr.tr_id;
-          p_label = label;
-          p_dur = dur;
-          p_root = root;
-          p_aborted = aborted;
-        }
-      in
-      incr c_profiles;
-      (match aborted with Some _ -> incr c_prof_aborted | None -> ());
-      keep p;
-      p
+      Domain.DLS.set builder_key saved_b
     in
-    match f () with
-    | v -> (v, finish None)
-    | exception e ->
+    let v =
+      try f ()
+      with e ->
         let bt = Printexc.get_raw_backtrace () in
-        Stdlib.ignore (finish (Some (Printexc.to_string e)));
+        restore ();
+        incr c_profiles;
+        incr c_prof_aborted;
         Printexc.raise_with_backtrace e bt
+    in
+    let dur = now () -. start in
+    restore ();
+    (* every [with_span] closed its own frame on the way out; only the
+       root is left *)
+    close_frame b root_frame ~dur;
+    let rec order n =
+      n.n_children <- List.rev n.n_children;
+      List.iter order n.n_children
+    in
+    order root;
+    incr c_profiles;
+    (v, { p_trace_id = tr.tr_id; p_label = label; p_dur = dur; p_root = root })
 
   let total p kind = cost p.p_root.n_counters kind
 
@@ -810,11 +501,8 @@ module Prof = struct
   let render p =
     let buf = Buffer.create 512 in
     Buffer.add_string buf
-      (Printf.sprintf "profile %s (%s) %.3f ms%s\n" p.p_trace_id p.p_label
-         (p.p_dur *. 1e3)
-         (match p.p_aborted with
-         | None -> ""
-         | Some e -> "  ABORTED: " ^ e));
+      (Printf.sprintf "profile %s (%s) %.3f ms\n" p.p_trace_id p.p_label
+         (p.p_dur *. 1e3));
     let rec go depth n =
       Buffer.add_string buf (String.make (2 * depth) ' ');
       Buffer.add_string buf
@@ -862,26 +550,11 @@ module Prof = struct
     let buf = Buffer.create 512 in
     Buffer.add_string buf
       (Printf.sprintf
-         "{\"trace_id\":\"%s\",\"label\":\"%s\",\"time_ms\":%s,\"aborted\":%s,\"root\":"
+         "{\"trace_id\":\"%s\",\"label\":\"%s\",\"time_ms\":%s,\"root\":"
          (json_escape p.p_trace_id) (json_escape p.p_label)
-         (json_float (p.p_dur *. 1e3))
-         (match p.p_aborted with
-         | None -> "null"
-         | Some e -> Printf.sprintf "\"%s\"" (json_escape e)));
+         (json_float (p.p_dur *. 1e3)));
     node_json buf p.p_root;
     Buffer.add_char buf '}';
-    Buffer.contents buf
-
-  let profiles_json () =
-    let ps = recent_profiles () in
-    let buf = Buffer.create 1024 in
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i p ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (profile_json p))
-      ps;
-    Buffer.add_char buf ']';
     Buffer.contents buf
 end
 
@@ -931,8 +604,7 @@ let with_span ?(attrs = []) name f =
         record_span
           { sp_name = name; sp_start = start -. t0; sp_dur = dur;
             sp_attrs = attrs };
-        observe (histogram name) dur;
-        note_slow name dur attrs)
+        observe (histogram name) dur)
       f
   end
 
@@ -979,15 +651,6 @@ let output_trace oc =
         output_char oc '\n'
     | None -> ()
   done
-
-let dump_trace () =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun s ->
-      Buffer.add_string buf (span_json s);
-      Buffer.add_char buf '\n')
-    (spans ());
-  Buffer.contents buf
 
 let write_trace ~path =
   let oc = open_out path in
@@ -1058,17 +721,9 @@ let reset () =
       Hashtbl.iter
         (fun _ h ->
           Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
-          Array.fill h.h_exemplars 0 (Array.length h.h_exemplars) "";
           h.h_count <- 0;
           h.h_sum <- 0.0;
           h.h_min <- infinity;
           h.h_max <- neg_infinity)
         histograms_tbl;
-      nspans := 0;
-      Array.fill !ev_ring 0 (Array.length !ev_ring) None;
-      ev_next := 0;
-      ev_count := 0;
-      ev_seq := 0;
-      Array.fill !Prof.profiles_ring 0 (Array.length !Prof.profiles_ring) None;
-      Prof.profiles_next := 0;
-      Prof.profiles_count := 0)
+      nspans := 0)

@@ -21,8 +21,8 @@
 
     The registry is process-wide and domain-safe: counter increments
     are atomic (they are hit from parallel scan workers), while
-    interning, gauges, histogram observations, the event ring and the
-    span buffer are serialized by a single registry mutex.  Mutators
+    interning, gauges, histogram observations and the span buffer are
+    serialized by a single registry mutex.  Mutators
     may therefore be called from any domain; plain readers
     ({!gauge_value}, {!summarize}, ...) are unsynchronized and meant
     for report/export time, when writers are quiescent. *)
@@ -106,106 +106,13 @@ val quantile : histogram -> float -> float
 val hist_buckets : histogram -> float array
 (** Ascending upper bounds (a copy). *)
 
-val hist_exemplars : histogram -> string array
-(** Per-bucket exemplar trace ids (length [buckets + 1]: one per
-    upper bound plus the overflow bucket; [""] = no traced request has
-    landed in that bucket).  An observation made while a {!Prof} trace is ambient
-    stamps its bucket with the trace id, so tail buckets link to a
-    concrete recent request. *)
-
-val exemplar_near : histogram -> float -> string option
-(** [exemplar_near h q]: trace id of a sample request at quantile [q]
-    — the exemplar of the quantile's bucket, falling back to the
-    nearest populated bucket below it, then above.  [None] when the
-    histogram is empty or no traced request has been observed. *)
-
-(** {1 Structured event log}
-
-    Leveled, component-tagged events with string attributes, held in a
-    bounded in-memory ring (oldest overwritten on overflow, counted in
-    ["obs.events_dropped"]) and optionally appended as JSONL to a file
-    sink.  Emission respects the {!set_enabled} switch. *)
-
-type level = Debug | Info | Warn | Error
-
-val level_name : level -> string
-(** ["debug"], ["info"], ["warn"], ["error"]. *)
-
-type event = {
-  ev_seq : int;  (** monotonic per-process emission index *)
-  ev_time : float;  (** unix epoch seconds *)
-  ev_level : level;
-  ev_comp : string;  (** component tag, e.g. ["engine"], ["slow_op"] *)
-  ev_msg : string;
-  ev_attrs : (string * string) list;
-}
-
-val event :
-  ?attrs:(string * string) list -> ?level:level -> comp:string -> string -> unit
-(** Emit an event (default level [Info]).  Dropped entirely while
-    recording is disabled or below the minimum level. *)
-
-val events : unit -> event list
-(** Ring contents, oldest first. *)
-
-val events_emitted : unit -> int
-(** Total events emitted since start (or {!reset}), including ones the
-    ring has since dropped. *)
-
-val event_json : event -> string
-(** One event as a single-line JSON object. *)
-
-val events_json : unit -> string
-(** The ring as JSONL (one {!event_json} line per event). *)
-
-val set_event_capacity : int -> unit
-(** Resize the ring (clears it).  Raises [Invalid_argument] on a
-    capacity < 1. *)
-
-val set_min_event_level : level -> unit
-(** Drop events below this level (default [Debug], i.e. keep all). *)
-
-val set_event_sink : ?max_bytes:int -> ?keep:int -> string option -> unit
-(** [Some path] appends each subsequent event to [path] as JSONL
-    (flushed per line); [None] closes any open sink.
-
-    The sink is size-bounded: when appending a line would push the file
-    past [max_bytes] (default 8 MiB; [0] = unbounded) it is rotated —
-    [path] becomes [path.1], [path.1] becomes [path.2], ... keeping at
-    most [keep] rotated files (default 3; [0] truncates in place) —
-    and a fresh [path] is opened.  Rotations are counted in
-    ["obs.event_log_rotations"].  Re-opening an existing file resumes
-    its byte budget from the on-disk size. *)
-
-(** {1 Slow-operation log}
-
-    When a {!with_span} duration reaches the threshold configured for
-    its name (or the default threshold), a [Warn] event with component
-    ["slow_op"] is emitted carrying the span's attrs plus
-    [duration_ms] / [threshold_ms], and ["obs.slow_ops"] is
-    incremented.  No threshold is set by default; [DECIBEL_SLOW_MS]
-    (milliseconds) seeds the default threshold at startup. *)
-
-val set_slow_threshold : string -> float -> unit
-(** Per-span-name threshold in seconds ([0.] fires on every span). *)
-
-val clear_slow_threshold : string -> unit
-
-val set_slow_default : float option -> unit
-(** Threshold for spans with no per-name entry; [None] disables. *)
-
-val slow_threshold : string -> float option
-(** Effective threshold for a span name. *)
-
 (** {1 Tracing spans}
 
     [with_span name f] times [f] and records a completed span; spans
     nest naturally (caller's span is still open while the callee's
     runs).  Each span also feeds the histogram named [name], so span
     timings appear in snapshots with quantiles.  The trace buffer is
-    bounded; overflow is counted in ["obs.spans_dropped"].  A span
-    whose duration reaches its slow threshold also emits a slow-op
-    event (see above). *)
+    bounded; overflow is counted in ["obs.spans_dropped"]. *)
 
 type span = {
   sp_name : string;
@@ -234,12 +141,6 @@ val output_trace : out_channel -> unit
     the registry lock and never materializes the whole trace as one
     string (which matters at the 200k-span cap). *)
 
-val dump_trace : unit -> string
-(** The recorded spans as Chrome-trace-format JSON lines (one complete
-    ["ph":"X"] event per line; load with [chrome://tracing] or
-    Perfetto after wrapping in a JSON array).  Prefer {!output_trace}
-    for large traces. *)
-
 val write_trace : path:string -> unit
 (** {!output_trace} to a file (streamed, closed on error). *)
 
@@ -264,8 +165,7 @@ val write_trace : path:string -> unit
     Each {!with_span} inside the profiled extent (on the requesting
     domain) becomes a node of the operator tree; a node's counters are
     the bag delta between span entry and exit — cumulative, children
-    included, exactly like EXPLAIN ANALYZE.  Completed profiles are
-    kept in a bounded ring ({!recent_profiles}). *)
+    included, exactly like EXPLAIN ANALYZE. *)
 
 module Prof : sig
   (** Cost kinds, chosen to explain the paper's scheme tradeoffs (§5):
@@ -359,37 +259,23 @@ module Prof : sig
     p_label : string;
     p_dur : float;  (** seconds *)
     p_root : node;
-    p_aborted : string option;
-        (** exception text when the request aborted (deadline, cancel,
-            ...) and a partial profile was flushed *)
   }
 
   val profiled : ?label:string -> (unit -> 'a) -> 'a * profile
   (** Run [f] under a fresh trace and operator-tree builder and return
-      its result with the completed profile.  If [f] raises, a partial
-      profile is still flushed to the ring (with [p_aborted] set) and
-      the exception is re-raised with its backtrace.  Profiles are
-      counted in ["prof.profiles"] / ["prof.aborted"]. *)
+      its result with the completed profile.  If [f] raises, the
+      exception is re-raised with its backtrace and no profile is
+      returned.  Profiles are counted in ["prof.profiles"], aborted
+      ones also in ["prof.aborted"]. *)
 
   val total : profile -> kind -> int
   (** Whole-request total for one counter kind (the root's delta). *)
-
-  val last_profile : unit -> profile option
-
-  val recent_profiles : unit -> profile list
-  (** Ring contents, oldest first (capacity 16 by default). *)
-
-  val set_profile_capacity : int -> unit
-  (** Resize the profile ring (clears it); raises [Invalid_argument]
-      when < 1. *)
 
   val render : profile -> string
   (** Human-readable profile tree, one operator per line:
       [-> name  rows=N  time=T  [kind=v ...]] (zero counters elided). *)
 
   val profile_json : profile -> string
-  val profiles_json : unit -> string
-  (** The ring as one JSON array of {!profile_json} objects. *)
 end
 
 val charge : Prof.kind -> int -> unit
@@ -428,6 +314,5 @@ val json_float : float -> string
     (exposed for other JSON emitters). *)
 
 val reset : unit -> unit
-(** Zero every counter, gauge and histogram (including exemplars) and
-    clear the trace buffer, event ring and profile ring.  Handles,
-    slow thresholds and the event sink remain valid. *)
+(** Zero every counter, gauge and histogram and clear the trace
+    buffer.  Handles remain valid. *)

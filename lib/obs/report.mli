@@ -99,9 +99,6 @@ type t = {
 
 val empty_history : history
 
-val compression_ratio : column -> float
-(** [raw / enc], [0.] when nothing is encoded. *)
-
 val density : live:int -> bits:int -> float
 (** [live / bits], [0.] when [bits = 0]. *)
 

@@ -18,7 +18,6 @@ type rules = {
   r_dead_ratio_crit : float;
   r_chain_warn : int;
   r_chain_crit : int;
-  r_events_dropped_warn : int;  (** event-ring drops since previous tick *)
   r_hot_replay_warn : float;  (** fragments/s of hot-branch delta replay *)
   r_maint_fail_warn : int;  (** maintenance failures since previous tick *)
   r_maint_stall_s : float;  (** one maintenance task running this long *)
@@ -31,7 +30,6 @@ let default_rules =
     r_dead_ratio_crit = 0.9;
     r_chain_warn = 32;
     r_chain_crit = 128;
-    r_events_dropped_warn = 1;
     r_hot_replay_warn = 1.0;
     r_maint_fail_warn = 1;
     r_maint_stall_s = 60.0;
@@ -51,7 +49,6 @@ type t = {
   mutable status : status;
   (* counter baselines so "rising" rules compare against the previous
      tick rather than process start *)
-  mutable prev_dropped : int;
   mutable prev_maint_failed : int;
 }
 
@@ -60,7 +57,6 @@ let create ?(rules = default_rules) () =
     rules;
     m = Mutex.create ();
     status = { st_level = L_ok; st_findings = []; st_ticks = 0; st_time = 0.0 };
-    prev_dropped = 0;
     prev_maint_failed = 0;
   }
 
@@ -135,13 +131,6 @@ let evaluate t ~now ~(report : Report.t) ~workload =
              "branch %s replays %.1f delta fragments/s; run advise"
              s.Workload.w_branch replay))
     workload;
-  let dropped = Obs.value_of "obs.events_dropped" in
-  let d_dropped = dropped - t.prev_dropped in
-  if t.status.st_ticks > 0 && d_dropped >= t.rules.r_events_dropped_warn then
-    found "events_dropped" L_warn
-      (Printf.sprintf "%d events dropped from the ring since the last tick"
-         d_dropped);
-  t.prev_dropped <- dropped;
   (* maintenance executor health: failures since the previous tick,
      a task stalled past its budget, and the same target failing over
      and over (a rewrite that will never succeed) *)
@@ -174,7 +163,6 @@ let tick ?now t ~report ~workload =
       let level =
         List.fold_left (fun acc f -> worse acc f.fi_level) L_ok findings
       in
-      let prev = t.status.st_level in
       let st =
         {
           st_level = level;
@@ -190,23 +178,6 @@ let tick ?now t ~report ~workload =
       | L_warn -> Obs.incr c_warnings
       | L_critical -> Obs.incr c_criticals
       | L_ok -> ());
-      (* leveled events on every transition, so the log shows when the
-         status changed and why — not one line per tick *)
-      if level <> prev then begin
-        let ev_level =
-          match level with
-          | L_ok -> Obs.Info
-          | L_warn -> Obs.Warn
-          | L_critical -> Obs.Error
-        in
-        let attrs =
-          ("level", level_name level)
-          :: List.map (fun f -> (f.fi_rule, f.fi_detail)) findings
-        in
-        Obs.event ~level:ev_level ~comp:"watchdog" ~attrs
-          (Printf.sprintf "health %s -> %s" (level_name prev)
-             (level_name level))
-      end;
       st)
 
 (* ------------------------------------------------------------------ *)

@@ -2,13 +2,13 @@
     snapshots with a sticky, leveled status.
 
     Each {!tick} evaluates its threshold rules — dead-tuple ratio,
-    delta-chain depth, quarantined branches / degraded health,
-    event-ring drops, failed or stalled maintenance tasks — and stores
-    the verdict as the new status.  The status is {e sticky}: it is
-    held between ticks rather than recomputed per read, so
-    {!status} is a constant-time read.  Level transitions emit a
-    leveled [Obs] event (component ["watchdog"]); every tick bumps
-    ["watchdog.ticks"] and the ["watchdog.level"] gauge (0/1/2).
+    delta-chain depth, quarantined branches / degraded health, failed
+    or stalled maintenance tasks — and stores the verdict as the new
+    status.  The status is {e sticky}: it is held between ticks rather
+    than recomputed per read, so {!status} is a constant-time read.
+    Every tick bumps ["watchdog.ticks"] and the ["watchdog.level"]
+    gauge (0/1/2), and a warn or critical tick bumps
+    ["watchdog.warnings"] or ["watchdog.criticals"].
 
     "Rising"-style rules compare counters against their value at the
     previous tick, so the first tick never fires them. *)
@@ -25,7 +25,6 @@ type rules = {
   r_dead_ratio_crit : float;
   r_chain_warn : int;  (** delta-chain depth warning bar *)
   r_chain_crit : int;
-  r_events_dropped_warn : int;  (** ring drops since the previous tick *)
   r_hot_replay_warn : float;
       (** warn when a branch's [read rate x fragments/read] — the
           continuous delta-replay cost the advisor's materialize rule
@@ -38,8 +37,6 @@ type rules = {
       (** critical when the same target keeps failing: worst current
           consecutive-failure streak ([maint.consecutive_failures]) *)
 }
-
-val default_rules : rules
 
 type status = {
   st_level : level;

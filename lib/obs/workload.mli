@@ -84,7 +84,6 @@ val set_tau : float -> unit
 
 (** {1 Rendering} *)
 
-val stats_json : stats -> string
 val to_text : stats list -> string
 
 (** {1 JSONL checkpoint}

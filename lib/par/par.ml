@@ -132,15 +132,6 @@ let usable_pool () =
 
 let available () = (not (in_worker ())) && domain_count () > 0
 
-(* A dedicated domain outside the pool, for long-lived background
-   services.  Marked as a worker so combinators it calls stay serial
-   rather than submitting batches into the scan pool (single-submitter
-   invariant). *)
-let spawn_domain f =
-  Domain.spawn (fun () ->
-      Domain.DLS.set in_worker_key true;
-      f ())
-
 (* ------------------------------------------------------------------ *)
 (* batch execution *)
 

@@ -96,12 +96,6 @@ val parallel_iter_buffered :
     [produce]/[consume] alternate serially with no buffering.  (The
     trailing [unit] exists so [?ctx] is erasable.) *)
 
-val spawn_domain : (unit -> unit) -> unit Domain.t
-(** Spawn one dedicated long-lived domain outside the pool (the
-    background maintenance service uses this).  The domain is marked
-    as a worker, so any [Par] combinator it calls runs serially
-    instead of fanning back into the pool.  The caller owns the handle
-    and must [Domain.join] it. *)
 
 val shutdown : unit -> unit
 (** Join all pool workers.  Called automatically [at_exit]; safe to

@@ -28,7 +28,7 @@ let frame payload =
 
 let write path payload =
   let tmp = path ^ ".tmp" in
-  Retry.with_retries ~site:"manifest.write_tmp" (fun () ->
+  Retry.with_retries (fun () ->
       Failpoint.guard_write "manifest.write_tmp" (frame payload)
         (fun data ->
           let oc = open_out_bin tmp in

@@ -89,7 +89,6 @@ let resident_pages t =
     (fun acc s -> acc + with_shard s (fun () -> s.resident))
     0 t.shards
 
-let shard_count t = Array.length t.shards
 let next_file_id t = Atomic.fetch_and_add t.next_file 1
 
 let find t ~file ~page =

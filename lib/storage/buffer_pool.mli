@@ -34,9 +34,6 @@ val capacity_pages : t -> int
 val resident_pages : t -> int
 (** Pages currently cached ([<= capacity_pages]). *)
 
-val shard_count : t -> int
-(** Number of lock-striped shards this pool was created with. *)
-
 val next_file_id : t -> int
 (** Fresh identifier for a file joining the pool. *)
 

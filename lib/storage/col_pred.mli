@@ -6,8 +6,6 @@
 
 type op = Eq | Ne | Lt | Le | Gt | Ge
 
-val op_name : op -> string
-
 val matches : op -> int -> bool
 (** [matches op c] is the truth of [op] given three-way comparison
     result [c] (negative / zero / positive). *)
@@ -20,7 +18,6 @@ val make : Schema.t -> column:string -> op -> Value.t -> t
 
 val of_index : int -> op -> Value.t -> t
 
-val eval_one : t -> Tuple.t -> bool
 val eval_tuple : t list -> Tuple.t -> bool
 (** Row-wise fallback evaluation (conjunction), for engines without a
     batch path. *)

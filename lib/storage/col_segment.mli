@@ -3,7 +3,7 @@
     read and write.
 
     Engines address records by dense row index.  Appended rows accumulate in an in-memory open block and are sealed into one
-    heap record of up to {!block_rows} rows: per-column byte ranges
+    heap record of up to 1024 rows: per-column byte ranges
     encoded as constant / delta+zigzag-varint ints and raw /
     dictionary strings, with an RLE tombstone bitmap, optionally LZ77
     compressed as a unit.  Scans decode a block at a time into
@@ -18,9 +18,6 @@
 
     Pre-columnar (v1) repositories are not readable here; {!Seg_v1}
     upgrades them offline. *)
-
-val block_rows : int
-(** Maximum rows per sealed block (1024). *)
 
 type row_value =
   | Live of Tuple.t

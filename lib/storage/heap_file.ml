@@ -92,7 +92,7 @@ let flush t =
        exception propagates, and [flushed]/[pending] stay put — the
        same state a crash mid-write leaves, cleaned up by the
        truncate-to-manifest-size step on reopen *)
-    Retry.with_retries ~site:"heap.flush" (fun () ->
+    Retry.with_retries (fun () ->
         Failpoint.guard_write "heap.flush" data (fun data ->
             Mutex.lock t.io_m;
             Fun.protect

@@ -1,4 +1,3 @@
-module Obs = Decibel_obs.Obs
 module Governor = Decibel_governor.Governor
 
 type mode = Shared | Exclusive
@@ -69,12 +68,7 @@ let acquire t ?deadline ~owner ~resource mode =
          context) abandons the wait with [Deadline_exceeded], not
          [Deadlock]: the wait was cut short by the caller's budget,
          not by suspected lock-graph starvation. *)
-      let abandon () =
-        Obs.event ~level:Obs.Warn ~comp:"lock"
-          ~attrs:[ ("resource", resource); ("owner", string_of_int owner) ]
-          "lock wait abandoned: caller deadline exceeded";
-        raise Governor.Deadline_exceeded
-      in
+      let abandon () = raise Governor.Deadline_exceeded in
       let check_caller () =
         (match ctx with
         | Some c -> (

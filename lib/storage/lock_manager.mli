@@ -28,8 +28,7 @@ val acquire :
 
     [deadline] is an absolute [Unix.gettimeofday] instant; a wait that
     passes it is abandoned with
-    {!Decibel_governor.Governor.Deadline_exceeded} (and a warn-level
-    event), as is a wait whose ambient governor context ({!
+    {!Decibel_governor.Governor.Deadline_exceeded}, as is a wait whose ambient governor context ({!
     Decibel_governor.Governor.Ctx.current}) expires or is cancelled.
     The manager's own [timeout_s] still raises {!Deadlock}. *)
 

@@ -21,11 +21,6 @@ val decode : Schema.t -> string -> int ref -> t
 
 val encoded_size : Schema.t -> t -> int
 
-val conflicting_fields : t -> t -> int list
-(** Indices where the two tuples disagree — the paper's field-level
-    conflict granularity (§2.2.3): two records conflict if they share a
-    primary key but differ in some field. *)
-
 val merge_fields : base:t option -> ours:t -> theirs:t -> (t, int list) result
 (** Three-way field merge relative to the lowest-common-ancestor copy.
     Non-overlapping field updates auto-merge; returns [Error fields]

@@ -87,9 +87,3 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents);
   Sys.rename tmp path
-
-let append_file path contents =
-  let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)

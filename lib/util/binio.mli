@@ -37,7 +37,5 @@ val read_file : string -> string
 val write_file : string -> string -> unit
 (** Atomic-ish replace: writes to [path ^ ".tmp"], then renames. *)
 
-val append_file : string -> string -> unit
-
 exception Corrupt of string
 (** Raised by readers on malformed input. *)

@@ -329,6 +329,28 @@ let test_update_all db =
   Database.scan db m (fun t ->
       Alcotest.(check bool) "updated" true (Value.equal t.(1) (Value.int 777)))
 
+(* the list conveniences return rows in the order the callbacks see
+   them *)
+let test_scan_list_order db =
+  let m = Vg.master in
+  Database.insert db m (row 0 0 0 0);
+  Database.insert db m (row 1 1 0 0);
+  let v = Database.commit db m ~message:"two rows" in
+  let emitted scan =
+    let acc = ref [] in
+    scan (fun t -> acc := Array.to_list t :: !acc);
+    List.rev !acc
+  in
+  let check msg want got =
+    Alcotest.(check (list (list (testable Value.pp Value.equal))))
+      msg want (List.map Array.to_list got)
+  in
+  check "scan_list = scan order" (emitted (Database.scan db m))
+    (Database.scan_list db m);
+  check "scan_version_list = scan_version order"
+    (emitted (Database.scan_version db v))
+    (Database.scan_version_list db v)
+
 let engine_cases =
   [
     ("insert-scan", test_insert_scan);
@@ -348,6 +370,7 @@ let engine_cases =
     ("deep-chain", test_deep_chain);
     ("flat-fanout", test_flat_fanout);
     ("update-all", test_update_all);
+    ("scan-list-order", test_scan_list_order);
   ]
 
 let suite_for ?(compress = false) scheme =

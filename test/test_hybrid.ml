@@ -67,11 +67,8 @@ let tagged_diff db a b =
 let side s l =
   List.filter_map (fun (s', t) -> if s' = s then Some t else None) l
 
-(* in emission order ([Database.scan_list] reverses it) *)
-let scan_rows db b =
-  let acc = ref [] in
-  Database.scan db b (fun t -> acc := Array.to_list t :: !acc);
-  List.rev !acc
+(* in emission order *)
+let scan_rows db b = List.map Array.to_list (Database.scan_list db b)
 
 (* Each side's rows, in order, are the branch's own scan order
    (segments ascending, rows ascending) restricted to the oracle's

@@ -129,8 +129,8 @@ let check_report ~expect_scheme scheme () =
       Alcotest.(check bool) "text names dev" true (contains txt "dev"))
 
 let test_report_disabled_obs () =
-  (* DECIBEL_OBS=0 / set_enabled false silences events and spans, but
-     introspection must keep returning real data *)
+  (* DECIBEL_OBS=0 / set_enabled false silences counters and spans,
+     but introspection must keep returning real data *)
   Obs.set_enabled true;
   Obs.reset ();
   with_loaded Database.Hybrid (fun db ->
@@ -138,10 +138,10 @@ let test_report_disabled_obs () =
       Fun.protect
         ~finally:(fun () -> Obs.set_enabled true)
         (fun () ->
-          let emitted = Obs.events_emitted () in
-          Obs.event ~comp:"test" "suppressed";
-          Alcotest.(check int) "events suppressed while disabled" emitted
-            (Obs.events_emitted ());
+          let c = Obs.counter "test.suppressed" in
+          Obs.incr c;
+          Alcotest.(check int) "counters suppressed while disabled" 0
+            (Obs.counter_value c);
           let spans0 = Obs.span_count () in
           let r = Database.storage_report db in
           Alcotest.(check int) "report still sees branches" 2
@@ -153,32 +153,6 @@ let test_report_disabled_obs () =
                .Report.br_live_tuples = 50);
           Alcotest.(check int) "no span recorded for the report" spans0
             (Obs.span_count ())))
-
-let test_slow_scan_event () =
-  (* threshold 0 on an instrumented span name: any scan must fire the
-     slow-op log with the span's attributes attached *)
-  Obs.set_enabled true;
-  Obs.reset ();
-  with_loaded Database.Tuple_first (fun db ->
-      Obs.set_slow_threshold "tuple_first.scan" 0.0;
-      Fun.protect
-        ~finally:(fun () -> Obs.clear_slow_threshold "tuple_first.scan")
-        (fun () ->
-          let master = Database.branch_named db "master" in
-          Database.scan db master (fun _ -> ());
-          let slow =
-            List.filter
-              (fun e ->
-                e.Obs.ev_comp = "slow_op" && e.Obs.ev_msg = "tuple_first.scan")
-              (Obs.events ())
-          in
-          Alcotest.(check bool) "slow-op fired for the scan" true
-            (List.length slow >= 1);
-          let e = List.hd slow in
-          Alcotest.(check bool) "duration attr present" true
-            (List.mem_assoc "duration_ms" e.Obs.ev_attrs);
-          Alcotest.(check int) "obs.slow_ops counted" (List.length slow)
-            (Obs.value_of "obs.slow_ops")))
 
 let () =
   Alcotest.run "introspect"
@@ -197,6 +171,5 @@ let () =
             (check_report ~expect_scheme:"hybrid" Database.Hybrid);
           Alcotest.test_case "report with obs disabled" `Quick
             test_report_disabled_obs;
-          Alcotest.test_case "slow scan event" `Quick test_slow_scan_event;
         ] );
     ]

@@ -244,7 +244,7 @@ let test_maint_torture scheme () =
               c.Torture.c_detail)
         s.Torture.s_cases)
 
-(* counters and the background service *)
+(* counters and gauges of the executor *)
 let test_observability () =
   with_root (fun root ->
       let dir = Filename.concat root "repo" in
@@ -264,15 +264,6 @@ let test_observability () =
         (List.map
            (fun m -> m.Database.m_kind)
            (Database.maintenance_tick db));
-      (* service lifecycle *)
-      Alcotest.(check bool) "not running" false
-        (Database.maintenance_running db);
-      Database.start_maintenance ~interval_s:0.01 db;
-      Alcotest.(check bool) "running" true (Database.maintenance_running db);
-      Unix.sleepf 0.05;
-      Database.stop_maintenance db;
-      Alcotest.(check bool) "stopped" false
-        (Database.maintenance_running db);
       Database.close db)
 
 let () =
@@ -309,6 +300,6 @@ let () =
               (test_maint_torture scheme))
           schemes );
       ( "observability",
-        [ Alcotest.test_case "counters + service" `Quick test_observability ]
+        [ Alcotest.test_case "counters" `Quick test_observability ]
       );
     ]

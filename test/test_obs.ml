@@ -73,14 +73,13 @@ let test_nested_spans () =
   Alcotest.(check bool) "span histogram fed" true
     ((Obs.summarize (Obs.histogram "inner")).Obs.hs_count >= 1);
   (* chrome trace lines parse as one JSON object each *)
-  let trace = Obs.dump_trace () in
-  String.split_on_char '\n' trace
-  |> List.iter (fun line ->
-         if line <> "" then begin
-           Alcotest.(check bool) "event is an object" true
-             (String.length line > 2 && line.[0] = '{'
-             && line.[String.length line - 1] = '}')
-         end)
+  List.iter
+    (fun s ->
+      let line = Obs.span_json s in
+      Alcotest.(check bool) "event is an object" true
+        (String.length line > 2 && line.[0] = '{'
+        && line.[String.length line - 1] = '}'))
+    spans
 
 let test_enable_disable () =
   Obs.set_enabled true;
@@ -218,182 +217,16 @@ let test_span_overflow_counted () =
       Alcotest.(check int) "histogram sees every span" 15
         (Obs.summarize (Obs.histogram "test.overflow")).Obs.hs_count)
 
-(* ------------------------------------------------------------------ *)
-(* event log: ring semantics, sink, levels, slow-op emission *)
-
-let is_json_object line =
-  String.length line > 2
-  && line.[0] = '{'
-  && line.[String.length line - 1] = '}'
-
-let test_event_ring () =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Obs.set_event_capacity 4;
-  Fun.protect
-    ~finally:(fun () -> Obs.set_event_capacity 4096)
-    (fun () ->
-      Obs.event ~comp:"test" "one";
-      Obs.event ~level:Obs.Warn ~attrs:[ ("k", "v") ] ~comp:"test" "two";
-      let evs = Obs.events () in
-      Alcotest.(check int) "two buffered" 2 (List.length evs);
-      let e2 = List.nth evs 1 in
-      Alcotest.(check string) "component kept" "test" e2.Obs.ev_comp;
-      Alcotest.(check string) "message kept" "two" e2.Obs.ev_msg;
-      Alcotest.(check bool) "level kept" true (e2.Obs.ev_level = Obs.Warn);
-      Alcotest.(check bool) "attrs kept" true
-        (e2.Obs.ev_attrs = [ ("k", "v") ]);
-      Alcotest.(check bool) "seq monotonic" true
-        ((List.hd evs).Obs.ev_seq < e2.Obs.ev_seq);
-      (* overflow the 4-slot ring: oldest events fall out, counted *)
-      for i = 3 to 7 do
-        Obs.event ~comp:"test" (string_of_int i)
-      done;
-      let evs = Obs.events () in
-      Alcotest.(check int) "ring capped at capacity" 4 (List.length evs);
-      Alcotest.(check string) "oldest surviving event" "4"
-        (List.hd evs).Obs.ev_msg;
-      Alcotest.(check string) "newest event" "7"
-        (List.nth evs 3).Obs.ev_msg;
-      Alcotest.(check int) "drops counted" 3
-        (Obs.value_of "obs.events_dropped");
-      Alcotest.(check int) "emission total unaffected by drops" 7
-        (Obs.events_emitted ());
-      (* JSONL render: one object per line, oldest first *)
-      let lines =
-        String.split_on_char '\n' (Obs.events_json ())
-        |> List.filter (fun l -> l <> "")
-      in
-      Alcotest.(check int) "jsonl line per event" 4 (List.length lines);
-      List.iter
-        (fun l ->
-          Alcotest.(check bool) "jsonl line is an object" true
-            (is_json_object l))
-        lines;
-      (* min-level filter: Debug below Info is not buffered *)
-      Obs.set_min_event_level Obs.Warn;
-      Obs.event ~comp:"test" "filtered-info";
-      Obs.set_min_event_level Obs.Debug;
-      Alcotest.(check int) "below-level event not emitted" 7
-        (Obs.events_emitted ());
-      (* disabled: nothing is emitted at all *)
-      Obs.set_enabled false;
-      Obs.event ~comp:"test" "invisible";
-      Obs.set_enabled true;
-      Alcotest.(check int) "disabled suppresses events" 7
-        (Obs.events_emitted ()))
-
-let test_event_sink () =
-  Obs.set_enabled true;
-  Obs.reset ();
-  let path = Filename.temp_file "decibel-events" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_event_sink None;
-      Sys.remove path)
-    (fun () ->
-      Obs.set_event_sink (Some path);
-      Obs.event ~comp:"sink" "alpha";
-      Obs.event ~level:Obs.Error ~comp:"sink" "beta";
-      Obs.set_event_sink None;
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      let lines = List.rev !lines in
-      Alcotest.(check int) "one jsonl line per event" 2 (List.length lines);
-      List.iter
-        (fun l ->
-          Alcotest.(check bool) "sink line is an object" true
-            (is_json_object l))
-        lines;
-      Alcotest.(check bool) "payload written through" true
-        (let l = List.nth lines 1 in
-         let needle = "\"beta\"" in
-         let n = String.length needle and m = String.length l in
-         let rec go i =
-           i + n <= m && (String.sub l i n = needle || go (i + 1))
-         in
-         go 0))
-
-let contains hay needle =
-  let n = String.length needle and m = String.length hay in
-  let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
-
-let test_event_sink_rotation () =
-  Obs.set_enabled true;
-  Obs.reset ();
-  let dir = Decibel_util.Fsutil.fresh_dir "decibel-test-obs-rot" in
-  let path = Filename.concat dir "events.jsonl" in
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_event_sink None;
-      Decibel_util.Fsutil.rm_rf dir)
-    (fun () ->
-      let rot0 = Obs.value_of "obs.event_log_rotations" in
-      (* ~150-byte lines against a 256-byte budget: the sink rotates
-         every couple of events *)
-      Obs.set_event_sink ~max_bytes:256 ~keep:2 (Some path);
-      for i = 1 to 12 do
-        Obs.event ~comp:"rot"
-          (Printf.sprintf "event-%03d-%s" i (String.make 80 'x'))
-      done;
-      Obs.set_event_sink None;
-      Alcotest.(check bool) "rotations counted" true
-        (Obs.value_of "obs.event_log_rotations" > rot0);
-      Alcotest.(check bool) "live file exists" true (Sys.file_exists path);
-      Alcotest.(check bool) ".1 exists" true (Sys.file_exists (path ^ ".1"));
-      Alcotest.(check bool) ".2 exists" true (Sys.file_exists (path ^ ".2"));
-      Alcotest.(check bool) ".3 never created (keep 2)" false
-        (Sys.file_exists (path ^ ".3"));
-      (* rotation happens on line boundaries: every surviving file is
-         intact JSONL, and only oversized single lines may exceed the
-         byte budget *)
-      List.iter
-        (fun p ->
-          let ic = open_in p in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () ->
-              Alcotest.(check bool) (p ^ " within budget") true
-                (in_channel_length ic <= 256 + 200);
-              try
-                while true do
-                  let l = input_line ic in
-                  if l <> "" then
-                    Alcotest.(check bool) "rotated line is an object" true
-                      (is_json_object l)
-                done
-              with End_of_file -> ()))
-        [ path; path ^ ".1"; path ^ ".2" ];
-      (* the newest event is in the live file, not a rotated one *)
-      let ic = open_in path in
-      let last = ref "" in
-      (try
-         while true do
-           last := input_line ic
-         done
-       with End_of_file -> close_in ic);
-      Alcotest.(check bool) "live file holds the newest event" true
-        (contains !last "event-012"))
-
 let test_streaming_trace () =
   Obs.set_enabled true;
   Obs.reset ();
   Obs.with_span "trace.a" (fun () ->
       Obs.with_span "trace.b" (fun () -> ()));
   Obs.with_span "trace.c" (fun () -> ());
-  let dump_lines =
-    List.filter (fun l -> l <> "")
-      (String.split_on_char '\n' (Obs.dump_trace ()))
-  in
-  Alcotest.(check int) "one line per span" 3 (List.length dump_lines);
+  let span_lines = List.map Obs.span_json (Obs.spans ()) in
+  Alcotest.(check int) "one line per span" 3 (List.length span_lines);
   (* write_trace streams through output_trace; the file must carry
-     exactly the batch dump, line for line *)
+     exactly one span_json line per recorded span, in order *)
   let path = Filename.temp_file "decibel-trace" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -408,47 +241,8 @@ let test_streaming_trace () =
          done
        with End_of_file -> close_in ic);
       let file_lines = List.rev !lines in
-      Alcotest.(check (list string)) "streamed = batch dump" dump_lines
-        file_lines;
-      (* each line is span_json of the corresponding span *)
-      let b = List.find (fun s -> s.Obs.sp_name = "trace.b") (Obs.spans ()) in
-      Alcotest.(check bool) "span_json line present" true
-        (List.mem (Obs.span_json b) file_lines))
-
-let test_slow_op_log () =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Obs.set_slow_threshold "test.slow" 0.0;
-  Fun.protect
-    ~finally:(fun () -> Obs.clear_slow_threshold "test.slow")
-    (fun () ->
-      Alcotest.(check bool) "threshold registered" true
-        (Obs.slow_threshold "test.slow" = Some 0.0);
-      Obs.with_span ~attrs:[ ("x", "1") ] "test.slow" (fun () -> ());
-      (* a span of any duration is >= 0, so the slow-op log must fire *)
-      let slow =
-        List.filter (fun e -> e.Obs.ev_comp = "slow_op") (Obs.events ())
-      in
-      Alcotest.(check int) "one slow-op event" 1 (List.length slow);
-      let e = List.hd slow in
-      Alcotest.(check string) "event msg is the span name" "test.slow"
-        e.Obs.ev_msg;
-      Alcotest.(check bool) "warn level" true (e.Obs.ev_level = Obs.Warn);
-      Alcotest.(check bool) "duration attr present" true
-        (List.mem_assoc "duration_ms" e.Obs.ev_attrs);
-      Alcotest.(check bool) "threshold attr present" true
-        (List.mem_assoc "threshold_ms" e.Obs.ev_attrs);
-      Alcotest.(check bool) "span attrs carried over" true
-        (List.assoc_opt "x" e.Obs.ev_attrs = Some "1");
-      Alcotest.(check int) "obs.slow_ops counted" 1
-        (Obs.value_of "obs.slow_ops");
-      (* uninstrumented names never fire *)
-      Obs.with_span "test.fast" (fun () -> ());
-      Alcotest.(check int) "no threshold, no event" 1
-        (List.length
-           (List.filter
-              (fun e -> e.Obs.ev_comp = "slow_op")
-              (Obs.events ()))))
+      Alcotest.(check (list string)) "streamed = span_json per span"
+        span_lines file_lines)
 
 (* ------------------------------------------------------------------ *)
 (* instrumentation wired through the storage layers *)
@@ -584,12 +378,7 @@ let () =
         ] );
       ( "events",
         [
-          Alcotest.test_case "event ring" `Quick test_event_ring;
-          Alcotest.test_case "event sink" `Quick test_event_sink;
-          Alcotest.test_case "event sink rotation" `Quick
-            test_event_sink_rotation;
           Alcotest.test_case "streaming trace" `Quick test_streaming_trace;
-          Alcotest.test_case "slow-op log" `Quick test_slow_op_log;
         ] );
       ( "instrumentation",
         [

@@ -1,8 +1,6 @@
 (* Tests for the request-scoped profiler (EXPLAIN ANALYZE): operator
    trees with cost counters, trace-context propagation into pool
-   worker domains, partial profiles flushed on governed aborts, the
-   profile ring, tail-latency exemplars, and the ring's JSON
-   serialisation. *)
+   worker domains, and governed aborts closing the request. *)
 
 open Decibel
 open Decibel_storage
@@ -61,7 +59,6 @@ let test_profile_tree () =
       in
       Alcotest.(check int) "scan sees every row" 100 n;
       Alcotest.(check string) "label kept" "t1" p.Prof.p_label;
-      Alcotest.(check bool) "not aborted" true (p.Prof.p_aborted = None);
       Alcotest.(check bool) "trace id non-empty" true
         (String.length p.Prof.p_trace_id > 0);
       (* the engine scan span became an operator node under the root *)
@@ -91,16 +88,6 @@ let test_profile_tree () =
              p.Prof.p_root.Prof.n_counters.(idx k)
              >= scan.Prof.n_counters.(idx k))
            Prof.all_kinds);
-      (* ring and accessors *)
-      (match Database.last_profile db with
-      | Some q ->
-          Alcotest.(check string) "last_profile is this request"
-            p.Prof.p_trace_id q.Prof.p_trace_id
-      | None -> Alcotest.fail "last_profile empty");
-      Alcotest.(check bool) "recent_profiles holds it" true
-        (List.exists
-           (fun q -> q.Prof.p_trace_id = p.Prof.p_trace_id)
-           (Database.recent_profiles db));
       (* renders *)
       let text = Prof.render p in
       Alcotest.(check bool) "render names the operator" true
@@ -178,7 +165,18 @@ let test_iter_buffered_propagation () =
       Alcotest.(check int) "all items drained" 500 !drained)
 
 (* ------------------------------------------------------------------ *)
-(* governed aborts still flush a (partial) profile *)
+(* governed aborts end the profiled request: the exception propagates,
+   the abort is counted and the caller's ambient trace is restored *)
+
+let check_aborted ~label db run =
+  let aborted0 = Obs.value_of "prof.aborted" in
+  (match Database.profile ~label db run with
+  | _ -> Alcotest.fail (label ^ " did not abort")
+  | exception (Governor.Deadline_exceeded | Governor.Cancelled) -> ());
+  Alcotest.(check int) "prof.aborted counted" (aborted0 + 1)
+    (Obs.value_of "prof.aborted");
+  Alcotest.(check bool) "ambient trace restored" true
+    (Prof.current_trace () = None)
 
 let test_deadline_flushes_partial () =
   Obs.set_enabled true;
@@ -187,21 +185,8 @@ let test_deadline_flushes_partial () =
       let master = seed db 200 in
       let ctx = Governor.Ctx.create ~deadline_ms:0 () in
       Unix.sleepf 0.005;
-      (match
-         Database.profile ~label:"doomed" db (fun () ->
-             Database.scan ~ctx db master (fun _ -> ()))
-       with
-      | _ -> Alcotest.fail "deadline did not fire"
-      | exception Governor.Deadline_exceeded -> ());
-      match Database.last_profile db with
-      | None -> Alcotest.fail "aborted request left no profile"
-      | Some p ->
-          Alcotest.(check string) "partial profile kept" "doomed"
-            p.Prof.p_label;
-          Alcotest.(check bool) "marked aborted" true
-            (p.Prof.p_aborted <> None);
-          Alcotest.(check bool) "prof.aborted counted" true
-            (Obs.value_of "prof.aborted" >= 1))
+      check_aborted ~label:"doomed" db (fun () ->
+          Database.scan ~ctx db master (fun _ -> ())))
 
 let test_cancel_flushes_partial () =
   Obs.set_enabled true;
@@ -210,70 +195,8 @@ let test_cancel_flushes_partial () =
       let master = seed db 200 in
       let ctx = Governor.Ctx.create () in
       Governor.Ctx.cancel ctx;
-      (match
-         Database.profile ~label:"cancelled" db (fun () ->
-             Database.scan ~ctx db master (fun _ -> ()))
-       with
-      | _ -> Alcotest.fail "cancel did not fire"
-      | exception Governor.Cancelled -> ());
-      match Database.last_profile db with
-      | None -> Alcotest.fail "cancelled request left no profile"
-      | Some p ->
-          Alcotest.(check bool) "marked aborted" true
-            (p.Prof.p_aborted <> None))
-
-(* ------------------------------------------------------------------ *)
-(* ring capacity, exemplars, ring serialisation *)
-
-let test_ring_capacity () =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Prof.set_profile_capacity 4;
-  Fun.protect
-    ~finally:(fun () -> Prof.set_profile_capacity 16)
-    (fun () ->
-      for i = 1 to 6 do
-        ignore (Prof.profiled ~label:(Printf.sprintf "r%d" i) (fun () -> ()))
-      done;
-      let ring = Prof.recent_profiles () in
-      Alcotest.(check int) "ring capped" 4 (List.length ring);
-      Alcotest.(check string) "oldest survivor" "r3"
-        (List.hd ring).Prof.p_label;
-      Alcotest.(check string) "newest last" "r6"
-        (List.nth ring 3).Prof.p_label;
-      Alcotest.(check bool) "profiles counted" true
-        (Obs.value_of "prof.profiles" >= 6))
-
-let test_latency_exemplars () =
-  Obs.set_enabled true;
-  Obs.reset ();
-  let (), p =
-    Prof.profiled ~label:"ex" (fun () ->
-        Obs.with_span "test.exemplar_span" (fun () -> ()))
-  in
-  let h = Obs.histogram "test.exemplar_span" in
-  (* the span's histogram bucket remembers which request it saw, so a
-     p99 outlier links back to a trace id *)
-  Alcotest.(check (option string)) "exemplar near p99 is this trace"
-    (Some p.Prof.p_trace_id)
-    (Obs.exemplar_near h 0.99);
-  Alcotest.(check bool) "raw exemplar array populated" true
-    (Array.exists (fun s -> s = p.Prof.p_trace_id) (Obs.hist_exemplars h))
-
-let test_profile_route () =
-  Obs.set_enabled true;
-  Obs.reset ();
-  with_db Database.Hybrid (fun db ->
-      let master = seed db 10 in
-      let _, p =
-        Database.profile ~label:"ring" db (fun () ->
-            Database.scan db master (fun _ -> ()))
-      in
-      let body = Prof.profiles_json () in
-      Alcotest.(check bool) "body is a json array" true
-        (String.length body > 0 && body.[0] = '[');
-      Alcotest.(check bool) "carries the recorded profile" true
-        (contains body p.Prof.p_trace_id))
+      check_aborted ~label:"cancelled" db (fun () ->
+          Database.scan ~ctx db master (fun _ -> ())))
 
 let () =
   Alcotest.run "profile"
@@ -282,7 +205,6 @@ let () =
         [
           Alcotest.test_case "operator tree + counters" `Quick
             test_profile_tree;
-          Alcotest.test_case "ring capacity" `Quick test_ring_capacity;
         ] );
       ( "propagation",
         [
@@ -297,11 +219,5 @@ let () =
             test_deadline_flushes_partial;
           Alcotest.test_case "cancel flushes partial" `Quick
             test_cancel_flushes_partial;
-        ] );
-      ( "surfacing",
-        [
-          Alcotest.test_case "latency exemplars" `Quick
-            test_latency_exemplars;
-          Alcotest.test_case "/profile route" `Quick test_profile_route;
         ] );
     ]

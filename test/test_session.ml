@@ -10,9 +10,9 @@ let schema = Schema.ints ~name:"r" ~width:3
 
 let row k a = [| Value.int k; Value.int a; Value.int 0 |]
 
-let with_db f =
+let with_db ?(scheme = Database.Hybrid) f =
   let dir = Decibel_util.Fsutil.fresh_dir "decibel-session" in
-  let db = Database.open_ ~lock_timeout_s:0.1 ~scheme:Database.Hybrid ~dir ~schema () in
+  let db = Database.open_ ~lock_timeout_s:0.1 ~scheme ~dir ~schema () in
   Fun.protect
     ~finally:(fun () ->
       Database.close db;
@@ -76,6 +76,49 @@ let test_sessions_conflict () =
       let _ = Database.session_commit s2 ~message:"s2" in
       Alcotest.(check int) "both rows" 2 (Database.count db Vg.master))
 
+(* A session's updates and deletes stay invisible to every other
+   session until it commits: a reader of the branch blocks on the
+   writer's exclusive lock, and a reader of the last commit sees the
+   old rows.  After the commit both see the change. *)
+let test_session_update_delete scheme () =
+  with_db ~scheme (fun db ->
+      let contents scan =
+        let rows = ref [] in
+        scan (fun t ->
+            rows :=
+              (Int64.to_int (Value.to_int_exn t.(0)),
+               Int64.to_int (Value.to_int_exn t.(1)))
+              :: !rows);
+        List.sort compare !rows
+      in
+      let writer = Database.new_session db in
+      List.iter
+        (fun k -> Database.session_insert writer (row k (10 * k)))
+        [ 1; 2; 3 ];
+      let v0 = Database.session_commit writer ~message:"base" in
+      Database.session_update writer (row 1 99);
+      Database.session_delete writer (Value.int 2);
+      let reader = Database.new_session db in
+      (match Database.session_scan reader (fun _ -> ()) with
+      | exception Lock_manager.Deadlock _ -> ()
+      | () -> Alcotest.fail "branch read must wait for the writer's commit");
+      Database.session_checkout_version reader v0;
+      Alcotest.(check (list (pair int int)))
+        "last commit unchanged before commit"
+        [ (1, 10); (2, 20); (3, 30) ]
+        (contents (Database.session_scan reader));
+      let v1 = Database.session_commit writer ~message:"update+delete" in
+      let expected = [ (1, 99); (3, 30) ] in
+      Database.session_checkout_branch reader "master";
+      Alcotest.(check (list (pair int int))) "branch sees the change"
+        expected
+        (contents (Database.session_scan reader));
+      Database.end_transaction reader;
+      Database.session_checkout_version reader v1;
+      Alcotest.(check (list (pair int int))) "new commit has the change"
+        expected
+        (contents (Database.session_scan reader)))
+
 let test_branch_from () =
   with_db (fun db ->
       Database.insert db Vg.master (row 1 1);
@@ -107,7 +150,15 @@ let () =
           Alcotest.test_case "version checkout" `Quick
             test_session_checkout_version;
           Alcotest.test_case "2PL conflict" `Quick test_sessions_conflict;
-        ] );
+        ]
+        @ List.map
+            (fun scheme ->
+              Alcotest.test_case
+                ("update and delete: " ^ Database.scheme_name scheme)
+                `Quick
+                (test_session_update_delete scheme))
+            [ Database.Tuple_first; Database.Version_first; Database.Hybrid ]
+      );
       ( "facade",
         [
           Alcotest.test_case "branch_from" `Quick test_branch_from;
